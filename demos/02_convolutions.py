@@ -9,7 +9,7 @@ count: tau(v) integrates rho over [v, inf), and the partial convolutions
 
 supply the main and second terms of the estimate.  Integration is pre-split
 at every point where either factor changes its piecewise definition, then
-handled by adaptive quadrature on each analytic piece.
+all analytic pieces go through one vectorized 21-point Gauss-Kronrod pass.
 """
 
 import math

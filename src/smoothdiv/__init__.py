@@ -9,7 +9,7 @@ largest y-smooth divisor exceeds z.  The package provides
                       difference-differential equations;
 * ``convolution``  -- the tail integral tau(v) and the partial convolutions of
                       omega with rho and rho', computed by knot-splitting
-                      adaptive quadrature;
+                      and one vectorized Gauss-Kronrod pass over the pieces;
 * ``estimators``   -- two-term asymptotic estimates for theta, the smooth and
                       rough counting functions psi and phi, the reciprocal
                       smooth sum S(y, z), and the DSA risk probability eta,

@@ -59,6 +59,7 @@ class PiecewiseFunction:
     _anti: np.ndarray = field(init=False, repr=False)
     _rows: tuple = field(init=False, repr=False)
     _rows_np: tuple = field(init=False, repr=False)
+    _horner_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -95,6 +96,15 @@ class PiecewiseFunction:
             rows.append(row[: max(keep, 1)].copy())
         object.__setattr__(self, "_rows_np", tuple(rows))
         object.__setattr__(self, "_rows", tuple(tuple(r) for r in rows))
+        # Column j holds every segment's j-th Horner coefficient (highest
+        # degree first).  Rows are right-aligned behind leading zeros, which
+        # keep the accumulator at exactly 0, so a vector Horner pass over all
+        # columns gives the bits of the scalar loop over the trimmed row.
+        width = max(r.size for r in rows)
+        cols = np.zeros((width, nseg))
+        for i, row in enumerate(rows):
+            cols[width - row.size:, i] = row[::-1]
+        object.__setattr__(self, "_horner_cols", cols)
 
     # -- geometry ----------------------------------------------------------
 
@@ -131,8 +141,9 @@ class PiecewiseFunction:
 
         Right-continuous at interior knots: an integer argument selects the
         segment to its right; the upper endpoint uses the last segment.
-        Array evaluation is grouped by segment so memory stays O(len(u))
-        even for high-degree tables.
+        Array evaluation gathers one coefficient column at a time, so memory
+        stays O(len(u)) even for high-degree tables, and returns the same
+        bits as scalar evaluation.
         """
         if np.isscalar(u) or np.ndim(u) == 0:
             return self._value_scalar(float(u))
@@ -140,12 +151,12 @@ class PiecewiseFunction:
         if np.any(arr < self.lo) or np.any(arr > self.hi):
             raise DomainError(f"argument outside table range [{self.lo}, {self.hi}]")
         idx = np.minimum((arr - self.lo).astype(np.int64), self.n_segments - 1)
-        out = np.empty_like(arr)
-        for k in np.unique(idx):
-            m = idx == k
-            t = arr[m] - (float(self.knots[k]) + 0.5)
-            out[m] = _poly_eval_vec(self._rows_np[k], t)
-        return out
+        t = arr - (self.knots[idx] + 0.5)
+        acc = np.zeros_like(t)
+        for col in self._horner_cols:
+            acc *= t
+            acc += col[idx]
+        return acc
 
     def _value_scalar(self, u: float) -> float:
         k = self.segment_index(u)

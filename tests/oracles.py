@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values in the tests.
 
-Nothing here touches the package's piecewise tables or scipy quadrature: the
-integrators are plain composite Simpson with step halving, and the Dickman
-values come either from closed forms on [0, 3] or from a trapezoid march of
-the defining integral recurrence with Richardson extrapolation.
+Nothing here touches the package's piecewise tables or its Gauss-Kronrod
+quadrature: the integrators are plain composite Simpson with step halving,
+and the Dickman values come either from closed forms on [0, 3] or from a
+trapezoid march of the defining integral recurrence with Richardson
+extrapolation.
 """
 
 import math

@@ -28,7 +28,6 @@ class TestQuadratureSpec:
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-12 and spec.rel_tol == 1e-10
         assert spec.max_subdivisions >= 16
-        assert spec.knot_policy == "split_all_integer_knots"
 
     def test_validation(self):
         with pytest.raises(DomainError):

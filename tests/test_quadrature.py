@@ -1,0 +1,156 @@
+"""The vectorized dqk21 pass, its bisection fallback and vector table evaluation.
+
+scipy is not a dependency of the package; where it is installed, its
+``quad`` (QUADPACK ``dqagse`` over ``dqk21``) is the reference the
+vectorized rule must reproduce bit for bit.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from smoothdiv import DsaParams, cli, convolution, eta, rho, special
+from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points
+from smoothdiv.validation import simpson_adaptive
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _passes(monkeypatch, fn, *args):
+    """Run ``fn(*args)`` and return every ``(f, a, b)`` it handed to ``quad``."""
+    calls = []
+    original = convolution.quad
+
+    def recording(f, a, b):
+        calls.append((f, np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        return original(f, a, b)
+
+    monkeypatch.setattr(convolution, "quad", recording)
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, calls
+
+
+def _grid():
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    pts = [(float(u), float(rng.uniform(0.0, u))) for u in rng.uniform(1.5, 100.0, 8)]
+    return pts + [(3.0, 1.5), (10.7875, 2.0), (93.4, 6.98)]
+
+
+INTEGRALS = {
+    "tau": lambda u, v: convolution.tau(v),
+    "conv_omega_rho": convolution.conv_omega_rho,
+    "conv_omega_rho_prime": convolution.conv_omega_rho_prime,
+    "conv_rho_rho": convolution.conv_rho_rho,
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRALS))
+def test_qk21_matches_scipy_quad_bit_for_bit(monkeypatch, name):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    spec = QuadratureSpec()
+    first_pass = 0
+    for u, v in _grid():
+        out, calls = _passes(monkeypatch, INTEGRALS[name], u, v)
+        if not calls:
+            continue
+        f, a, b = calls[0]
+        result, abserr, _, _ = convolution.quad(f, a, b)
+        ref_total = 0.0
+        for i in range(a.size):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                val, err, info = scipy_integrate.quad(
+                    f, a[i], b[i], epsabs=spec.abs_tol / a.size, epsrel=spec.rel_tol,
+                    limit=spec.max_subdivisions, full_output=1)
+            ref_total += val
+            if info["last"] == 1:
+                first_pass += 1
+                assert _bits(result[i]) == _bits(val), (u, v, a[i], b[i])
+                assert _bits(abserr[i]) == _bits(err), (u, v, a[i], b[i])
+        total = out if name == "tau" else out.value
+        if len(calls) == 1:
+            # Only first-pass pieces: the summed value is scipy's to the bit.
+            assert _bits(total) == _bits(ref_total), (u, v)
+        else:
+            assert abs(total - ref_total) <= out.est_abs_err, (u, v)
+    assert first_pass > 0
+
+
+def test_qk21_matches_scipy_error_formula_bit_for_bit():
+    # The table integrands are smooth enough that most error estimates sit
+    # at the round-off floor; a Runge function over wide pieces exercises the
+    # (200 * abserr / resasc) ** 1.5 scaling.  limit=1 makes scipy return
+    # dqk21's own value and error for every piece.
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    rng = np.random.Generator(np.random.Philox(key=11))
+    a = rng.uniform(-2.0, 1.0, 300)
+    b = a + rng.uniform(0.01, 3.0, 300)
+
+    def runge(s):
+        return 1.0 / (1.0 + 25.0 * s * s)
+
+    result, abserr, _, _ = convolution.quad(runge, a, b)
+    for i in range(a.size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            val, err = scipy_integrate.quad(runge, a[i], b[i], limit=1)
+        assert _bits(result[i]) == _bits(val) and _bits(abserr[i]) == _bits(err), (a[i], b[i])
+
+
+def test_fallback_converges_across_underflow_cut(monkeypatch):
+    # rho(s) drops to exact 0 inside the last table segment, so two pieces
+    # hold a jump that saturates dqk21's error estimate and are bisected.
+    u, v = 93.4, 6.98
+    c, calls = _passes(monkeypatch, convolution.conv_rho_rho, u, v)
+    assert len(calls) > 1
+    support = special.rho_support_hi(special.default_dickman(), special.DEFAULT_VALUE_FLOOR)
+    pts = _knot_points(max(v, u - support), min(u, support), u)
+    simpson = sum(simpson_adaptive(lambda s: rho(u - s) * rho(s), a, b, rel_tol=1e-13)
+                  for a, b in zip(pts[:-1], pts[1:]))
+    assert c.est_abs_err > 0.0
+    assert abs(c.value - simpson) <= c.est_abs_err
+
+
+def test_fallback_stops_at_subdivision_budget(monkeypatch):
+    # A jump inside the piece cannot meet 1e-15 within 16 subintervals: the
+    # best value and its error come back instead of an exception.
+    spec = QuadratureSpec(abs_tol=1e-15, max_subdivisions=16)
+
+    def step(s):
+        return np.where(s > 0.3, 1.0, 0.0)
+
+    (value, err), calls = _passes(monkeypatch, _integrate_pieces, step, [0.0, 1.0], spec)
+    assert len(calls) == spec.max_subdivisions
+    assert err > spec.abs_tol
+    assert abs(value - 0.7) <= err
+
+
+@pytest.mark.parametrize("table_fn", [special.default_dickman, special.default_buchstab])
+def test_vector_value_matches_scalar_bit_for_bit(table_fn):
+    table = table_fn()
+    rng = np.random.Generator(np.random.Philox(key=7))
+    pts = np.concatenate([rng.uniform(table.lo, table.hi, 4000), table.knots])
+    scalar = [table._value_scalar(float(p)) for p in pts]
+    assert np.array_equal(_bits(table.value(pts)), _bits(scalar))
+
+
+def test_headline_eta_digits():
+    assert repr(float(eta(DsaParams(863, 80, 160)))) == "0.09576304073390358"
+
+
+def test_theta_estimate_beyond_2_pow_53_record(capsys):
+    # Values of 2**53 and more render as integers, so they pin every bit.
+    argv = ["estimate", "theta", "--x", "2.29190308732e+23", "--y", "98.5730857796",
+            "--z", "3.19654469307e+13"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == {
+        "main_term": "71897111282943336",
+        "second_term": "29135323363612036",
+        "value": "1.0103243464655538e+17",
+        "error_envelope": "83996830129276400",
+    }
