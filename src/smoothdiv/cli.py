@@ -81,11 +81,23 @@ def load_settings(config_path: str | None) -> Settings:
         raise UsageError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
     known = {f.name: f.type for f in fields(Settings)}
     unknown = set(raw) - set(known)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return Settings(**raw)
+    values = {}
+    for key, value in raw.items():
+        # Integer fields take integers only; float fields take any number.
+        # bool is an int subclass in Python but a number in neither.
+        if known[key] == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise UsageError(f"config key {key!r} must be a number, got {value!r}")
+        values[key] = value if known[key] == "int" else float(value)
+    return Settings(**values)
 
 
 @lru_cache(maxsize=4)
@@ -290,6 +302,8 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
         inputs = {"y": y, "z": z}
     elif kind == "smoothpart":
         n, y = _need(args, "n", "y")
+        if not n.is_integer():
+            raise UsageError(f"--n must be an integer, got {n!r}")
         t = _sieve_for(n, args, settings)
         outputs = {"value": oracle.smooth_part(int(n), y, t)}
         inputs = {"n": int(n), "y": y}

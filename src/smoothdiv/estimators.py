@@ -224,6 +224,14 @@ def s_error_bound(y: float, z: float, rho_table: PiecewiseFunction | None = None
     return 1.0 / z + math.log(log_y) / log_y
 
 
+def _exp_text(x: float) -> str:
+    """exp(x) rendered as ``%.6g``, or as ``exp(x)`` where the double overflows."""
+    try:
+        return f"{math.exp(x):.6g}"
+    except OverflowError:
+        return f"exp({x:.6g})"
+
+
 def s_estimate(
     y: float,
     z: float,
@@ -244,11 +252,16 @@ def s_estimate(
     main = convolution.tau(v, rho_table, spec) * log_y
     second = -EULER_GAMMA * special.rho(v, table=rho_table)
     envelope = s_error_bound(y, z, rho_table)
-    z_cap = math.exp(math.exp(math.log(y) ** (3.0 / 5.0 - epsilon)))
-    ok = z <= z_cap
+    # The cap itself overflows a double once y is large, so compare log z
+    # with log(cap); that overflows too only for an epsilon far below 0.
+    try:
+        log_z_cap = math.exp(log_y ** (3.0 / 5.0 - epsilon))
+    except OverflowError:
+        log_z_cap = math.inf
+    ok = math.log(z) <= log_z_cap
     notes = (
         f"epsilon={epsilon:g}",
-        f"z <= exp(exp((log y)^(3/5-eps))) i.e. z <= {z_cap:.6g}: "
+        f"z <= exp(exp((log y)^(3/5-eps))) i.e. z <= {_exp_text(log_z_cap)}: "
         + ("ok" if ok else "FAIL"),
         "envelope branch: " + ("z >= y log y" if z >= y * log_y else "z < y log y"),
     )

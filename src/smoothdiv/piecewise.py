@@ -30,12 +30,18 @@ KIND_BUCHSTAB = "buchstab"
 _KINDS = (KIND_DICKMAN, KIND_BUCHSTAB)
 
 
-def _poly_eval_vec(coeffs_row: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Horner evaluation of one coefficient row on an offset vector."""
-    acc = np.zeros_like(t)
-    for c in coeffs_row[::-1]:
+def _horner(cols: np.ndarray, t) -> np.ndarray:
+    """Evaluate every segment's polynomial at its own midpoint offsets.
+
+    ``cols`` has shape (ncoef, nseg) with the highest degree first; ``t``
+    broadcasts against (nseg, m).  One vector pass per column gives each
+    element the multiplies and adds, in order, of a scalar Horner loop over
+    its segment's coefficients.
+    """
+    acc = np.zeros(np.broadcast_shapes((cols.shape[1], 1), np.shape(t)))
+    for col in cols:
         acc *= t
-        acc += c
+        acc += col[:, None]
     return acc
 
 
@@ -58,7 +64,6 @@ class PiecewiseFunction:
     certificate: np.ndarray    # shape (nseg,)
     _anti: np.ndarray = field(init=False, repr=False)
     _rows: tuple = field(init=False, repr=False)
-    _rows_np: tuple = field(init=False, repr=False)
     _horner_cols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -85,16 +90,14 @@ class PiecewiseFunction:
         # Evaluation rows trimmed where the remaining tail contributes less
         # than 1e-18 of the segment's smallest value; high-degree tables are
         # needed for construction accuracy, not for evaluation.
-        rows = []
-        for i, row in enumerate(coeffs):
-            tail = np.abs(row) * 0.5 ** np.arange(ncoef)
-            suffix = np.cumsum(tail[::-1])[::-1]
-            left = abs(_poly_eval_vec(row, np.asarray(-0.5)))
-            right = abs(_poly_eval_vec(row, np.asarray(0.5)))
-            floor_scale = 1e-18 * max(min(left, right, abs(row[0])), 5e-324)
-            keep = int(np.argmax(suffix <= floor_scale)) if suffix[-1] <= floor_scale else ncoef
-            rows.append(row[: max(keep, 1)].copy())
-        object.__setattr__(self, "_rows_np", tuple(rows))
+        # The tail suffix sums are non-increasing, so the first index below
+        # the floor is where every later term is negligible too.
+        suffix = np.cumsum((np.abs(coeffs) * 0.5 ** np.arange(ncoef))[:, ::-1], axis=1)[:, ::-1]
+        ends = np.abs(_horner(coeffs.T[::-1], np.array([-0.5, 0.5])))
+        smallest = np.minimum(ends.min(axis=1), np.abs(coeffs[:, 0]))
+        below = suffix <= 1e-18 * np.maximum(smallest, 5e-324)[:, None]
+        keep = np.maximum(np.where(below[:, -1], below.argmax(axis=1), ncoef), 1)
+        rows = [row[:k] for row, k in zip(coeffs, keep)]
         object.__setattr__(self, "_rows", tuple(tuple(r) for r in rows))
         # Column j holds every segment's j-th Horner coefficient (highest
         # degree first).  Rows are right-aligned behind leading zeros, which

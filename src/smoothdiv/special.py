@@ -40,7 +40,7 @@ import numpy as np
 
 from .constants import EXP_NEG_GAMMA
 from .errors import ConstructionError, DomainError
-from .piecewise import KIND_BUCHSTAB, KIND_DICKMAN, PiecewiseFunction, _poly_eval_vec
+from .piecewise import KIND_BUCHSTAB, KIND_DICKMAN, PiecewiseFunction, _horner
 
 #: Default evaluation ceiling for rho; values below the floor report 0.
 DEFAULT_RHO_U_MAX = 100
@@ -157,57 +157,43 @@ def _to_float_array(segments) -> np.ndarray:
 # -- certificates -------------------------------------------------------------
 
 
-def _anti_eval(table: PiecewiseFunction, k: int, t):
-    """Antiderivative of segment k at midpoint offsets ``t`` (vectorized)."""
-    return _poly_eval_vec(table._anti[k], np.asarray(t, dtype=float))
+def _certificate_samples(table: PiecewiseFunction):
+    """Sample points u, one row of ``_CERT_SAMPLES`` per segment, with
+    u*table(u), the segment antiderivatives at the same midpoint offsets, and
+    the antiderivatives at the segment edges (offsets -1/2 and +1/2)."""
+    knots = table.knots[:-1, None]
+    u = knots + np.linspace(0.0, 1.0, _CERT_SAMPLES)
+    t = u - (knots + 0.5)
+    anti_cols = table._anti.T[::-1]
+    lhs = u * _horner(table._horner_cols, t)
+    return u, lhs, _horner(anti_cols, t), _horner(anti_cols, np.array([-0.5, 0.5]))
 
 
 def _certify_dickman(table: PiecewiseFunction) -> np.ndarray:
     """Per-segment max relative defect of u*rho(u) = integral(rho, u-1, u)."""
-    cert = np.zeros(table.n_segments)
-    ts = np.linspace(0.0, 1.0, _CERT_SAMPLES)
+    u, lhs, anti, ends = _certificate_samples(table)
     # Exact segment integrals from the stored antiderivatives: [u-1, u] splits
     # into a piece of segment k-1 and a piece of segment k, with u-1 and u at
     # the same midpoint offset t in their respective segments.
-    for k in range(table.n_segments):
-        u = float(table.knots[k]) + ts
-        u = u[u <= table.hi]
-        t = u - (float(table.knots[k]) + 0.5)
-        lhs = u * _poly_eval_vec(table._rows_np[k], t)
-        upper = _anti_eval(table, k, t) - _anti_eval(table, k, -0.5)
-        if k == 0:
-            rhs = u.copy()  # rho == 1 on [0, 1] and 0 below: integral over [u-1, u] is u
-        else:
-            lower = _anti_eval(table, k - 1, 0.5) - _anti_eval(table, k - 1, t)
-            rhs = lower + upper
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        ok = scale > 0.0
-        cert[k] = float(np.max(np.abs(lhs - rhs)[ok] / scale[ok], initial=0.0))
-    return cert
+    lower = ends[:-1, 1:] - anti[:-1]
+    upper = anti[1:] - ends[1:, :1]
+    rhs = u.copy()  # rho == 1 on [0, 1] and 0 below: integral over [u-1, u] is u
+    rhs[1:] = lower + upper
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    rel = np.divide(np.abs(lhs - rhs), scale, out=np.zeros_like(scale), where=scale > 0.0)
+    return rel.max(axis=1)
 
 
 def _certify_buchstab(table: PiecewiseFunction) -> np.ndarray:
     """Defect of u*omega(u) = 1 + integral(omega, 1, u-1) (or of 1/u on [1,2])."""
-    cert = np.zeros(table.n_segments)
-    ts = np.linspace(0.0, 1.0, _CERT_SAMPLES)
-    # cumulative exact integral of omega over [1, knot]
-    cum = [0.0]
-    for k in range(table.n_segments):
-        cum.append(cum[-1] + float(_anti_eval(table, k, 0.5) - _anti_eval(table, k, -0.5)))
-    for k in range(table.n_segments):
-        u = float(table.knots[k]) + ts
-        u = u[u <= table.hi]
-        t = u - (float(table.knots[k]) + 0.5)
-        lhs = u * _poly_eval_vec(table._rows_np[k], t)
-        if k == 0:
-            rhs = np.ones_like(u)
-        else:
-            # integral over [1, u-1]: full segments up to knot k-1, plus a
-            # partial piece of segment k-1 (u-1 sits there at the same offset t).
-            partial = _anti_eval(table, k - 1, t) - _anti_eval(table, k - 1, -0.5)
-            rhs = 1.0 + cum[k - 1] + partial
-        cert[k] = float(np.max(np.abs(lhs - rhs) / np.abs(rhs), initial=0.0))
-    return cert
+    u, lhs, anti, ends = _certificate_samples(table)
+    # cum[k]: exact integral of omega over [1, knots[k]]
+    cum = np.concatenate(([0.0], np.cumsum(ends[:, 1] - ends[:, 0])))
+    rhs = np.ones_like(u)
+    # integral over [1, u-1] for segment k >= 1: full segments up to knot k-1,
+    # plus a partial piece of segment k-1 (u-1 sits there at the same offset t).
+    rhs[1:] = (1.0 + cum[:-2, None]) + (anti[:-1] - ends[:-1, :1])
+    return (np.abs(lhs - rhs) / np.abs(rhs)).max(axis=1)
 
 
 # -- table builders -----------------------------------------------------------

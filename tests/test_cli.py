@@ -11,7 +11,9 @@ from smoothdiv.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     OutputRecord,
+    UsageError,
     fmt17,
+    load_settings,
     parse_output_record,
     validate_output_record,
 )
@@ -68,6 +70,13 @@ class TestEstimateCommand:
         assert proc.returncode == 0
         assert "in_theorem_domain=false" in record_of(proc)["flags"]
 
+    def test_s_domain_cap_does_not_overflow(self):
+        # exp(exp((log y)^(3/5-eps))) exceeds the largest double for y = 1e300.
+        proc = run_cli("estimate", "s", "--y", "1e300", "--z", "1e6")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "in_theorem_domain=true" in record_of(proc)["flags"]
+
     def test_missing_flag_is_usage_error(self):
         proc = run_cli("estimate", "theta", "--x", "1e6")
         assert proc.returncode == EXIT_USAGE
@@ -94,6 +103,20 @@ class TestExactCommand:
     def test_smoothpart(self):
         proc = run_cli("exact", "smoothpart", "--n", "12", "--y", "2")
         assert record_of(proc)["outputs"]["value"] == "4"
+
+    @pytest.mark.parametrize("n, code, value", [
+        ("12.7", EXIT_USAGE, None),   # was silently truncated to 12
+        ("1e6", 0, "1000000"),        # integer-valued float spelling stays accepted
+        ("0", EXIT_DOMAIN, None),     # integer but outside smooth_part's domain
+    ])
+    def test_smoothpart_n_must_be_integer_valued(self, n, code, value):
+        proc = run_cli("exact", "smoothpart", "--n", n, "--y", "5")
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if value is not None:
+            assert record_of(proc)["outputs"]["value"] == value
+        if code == EXIT_USAGE:
+            assert "--n" in proc.stderr
 
     def test_resource_error(self):
         proc = run_cli("exact", "psi", "--x", "1e12", "--y", "100")
@@ -212,3 +235,35 @@ class TestConfig:
         cfg.write_text(json.dumps({"bogus": 1}))
         proc = run_cli("--config", str(cfg), "exact", "psi", "--x", "100", "--y", "5")
         assert proc.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize("raw", [
+        {"epsilon": "abc"},
+        {"epsilon": True},
+        {"epsilon": None},
+        {"sieve_ceiling": 1.5},
+        {"rho_u_max": 100.0},
+        {"omega_u_cut": False},
+        [1, 2],
+    ])
+    def test_config_type_errors_name_the_key(self, tmp_path, raw):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(raw))
+        with pytest.raises(UsageError) as err:
+            load_settings(str(cfg))
+        if isinstance(raw, dict):
+            assert repr(next(iter(raw))) in str(err.value)
+
+    def test_config_accepts_numbers_for_float_fields(self, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"epsilon": 1, "abs_tol": 1e-14, "sieve_ceiling": 1000}))
+        s = load_settings(str(cfg))
+        assert (s.epsilon, s.abs_tol, s.sieve_ceiling) == (1.0, 1e-14, 1000)
+        assert isinstance(s.epsilon, float)
+
+    def test_config_type_error_exits_usage(self, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"epsilon": "abc"}))
+        proc = run_cli("--config", str(cfg), "estimate", "psi-h", "--x", "1e6", "--y", "1e3")
+        assert proc.returncode == EXIT_USAGE
+        assert "'epsilon'" in proc.stderr
+        assert "Traceback" not in proc.stderr

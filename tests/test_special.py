@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from smoothdiv import (
     rho_double_prime,
     rho_prime,
 )
+from smoothdiv.piecewise import save_piecewise
 from smoothdiv.special import omega_deviations_decimal
 
 from oracles import RHO_3, rho_closed, rho_delay_grid, simpson_halving
@@ -224,3 +226,40 @@ class TestConstruction:
         assert dickman.certificate.shape == (dickman.n_segments,)
         assert dickman.max_certificate <= dickman.target_rel_err
         assert buchstab.max_certificate <= buchstab.target_rel_err
+
+
+def _sha256_of_saved(table, tmp_path):
+    path = tmp_path / "table.json"
+    save_piecewise(table, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestTableBits:
+    """Digests of the built tables: coefficients, certificates and trimmed
+    evaluation rows must keep their bits whenever construction is refactored."""
+
+    SAVED = {
+        "dickman": "b2932deff18bda324ddbbcae730e141e84c5a7c8f8168d57eaaf76c3334beb58",
+        "buchstab": "c1b1e6c79116ab949cc5c720b1e71fdac3be1ac992f57229581f31e9b89a5696",
+        "dickman_u12": "12982dfaf19b015bc7430699b80d207f71f6e923b2f218ba7b56578c3358b11c",
+    }
+    HORNER_COLS = {
+        "dickman": ((36, 100), "f4c9af3cc8439da3ec5de0591698756fefc10b2361a33a520f2762cd20d48045"),
+        "buchstab": ((39, 29), "51bfe97b7a77f8c748bba9f826154edd972ff4c605c8dcafda3e979e9650ee8f"),
+    }
+
+    def test_saved_tables(self, dickman, buchstab, tmp_path):
+        tables = {
+            "dickman": dickman,
+            "buchstab": buchstab,
+            "dickman_u12": build_dickman_table(u_max=12),
+        }
+        for name, table in tables.items():
+            assert _sha256_of_saved(table, tmp_path) == self.SAVED[name], name
+
+    def test_trimmed_evaluation_rows(self, dickman, buchstab):
+        for name, table in (("dickman", dickman), ("buchstab", buchstab)):
+            shape, digest = self.HORNER_COLS[name]
+            cols = table._horner_cols
+            assert cols.shape == shape, name
+            assert hashlib.sha256(cols.tobytes()).hexdigest() == digest, name
