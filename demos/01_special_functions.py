@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from smoothdiv import (
-    CONSTANTS,
+    EXP_NEG_GAMMA,
     load_piecewise,
     omega,
     omega_prime,
@@ -40,7 +40,7 @@ print("a random 100-digit integer is 10-digit smooth with probability ~ rho(10)"
 
 print("\n=== omega hugs its limit e^-gamma ===")
 for u in (2, 3, 5, 10, 20):
-    print(f"omega({u:>2}) - e^-gamma = {omega(float(u)) - CONSTANTS.exp_neg_gamma:+.3e}")
+    print(f"omega({u:>2}) - e^-gamma = {omega(float(u)) - EXP_NEG_GAMMA:+.3e}")
 
 print("\n=== derivatives come from the delay ODEs, not numerics ===")
 print(f"rho'(2.5)  = -rho(1.5)/2.5      = {rho_prime(2.5):+.10f}")

@@ -15,7 +15,7 @@ all analytic pieces go through one vectorized 21-point Gauss-Kronrod pass.
 import math
 
 from smoothdiv import (
-    CONSTANTS,
+    EXP_GAMMA,
     conv_omega_rho,
     conv_omega_rho_prime,
     conv_rho_rho,
@@ -24,7 +24,7 @@ from smoothdiv import (
 )
 
 print("=== tau: the tail of rho ===")
-print(f"tau(0) = {tau(0.0):.12f}   (classical identity: e^gamma = {CONSTANTS.exp_gamma:.12f})")
+print(f"tau(0) = {tau(0.0):.12f}   (classical identity: e^gamma = {EXP_GAMMA:.12f})")
 print(f"tau(1) = {tau(1.0):.12f}   (= e^gamma - 1)")
 for v in (2.0, 3.0, 5.0, 8.0):
     print(f"tau({v:.0f}) = {tau(v):.6e}")

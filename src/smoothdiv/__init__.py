@@ -20,7 +20,7 @@ largest y-smooth divisor exceeds z.  The package provides
 * ``cli``          -- a command-line surface with machine-readable output.
 """
 
-from .constants import CONSTANTS, EULER_GAMMA, EXP_GAMMA, EXP_NEG_GAMMA, Constants
+from .constants import EULER_GAMMA, EXP_GAMMA, EXP_NEG_GAMMA
 from .errors import ConstructionError, DomainError, ResourceError, SmoothdivError
 from .piecewise import PiecewiseFunction, load_piecewise, save_piecewise
 from .special import (
@@ -77,8 +77,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONSTANTS",
-    "Constants",
     "ConstructionError",
     "ConvolutionValue",
     "DomainError",

@@ -12,12 +12,18 @@ Subcommands:
                    optionally Monte Carlo;
 * ``validate``  -- run the invariant suites.
 
-Exit codes: 0 success, 2 usage error, 3 resource limit, 4 domain error.
+Exit codes: 0 success, 1 validation failed (``validate`` only), 2 usage
+error, 3 resource limit (sieve ceiling, or a table that cannot be built to
+the requested accuracy), 4 domain error.
 Numbers in JSON/CSV output are decimal strings with 17 significant digits, so
 values round-trip exactly and identical invocations (including ``--seed``)
 produce byte-identical output.  A JSON config file (``--config`` or the
 ``SMOOTHDIV_CONFIG`` environment variable) can set tolerances, the sieve
-ceiling, and the table ranges; command-line flags override it.
+ceiling, the table ranges and epsilon; ``special``, ``estimate``, ``compare``
+and ``dsa-risk`` all use them, and command-line flags override them.
+
+The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
+come from :data:`smoothdiv.harness.KINDS`.
 """
 
 from __future__ import annotations
@@ -32,9 +38,12 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, convolution, estimators, harness, oracle, special, validation
-from .errors import DomainError, ResourceError
-from .params import DsaParams, ScaledParams
+from .errors import ConstructionError, DomainError, ResourceError
+from .harness import KINDS, fmt17
+from .params import DsaParams
 
 CONFIG_ENV_VAR = "SMOOTHDIV_CONFIG"
 
@@ -47,15 +56,6 @@ EXIT_DOMAIN = 4
 
 class UsageError(Exception):
     """Bad or missing flags for a subcommand (exit code 2)."""
-
-
-def fmt17(x) -> str:
-    """Render a value as a string; floats get 17 significant digits."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, str)):
-        return str(x)
-    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,13 @@ def _tables_for(target_rel_err: float, rho_u_max: int, omega_u_cut: int):
             special.build_buchstab_table(omega_u_cut, target_rel_err=target_rel_err))
 
 
-def _quad_spec(s: Settings) -> convolution.QuadratureSpec:
-    return convolution.QuadratureSpec(abs_tol=s.abs_tol, rel_tol=s.rel_tol)
+def _numerics(s: Settings, epsilon: float | None = None) -> harness.Numerics:
+    """Tables, quadrature tolerances and epsilon from the settings; a given
+    ``epsilon`` (the ``--epsilon`` flag) overrides the configured one."""
+    rt, ot = _tables_for(s.target_rel_err, s.rho_u_max, s.omega_u_cut)
+    return harness.Numerics(rt, ot,
+                            convolution.QuadratureSpec(abs_tol=s.abs_tol, rel_tol=s.rel_tol),
+                            s.epsilon if epsilon is None else epsilon)
 
 
 # -- output record -------------------------------------------------------------
@@ -191,13 +196,13 @@ def validate_output_record(d: dict) -> None:
 # -- flag helpers ----------------------------------------------------------------
 
 
-def _need(args, *names):
-    vals = []
+def _need(args, *names) -> dict:
+    vals = {}
     for n in names:
         v = getattr(args, n, None)
         if v is None:
             raise UsageError(f"--{n} is required for this command")
-        vals.append(v)
+        vals[n] = v
     return vals
 
 
@@ -218,60 +223,26 @@ def _sieve_for(limit_needed: float, args, settings: Settings) -> oracle.SieveTab
 
 
 def cmd_special(args, settings: Settings) -> OutputRecord:
-    rt, ot = _tables_for(settings.target_rel_err, settings.rho_u_max, settings.omega_u_cut)
-    fn = args.fn
-    u = args.u
-    table = rt if fn.startswith("rho") else ot
-    value = {
-        "rho": lambda: special.rho(u, table=rt),
-        "rho1": lambda: special.rho_prime(u, table=rt),
-        "rho2": lambda: special.rho_double_prime(u, table=rt),
-        "omega": lambda: special.omega(u, table=ot),
-        "omega1": lambda: special.omega_prime(u, table=ot),
-    }[fn]()
+    num = _numerics(settings)
+    table = num.rho_table if args.fn.startswith("rho") else num.omega_table
+    fn = {"rho": special.rho, "rho1": special.rho_prime, "rho2": special.rho_double_prime,
+          "omega": special.omega, "omega1": special.omega_prime}[args.fn]
     return OutputRecord(
         command="special",
-        inputs={"fn": fn, "u": u},
-        outputs={"value": value,
+        inputs={"fn": args.fn, "u": args.u},
+        outputs={"value": fn(args.u, table=table),
                  "table_max_certificate": table.max_certificate,
                  "table_target_rel_err": table.target_rel_err},
     )
 
 
 def cmd_estimate(args, settings: Settings) -> OutputRecord:
-    rt, ot = _tables_for(settings.target_rel_err, settings.rho_u_max, settings.omega_u_cut)
-    spec = _quad_spec(settings)
-    eps = settings.epsilon if args.epsilon is None else args.epsilon
-    kind = args.kind
-    if kind == "theta":
-        x, y, z = _need(args, "x", "y", "z")
-        r = estimators.theta_estimate(ScaledParams(x, y, z), rt, ot, spec, eps)
-        inputs = {"x": x, "y": y, "z": z}
-    elif kind == "psi-h":
-        x, y = _need(args, "x", "y")
-        r = estimators.psi_estimate_hildebrand(x, y, rt, eps)
-        inputs = {"x": x, "y": y}
-    elif kind == "psi-s":
-        x, y = _need(args, "x", "y")
-        r = estimators.psi_estimate_saias(x, y, rt, eps)
-        inputs = {"x": x, "y": y}
-    elif kind == "phi":
-        x, y = _need(args, "x", "y")
-        r = estimators.phi_estimate(x, y, rt, ot, eps)
-        inputs = {"x": x, "y": y}
-    elif kind == "s":
-        y, z = _need(args, "y", "z")
-        r = estimators.s_estimate(y, z, rt, spec, eps)
-        inputs = {"y": y, "z": z}
-    elif kind == "lemma6":
-        x, y, z = _need(args, "x", "y", "z")
-        r = estimators.lemma6_estimate(ScaledParams(x, y, z), rt, ot, spec)
-        inputs = {"x": x, "y": y, "z": z}
-    else:
-        raise UsageError(f"unknown estimate kind {kind!r}")
+    kind = KINDS[args.kind]
+    p = _need(args, *kind.params)
+    r = kind.estimate(_numerics(settings, args.epsilon), **p)
     return OutputRecord(
-        command=f"estimate {kind}",
-        inputs=inputs,
+        command=f"estimate {args.kind}",
+        inputs=p,
         outputs={"main_term": r.main_term, "second_term": r.second_term,
                  "value": r.value, "error_envelope": r.error_envelope},
         flags=_estimate_flags(r),
@@ -279,37 +250,15 @@ def cmd_estimate(args, settings: Settings) -> OutputRecord:
 
 
 def cmd_exact(args, settings: Settings) -> OutputRecord:
-    kind = args.kind
-    if kind == "theta":
-        x, y, z = _need(args, "x", "y", "z")
-        t = _sieve_for(x, args, settings)
-        outputs = {"value": oracle.theta_exact(x, y, z, t)}
-        inputs = {"x": x, "y": y, "z": z}
-    elif kind == "psi":
-        x, y = _need(args, "x", "y")
-        t = _sieve_for(x, args, settings)
-        outputs = {"value": oracle.psi_exact(x, y, t)}
-        inputs = {"x": x, "y": y}
-    elif kind == "phi":
-        x, y = _need(args, "x", "y")
-        t = _sieve_for(x, args, settings)
-        outputs = {"value": oracle.phi_exact(x, y, t)}
-        inputs = {"x": x, "y": y}
-    elif kind == "s":
-        y, z = _need(args, "y", "z")
-        t = _sieve_for(max(z, 2.0), args, settings)
-        outputs = {"value": oracle.s_exact(y, z, t)}
-        inputs = {"y": y, "z": z}
-    elif kind == "smoothpart":
-        n, y = _need(args, "n", "y")
-        if not n.is_integer():
-            raise UsageError(f"--n must be an integer, got {n!r}")
-        t = _sieve_for(n, args, settings)
-        outputs = {"value": oracle.smooth_part(int(n), y, t)}
-        inputs = {"n": int(n), "y": y}
-    else:
-        raise UsageError(f"unknown exact kind {kind!r}")
-    return OutputRecord(command=f"exact {kind}", inputs=inputs, outputs=outputs)
+    kind = KINDS[args.kind]
+    p = _need(args, *kind.params)
+    if "n" in p:  # the integer whose smooth part is asked for
+        if not p["n"].is_integer():
+            raise UsageError(f"--n must be an integer, got {p['n']!r}")
+        p["n"] = int(p["n"])
+    t = _sieve_for(kind.sieve_limit(**p), args, settings)
+    return OutputRecord(command=f"exact {args.kind}", inputs=p,
+                        outputs={"value": kind.exact(t, **p)})
 
 
 def _parse_x_list(spec: str) -> list[float]:
@@ -327,46 +276,21 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
     xs = _parse_x_list(args.x)
     if (args.u is None) == (args.y is None):
         raise UsageError("give exactly one of --u (y = x^(1/u)) or --y (fixed)")
-    kind = args.kind
-    needs_z = kind in ("theta", "s", "lemma6")
+    needs_z = "z" in KINDS[args.kind].params
     if needs_z and (args.v is None) == (args.z is None):
         raise UsageError("give exactly one of --v (z = y^v) or --z (fixed)")
+    t = _sieve_for(max(xs), args, settings)  # one sieve for the grid, every kind
+    num = _numerics(settings)
     rows = []
-    t = _sieve_for(max(xs), args, settings)
     for x in xs:
         y = x ** (1.0 / args.u) if args.u is not None else args.y
-        z = (y ** args.v if args.v is not None else args.z) if needs_z else None
-        params = {"x": x, "y": y} | ({"z": z} if needs_z else {})
-        if kind == "theta":
-            est = estimators.theta_estimate(ScaledParams(x, y, z))
-            exact = float(oracle.theta_exact(x, y, z, t))
-        elif kind == "psi-h":
-            est = estimators.psi_estimate_hildebrand(x, y)
-            exact = float(oracle.psi_exact(x, y, t))
-        elif kind == "psi-s":
-            est = estimators.psi_estimate_saias(x, y)
-            exact = float(oracle.psi_exact(x, y, t))
-        elif kind == "phi":
-            est = estimators.phi_estimate(x, y)
-            exact = float(oracle.phi_exact(x, y, t))
-        elif kind == "s":
-            est = estimators.s_estimate(y, z)
-            exact = oracle.s_exact(y, z, t)
-        elif kind == "lemma6":
-            est = estimators.lemma6_estimate(ScaledParams(x, y, z))
-            exact = oracle.weighted_smooth_sum(
-                ScaledParams(x, y, z), oracle.WeightKind.BUCHSTAB_OMEGA, t)
-        else:
-            raise UsageError(f"unknown compare kind {kind!r}")
-        note = "" if est.in_theorem_domain else "; ".join(
-            n for n in est.domain_notes if "FAIL" in n)
-        rows.append(harness.ReportRow(params, exact, est.value,
-                                      est.error_envelope, est.in_theorem_domain, note))
-    ratios = sorted(r.ratio for r in rows)
-    import numpy as np
-
+        params = {"x": x, "y": y}
+        if needs_z:
+            params["z"] = y ** args.v if args.v is not None else args.z
+        rows.append(harness.compare_row(args.kind, params, t, num))
+    ratios = [r.ratio for r in rows]
     report = harness.ComparisonReport(
-        f"compare-{kind}", tuple(rows), seed=0, version=__version__,
+        f"compare-{args.kind}", tuple(rows), seed=0, version=__version__,
         summary={"max_ratio": max(ratios), "median_ratio": float(np.median(ratios))})
     if args.report:
         report.save(args.report)
@@ -374,13 +298,12 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
 
 
 def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
-    rt, ot = _tables_for(settings.target_rel_err, settings.rho_u_max, settings.omega_u_cut)
-    spec = _quad_spec(settings)
+    num = _numerics(settings)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         d = DsaParams(args.k, args.l, args.m)
-        w_k = estimators.wp(d, rt, ot, spec)
-        analytic = estimators.eta(d, rt, ot, spec)
+        w_k = estimators.wp(d, num.rho_table, num.omega_table, num.spec)
+        analytic = estimators.eta(d, num.rho_table, num.omega_table, num.spec)
     flags = [f"regime_warning={str(w.message)}" for w in caught]
     inputs = {"k": args.k, "l": args.l, "m": args.m}
     outputs = {"wp": w_k, "eta": analytic}
@@ -415,6 +338,9 @@ def cmd_validate(args, settings: Settings) -> tuple[str, bool]:
 # -- parser ------------------------------------------------------------------------
 
 
+_ESTIMATE_KINDS = [k for k, e in KINDS.items() if e.estimate is not None]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="smoothdiv",
@@ -431,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     es = sub.add_parser("estimate", help="asymptotic estimate with error envelope")
-    es.add_argument("kind", choices=["theta", "psi-h", "psi-s", "phi", "s", "lemma6"])
+    es.add_argument("kind", choices=_ESTIMATE_KINDS)
     es.add_argument("--x", type=float)
     es.add_argument("--y", type=float)
     es.add_argument("--z", type=float)
@@ -439,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     ex = sub.add_parser("exact", help="exact sieve-backed value")
-    ex.add_argument("kind", choices=["theta", "psi", "phi", "s", "smoothpart"])
+    ex.add_argument("kind", choices=[k for k, e in KINDS.items() if e.exact_command])
     ex.add_argument("--x", type=float)
     ex.add_argument("--y", type=float)
     ex.add_argument("--z", type=float)
@@ -448,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     cp = sub.add_parser("compare", help="exact vs. estimate over a grid")
-    cp.add_argument("--kind", default="theta",
-                    choices=["theta", "psi-h", "psi-s", "phi", "s", "lemma6"])
+    cp.add_argument("--kind", default="theta", choices=_ESTIMATE_KINDS)
     cp.add_argument("--x", required=True, help="comma-separated list, e.g. 1e5,1e6,1e7")
     cp.add_argument("--u", type=float, help="derive y = x^(1/u)")
     cp.add_argument("--y", type=float, help="fixed y")
@@ -500,7 +425,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceError as exc:
+    except (ResourceError, ConstructionError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except DomainError as exc:

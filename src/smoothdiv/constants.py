@@ -1,7 +1,6 @@
 """Shared mathematical constants."""
 
 import math
-from dataclasses import dataclass
 
 #: Euler-Mascheroni constant gamma, rounded to the nearest double.
 EULER_GAMMA = 0.5772156649015329
@@ -12,17 +11,3 @@ EXP_GAMMA = math.exp(EULER_GAMMA)
 #: e**-gamma; the limit of the Buchstab function.
 EXP_NEG_GAMMA = math.exp(-EULER_GAMMA)
 
-
-@dataclass(frozen=True)
-class Constants:
-    """The constants bundle used throughout the package.
-
-    Invariant: ``exp_gamma * exp_neg_gamma == 1`` to machine relative accuracy.
-    """
-
-    euler_gamma: float = EULER_GAMMA
-    exp_gamma: float = EXP_GAMMA
-    exp_neg_gamma: float = EXP_NEG_GAMMA
-
-
-CONSTANTS = Constants()

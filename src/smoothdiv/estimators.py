@@ -75,16 +75,27 @@ class EstimateResult:
 # -- domain checks -------------------------------------------------------------
 
 
-def _y_lower_bound(x: float, epsilon: float) -> float:
-    return math.exp(math.log(math.log(x)) ** (5.0 / 3.0 + epsilon)) if x > math.e else 0.0
+def _log_y_lower_bound(x: float, epsilon: float) -> float:
+    """log of the lower bound exp((log log x)^(5/3+eps)) on y."""
+    if x <= math.e:
+        return -math.inf
+    try:
+        return math.log(math.log(x)) ** (5.0 / 3.0 + epsilon)
+    except OverflowError:
+        return math.inf
 
 
 def _hildebrand_domain(x: float, y: float, epsilon: float) -> tuple[bool, list[str]]:
     notes = [f"epsilon={epsilon:g}"]
-    y_min = _y_lower_bound(x, epsilon)
+    log_y_min = _log_y_lower_bound(x, epsilon)
+    # For a large epsilon the bound overflows a double and no y meets it.
+    try:
+        y_min = math.exp(log_y_min)
+    except OverflowError:
+        y_min = math.inf
     ok_y = y >= y_min
     notes.append(
-        f"y >= exp((log log x)^(5/3+eps)) i.e. y >= {y_min:.6g}: "
+        f"y >= exp((log log x)^(5/3+eps)) i.e. y >= {_exp_text(log_y_min)}: "
         + ("ok" if ok_y else f"FAIL (y={y:.6g})")
     )
     ok_xy = x >= y

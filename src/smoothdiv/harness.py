@@ -9,31 +9,119 @@ timestamps, so a rerun with the same inputs is byte-identical.
 Envelopes carry implied constant 1, so the interesting output is the fitted
 constant (the largest observed ratio), which the reports record rather than
 assert; acceptance-level bounds live in the test suite.
+
+The kind registry :data:`KINDS` pairs each quantity with its parameters, its
+estimate and its exact count; the report builders here and the CLI's
+``estimate``, ``exact`` and ``compare`` subcommands all dispatch through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import estimators, oracle
+from . import __version__, estimators, oracle
+from .convolution import QuadratureSpec
+from .estimators import EstimateResult
 from .params import DsaParams, ScaledParams
+from .piecewise import PiecewiseFunction
 
 _THEOREM1_XS = (1e5, 1e6, 1e7)
 _THEOREM1_UV = ((4.0, 2.0), (5.0, 2.0), (6.0, 3.0))
 
 
-def _fmt(x) -> str:
+def fmt17(x) -> str:
+    """Render a value as a string; floats get 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, (int, np.integer, str)):
+        return str(x)
     return f"{float(x):.17g}"
+
+
+# -- kind registry ---------------------------------------------------------------
+
+
+class Numerics(NamedTuple):
+    """What an estimate runs with; None selects the package default."""
+
+    rho_table: PiecewiseFunction | None = None
+    omega_table: PiecewiseFunction | None = None
+    spec: QuadratureSpec | None = None
+    epsilon: float = estimators.DEFAULT_EPSILON
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One quantity: its parameters, its estimate and its exact count.
+
+    The callables take the parameter values as keywords:
+    ``estimate(num, **p)``, ``exact(sieve, **p)`` and
+    ``sieve_limit(**p)``, the sieve size ``exact`` needs.  They look their
+    functions up through the module at call time, so wrappers installed on
+    ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and
+    ``compare`` offer every kind with an estimate; ``exact`` offers the kinds
+    marked ``exact_command``.
+    """
+
+    params: tuple[str, ...]
+    estimate: Callable[..., EstimateResult] | None = None
+    exact: Callable[..., float] | None = None
+    sieve_limit: Callable[..., float] = lambda x, **_: x
+    exact_command: bool = False
+
+
+def _psi_exact(t, x, y):
+    return oracle.psi_exact(x, y, t)
+
+
+KINDS: dict[str, Kind] = {
+    "theta": Kind(
+        ("x", "y", "z"),
+        lambda num, x, y, z: estimators.theta_estimate(
+            ScaledParams(x, y, z), num.rho_table, num.omega_table, num.spec, num.epsilon),
+        lambda t, x, y, z: oracle.theta_exact(x, y, z, t),
+        exact_command=True),
+    "psi-h": Kind(
+        ("x", "y"),
+        lambda num, x, y: estimators.psi_estimate_hildebrand(x, y, num.rho_table, num.epsilon),
+        _psi_exact),
+    "psi-s": Kind(
+        ("x", "y"),
+        lambda num, x, y: estimators.psi_estimate_saias(x, y, num.rho_table, num.epsilon),
+        _psi_exact),
+    "psi": Kind(("x", "y"), exact=_psi_exact, exact_command=True),
+    "phi": Kind(
+        ("x", "y"),
+        lambda num, x, y: estimators.phi_estimate(
+            x, y, num.rho_table, num.omega_table, num.epsilon),
+        lambda t, x, y: oracle.phi_exact(x, y, t),
+        exact_command=True),
+    "s": Kind(
+        ("y", "z"),
+        lambda num, y, z: estimators.s_estimate(y, z, num.rho_table, num.spec, num.epsilon),
+        lambda t, y, z: oracle.s_exact(y, z, t),
+        sieve_limit=lambda z, **_: max(z, 2.0),
+        exact_command=True),
+    "lemma6": Kind(
+        ("x", "y", "z"),
+        lambda num, x, y, z: estimators.lemma6_estimate(
+            ScaledParams(x, y, z), num.rho_table, num.omega_table, num.spec),
+        lambda t, x, y, z: oracle.weighted_smooth_sum(
+            ScaledParams(x, y, z), oracle.WeightKind.BUCHSTAB_OMEGA, t)),
+    "smoothpart": Kind(
+        ("n", "y"),
+        exact=lambda t, n, y: oracle.smooth_part(n, y, t),
+        sieve_limit=lambda n, **_: n,
+        exact_command=True),
+}
 
 
 @dataclass(frozen=True)
@@ -53,12 +141,12 @@ class ReportRow:
 
     def to_jsonable(self) -> dict:
         return {
-            "params": {k: _fmt(v) for k, v in self.params.items()},
-            "exact": _fmt(self.exact),
-            "estimate": _fmt(self.estimate),
-            "abs_diff": _fmt(abs(self.exact - self.estimate)),
-            "envelope": _fmt(self.envelope),
-            "ratio": _fmt(self.ratio),
+            "params": {k: fmt17(v) for k, v in self.params.items()},
+            "exact": fmt17(self.exact),
+            "estimate": fmt17(self.estimate),
+            "abs_diff": fmt17(abs(self.exact - self.estimate)),
+            "envelope": fmt17(self.envelope),
+            "ratio": fmt17(self.ratio),
             "in_domain": self.in_domain,
             "note": self.note,
         }
@@ -88,8 +176,8 @@ class ComparisonReport:
             "schema": "smoothdiv/comparison-report/1",
             "experiment_id": self.experiment_id,
             "rows": [r.to_jsonable() for r in self.rows],
-            "fitted_constant": _fmt(self.fitted_constant),
-            "summary": {k: _fmt(v) for k, v in self.summary.items()},
+            "fitted_constant": fmt17(self.fitted_constant),
+            "summary": {k: fmt17(v) for k, v in self.summary.items()},
             "seed": self.seed,
             "version": self.version,
         }
@@ -117,10 +205,31 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _version() -> str:
-    from . import __version__
+def compare_row(
+    kind: str,
+    params: dict,
+    sieve: oracle.SieveTables,
+    num: Numerics = Numerics(),
+    note: str | None = None,
+) -> ReportRow:
+    """Exact count vs. estimate of ``kind`` at one point.
 
-    return __version__
+    ``params`` holds the kind's parameters and may carry more keys (u, v);
+    all of them go into the row.  ``note`` defaults to the failed domain
+    conditions of the estimate ("" inside the domain).
+    """
+    entry = KINDS[kind]
+    p = {k: params[k] for k in entry.params}
+    est = entry.estimate(num, **p)
+    exact = float(entry.exact(sieve, **p))
+    if note is None:
+        note = "" if est.in_theorem_domain else "; ".join(
+            n for n in est.domain_notes if "FAIL" in n)
+    return ReportRow(params, exact, est.value, est.error_envelope, est.in_theorem_domain, note)
+
+
+def _branch(y: float, z: float) -> str:
+    return "z >= y log y" if z >= y * math.log(y) else "z < y log y"
 
 
 def run_theorem1_grid(
@@ -143,66 +252,41 @@ def run_theorem1_grid(
     for x in xs:
         for (u, v) in uv_pairs:
             y = x ** (1.0 / u)
-            z = y ** v
-            p = ScaledParams(x, y, z)
-            est = estimators.theta_estimate(p)
-            exact = oracle.theta_exact(x, y, z, t)
-            note = "" if est.in_theorem_domain else "; ".join(
-                n for n in est.domain_notes if "FAIL" in n)
-            rows.append(ReportRow(
-                params={"x": x, "u": u, "v": v, "y": y, "z": z},
-                exact=float(exact), estimate=est.value,
-                envelope=est.error_envelope, in_domain=est.in_theorem_domain,
-                note=note))
-    report = ComparisonReport("theta-two-term-grid", tuple(rows), seed=0, version=_version())
-    summary = {f"median_ratio_x_{x:.0e}": report.median_ratio(x=x) for x in xs}
-    return ComparisonReport(report.experiment_id, report.rows, report.seed,
-                            report.version, summary)
+            rows.append(compare_row("theta", {"x": x, "u": u, "v": v, "y": y, "z": y ** v}, t))
+    report = ComparisonReport("theta-two-term-grid", tuple(rows), seed=0, version=__version__)
+    return dataclasses.replace(report, summary={
+        f"median_ratio_x_{x:.0e}": report.median_ratio(x=x) for x in xs})
+
+
+_PSI_GRID = [(x, u) for x in (1e5, 1e6, 1e7) for u in (2.0, 2.5, 3.0, 4.0)]
 
 
 def _lemma1_report(t: oracle.SieveTables) -> ComparisonReport:
-    rows = []
-    for x in (1e5, 1e6, 1e7):
-        for u in (2.0, 2.5, 3.0, 4.0):
-            y = x ** (1.0 / u)
-            est = estimators.psi_estimate_hildebrand(x, y)
-            exact = oracle.psi_exact(x, y, t)
-            rows.append(ReportRow({"x": x, "u": u, "y": y}, float(exact),
-                                  est.value, est.error_envelope, est.in_theorem_domain))
-    return ComparisonReport("psi-first-order-grid", tuple(rows), 0, _version())
+    rows = [compare_row("psi-h", {"x": x, "u": u, "y": x ** (1.0 / u)}, t, note="")
+            for (x, u) in _PSI_GRID]
+    return ComparisonReport("psi-first-order-grid", tuple(rows), 0, __version__)
 
 
 def _lemma2_report(t: oracle.SieveTables) -> ComparisonReport:
     rows = []
     saias_wins = 0
-    for x in (1e5, 1e6, 1e7):
-        for u in (2.0, 2.5, 3.0, 4.0):
-            y = x ** (1.0 / u)
-            est = estimators.psi_estimate_saias(x, y)
-            first = estimators.psi_estimate_hildebrand(x, y)
-            exact = oracle.psi_exact(x, y, t)
-            if abs(exact - est.value) <= abs(exact - first.value):
-                saias_wins += 1
-            rows.append(ReportRow({"x": x, "u": u, "y": y}, float(exact),
-                                  est.value, est.error_envelope, est.in_theorem_domain))
-    report = ComparisonReport("psi-second-order-grid", tuple(rows), 0, _version(),
-                              {"second_order_wins": float(saias_wins),
-                               "points": float(len(rows))})
-    return report
+    for (x, u) in _PSI_GRID:
+        row = compare_row("psi-s", {"x": x, "u": u, "y": x ** (1.0 / u)}, t, note="")
+        first = estimators.psi_estimate_hildebrand(x, row.params["y"])
+        if abs(row.exact - row.estimate) <= abs(row.exact - first.value):
+            saias_wins += 1
+        rows.append(row)
+    return ComparisonReport("psi-second-order-grid", tuple(rows), 0, __version__,
+                            {"second_order_wins": float(saias_wins),
+                             "points": float(len(rows))})
 
 
 def _lemma3_report(t: oracle.SieveTables) -> ComparisonReport:
     # Both envelope branches: z < y log y and z >= y log y.
     grid = [(100.0, 10.0), (1000.0, 50.0), (10000.0, 1000.0),
             (100.0, 1e4), (1000.0, 1e6), (10000.0, 1e7)]
-    rows = []
-    for (y, z) in grid:
-        est = estimators.s_estimate(y, z)
-        exact = oracle.s_exact(y, z, t)
-        branch = "z >= y log y" if z >= y * math.log(y) else "z < y log y"
-        rows.append(ReportRow({"y": y, "z": z}, exact, est.value,
-                              est.error_envelope, est.in_theorem_domain, note=branch))
-    return ComparisonReport("reciprocal-smooth-sum-grid", tuple(rows), 0, _version())
+    rows = [compare_row("s", {"y": y, "z": z}, t, note=_branch(y, z)) for (y, z) in grid]
+    return ComparisonReport("reciprocal-smooth-sum-grid", tuple(rows), 0, __version__)
 
 
 def _lemma4_report(t: oracle.SieveTables) -> ComparisonReport:
@@ -216,33 +300,23 @@ def _lemma4_report(t: oracle.SieveTables) -> ComparisonReport:
         bound = estimators.lemma4_bound(p)
         rows.append(ReportRow({"x": x, "y": y, "z": z}, exact, 0.0, bound,
                               True, note="upper bound, not an asymptotic"))
-    report = ComparisonReport("rho-weighted-sum-bound", tuple(rows), 0, _version(),
-                              {"max_exact_over_bound": max(r.exact / r.envelope for r in rows)})
-    return report
+    return ComparisonReport("rho-weighted-sum-bound", tuple(rows), 0, __version__,
+                            {"max_exact_over_bound": max(r.exact / r.envelope for r in rows)})
 
 
 def _lemma5_report(t: oracle.SieveTables) -> ComparisonReport:
-    rows = []
-    for (x, y) in [(1e5, 20.0), (1e6, 50.0), (1e6, 100.0), (1e7, 200.0)]:
-        est = estimators.phi_estimate(x, y)
-        exact = oracle.phi_exact(x, y, t)
-        rows.append(ReportRow({"x": x, "y": y}, float(exact), est.value,
-                              est.error_envelope, est.in_theorem_domain))
-    return ComparisonReport("phi-rough-count-grid", tuple(rows), 0, _version())
+    grid = [(1e5, 20.0), (1e6, 50.0), (1e6, 100.0), (1e7, 200.0)]
+    rows = [compare_row("phi", {"x": x, "y": y}, t, note="") for (x, y) in grid]
+    return ComparisonReport("phi-rough-count-grid", tuple(rows), 0, __version__)
 
 
 def _lemma6_report(t: oracle.SieveTables) -> ComparisonReport:
+    # lemma6_estimate has no domain conditions: every row is in its domain.
     grid = [(1e5, 30.0, 100.0), (1e6, 50.0, 500.0), (1e6, 50.0, 5000.0),
             (1e6, 100.0, 300.0), (1e7, 100.0, 1000.0)]
-    rows = []
-    for (x, y, z) in grid:
-        p = ScaledParams(x, y, z)
-        exact = oracle.weighted_smooth_sum(p, oracle.WeightKind.BUCHSTAB_OMEGA, t)
-        est = estimators.lemma6_estimate(p)
-        branch = "z >= y log y" if z >= y * math.log(y) else "z < y log y"
-        rows.append(ReportRow({"x": x, "y": y, "z": z}, exact, est.value,
-                              est.error_envelope, True, note=branch))
-    return ComparisonReport("omega-weighted-sum-grid", tuple(rows), 0, _version())
+    rows = [compare_row("lemma6", {"x": x, "y": y, "z": z}, t, note=_branch(y, z))
+            for (x, y, z) in grid]
+    return ComparisonReport("omega-weighted-sum-grid", tuple(rows), 0, __version__)
 
 
 def run_lemma_grids(sieve: oracle.SieveTables | None = None) -> list[ComparisonReport]:
@@ -289,4 +363,4 @@ def run_eta_desk(
             in_domain=(k > m >= l),
             note=f"binomial sigma {se:.3e}; |diff| = {abs(analytic - emp):.3e} "
                  f"({sigma_dist:.2f} sigma)"))
-    return ComparisonReport("dsa-risk-monte-carlo", tuple(rows), seed, _version())
+    return ComparisonReport("dsa-risk-monte-carlo", tuple(rows), seed, __version__)

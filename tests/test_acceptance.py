@@ -30,8 +30,8 @@ import numpy as np
 import pytest
 
 from smoothdiv import (
-    CONSTANTS,
     DsaParams,
+    EXP_GAMMA,
     ScaledParams,
     build_sieve,
     eta,
@@ -113,7 +113,7 @@ def test_criterion_3_delay_ode_identities(dickman, buchstab):
 
 def test_criterion_4_tau_at_zero(dickman):
     value = tau(0.0)
-    err = abs(value - CONSTANTS.exp_gamma)
+    err = abs(value - EXP_GAMMA)
     # Independent oracle: step-halving Simpson over unit pieces of the table.
     oracle_value = sum(simpson_halving(lambda s: rho(s, dickman), float(k), float(k + 1))
                        for k in range(0, 30))
@@ -217,7 +217,7 @@ def test_criterion_7_lemma_constants(sieve_10m):
 
 
 def test_criterion_8_mertens_identity():
-    ratio = zeta_one_y(1e6) / (CONSTANTS.exp_gamma * math.log(1e6))
+    ratio = zeta_one_y(1e6) / (EXP_GAMMA * math.log(1e6))
     ok = abs(ratio - 1.0) < 0.02
     assert report(8, ok, f"|zeta(1, 1e6)/(e^gamma log 1e6) - 1| = {abs(ratio - 1):.2e} < 0.02")
 

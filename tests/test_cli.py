@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,7 +7,9 @@ import sys
 
 import pytest
 
+from smoothdiv import cli
 from smoothdiv.cli import (
+    CONFIG_ENV_VAR,
     EXIT_DOMAIN,
     EXIT_RESOURCE,
     EXIT_USAGE,
@@ -76,6 +79,18 @@ class TestEstimateCommand:
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "in_theorem_domain=true" in record_of(proc)["flags"]
+
+    @pytest.mark.parametrize("kind, extra", [("psi-h", ()), ("theta", ("--z", "1e20"))])
+    def test_y_lower_bound_does_not_overflow(self, kind, extra, capsys):
+        # exp((log log x)^(5/3+eps)) exceeds the largest double for x = 1e300, eps = 5.
+        code = cli.main(["estimate", kind, "--x", "1e300", "--y", "1e10", *extra,
+                         "--epsilon", "5"])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert "Traceback" not in err
+        flags = json.loads(out)["flags"]
+        assert "in_theorem_domain=false" in flags
+        assert any("y >= exp(273034): FAIL" in f for f in flags)
 
     def test_missing_flag_is_usage_error(self):
         proc = run_cli("estimate", "theta", "--x", "1e6")
@@ -147,6 +162,19 @@ class TestCompareCommand:
         assert proc.returncode == 0
         doc = json.loads(path.read_text())
         assert len(doc["rows"]) == 2
+
+
+    def test_config_sets_epsilon(self, tmp_path, capsys):
+        # The same config and point as TestConfig::test_config_file_sets_epsilon.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"epsilon": 0.5}))
+        argv = ["compare", "--kind", "psi-h", "--x", "1e6", "--y", "1e3"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["in_domain"] is True
+        assert cli.main(["--config", str(cfg), *argv]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["in_domain"] is False
+        assert "FAIL" in row["note"]
 
 
 class TestDsaRiskCommand:
@@ -230,6 +258,15 @@ class TestConfig:
                        env_extra={"SMOOTHDIV_CONFIG": str(cfg)})
         assert proc.returncode == EXIT_RESOURCE
 
+    def test_unreachable_table_target_is_resource_error(self, tmp_path, capsys):
+        # No table build certifies 1e-30; that is a resource limit, not exit 1.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"target_rel_err": 1e-30}))
+        code = cli.main(["--config", str(cfg), "special", "--fn", "rho", "--u", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_RESOURCE
+        assert err.startswith("resource error: ") and err.count("\n") == 1
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -267,3 +304,58 @@ class TestConfig:
         assert proc.returncode == EXIT_USAGE
         assert "'epsilon'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# sha256 of stdout for one argv per kind of each subcommand, plus one CSV and
+# one table record.  Recorded before the kind dispatch moved into the
+# harness registry; any change to these bytes is a change of output.
+PINNED_STDOUT = [
+    (("estimate", "theta", "--x", "1e12", "--y", "1e4", "--z", "1e6"),
+     "7edd97a67a5321ca7aab05d37d421b49e117cb68f088d5663f2fbdc20bc1f310"),
+    (("estimate", "psi-h", "--x", "1e6", "--y", "1e3"),
+     "c0bfd2ce694e15334dce7099a94e7b24fd2feaeb4c7766d0402bc03bd811d41e"),
+    (("estimate", "psi-s", "--x", "1e6", "--y", "1e3"),
+     "ff06104b5e8c599afb72b826164a06a7b1e0c6d5b95b98f81c1ee794ce601db4"),
+    (("estimate", "phi", "--x", "1e6", "--y", "50"),
+     "67ebb18d313e7372e79d7bf869eeb70ba14d557d4206bb1594601b06eb201aa7"),
+    (("estimate", "s", "--y", "1e4", "--z", "1e8"),
+     "d592cc2796ecb69dc6d93ed0d106f90a54853b0c40004f8f780d49abc185f076"),
+    (("estimate", "lemma6", "--x", "1e6", "--y", "50", "--z", "500"),
+     "d19ca2530cab577b91c2d80d0c6edba490aa197260b113a7dfb6d055b4fced0f"),
+    (("exact", "theta", "--x", "1e4", "--y", "20", "--z", "100"),
+     "198a23b5bfd33ea93c37522bed1a22e21644d3984f1d74f22382b6f91108b9d5"),
+    (("exact", "psi", "--x", "1e4", "--y", "7"),
+     "d1942d2145d23aeb9e94736387d78f902ce66b408a38c8cf6e74557e4ebc2928"),
+    (("exact", "phi", "--x", "1e4", "--y", "20"),
+     "bc2ea2461252d5d8e565382a2e9b7b4e74b382b78f480302511369b290de5af5"),
+    (("exact", "s", "--y", "100", "--z", "1e3"),
+     "f35197d0fcf8e03841b1d2308457774fde00c59162b21551eb28b60c0a8a4a6e"),
+    (("exact", "smoothpart", "--n", "360", "--y", "5"),
+     "acf2e00c5a743f094e9a4525fb7778a06263cecf3766721aebd06684ea626233"),
+    (("compare", "--kind", "theta", "--x", "1e4,1e5", "--u", "3", "--v", "1.5"),
+     "8479df8a849d8f822cdc3583b19c5efcd0e796afefba4bc4057498a807d09b75"),
+    (("compare", "--kind", "psi-h", "--x", "1e4,1e5", "--u", "2.5"),
+     "f47fce339485f9fe3e3f5260fa55d49d7786a426dc0925d3c348510e9219805c"),
+    (("compare", "--kind", "psi-s", "--x", "1e4,1e5", "--u", "2.5"),
+     "0c54a8786eb7295c9d67edc93716064daaff1e8fd8142faf45c4ce1f9050b6e6"),
+    (("compare", "--kind", "phi", "--x", "1e4,1e5", "--y", "20"),
+     "15f804b2094b3aa6e2f04f950fc0fcabafb300aae86d76b41a0689f02f8f7806"),
+    (("compare", "--kind", "s", "--x", "1e4", "--y", "100", "--z", "1e3"),
+     "5f0b1d74f65fd91c91f85850078cf6dca72a45b02a9a095c32ee305958ac7203"),
+    (("compare", "--kind", "lemma6", "--x", "1e5,1e6", "--y", "50", "--z", "500"),
+     "db1bcfca07006c98cfa25e9c730a30781b0e1fe748348d7041d41437bb4138a0"),
+    (("estimate", "theta", "--x", "1e12", "--y", "1e4", "--z", "1e6", "--format", "csv"),
+     "3634c9643597bd01163b2611fa0c2ed25a443bc6cdece59bbab436493d633832"),
+    (("exact", "psi", "--x", "1e4", "--y", "7", "--format", "table"),
+     "cc072452632bdfa1b14706922c715f660090f05d6070568533b0ee0a2d78eaab"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
+                             ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
+    def test_stdout_bytes(self, argv, digest, capsys, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

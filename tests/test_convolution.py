@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from smoothdiv import (
-    CONSTANTS,
     DomainError,
+    EXP_GAMMA,
     QuadratureSpec,
     conv_omega_rho,
     conv_omega_rho_prime,
@@ -39,7 +39,7 @@ class TestQuadratureSpec:
 class TestTau:
     def test_tau_zero_is_exp_gamma(self):
         # Classical identity: the full integral of rho equals e^gamma.
-        assert abs(tau(0.0) - CONSTANTS.exp_gamma) <= 1e-10
+        assert abs(tau(0.0) - EXP_GAMMA) <= 1e-10
 
     def test_tau_zero_simpson_oracle(self, dickman):
         # Independent step-halving quadrature over the table, piece by piece,

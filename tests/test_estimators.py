@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from smoothdiv import (
-    CONSTANTS,
     DomainError,
     DsaParams,
+    EULER_GAMMA,
+    EXP_GAMMA,
     ScaledParams,
     conv_omega_rho,
     conv_omega_rho_prime,
@@ -152,7 +153,7 @@ class TestPsiEstimates:
 
     def test_saias_second_term(self):
         r = psi_estimate_saias(1e6, 1e3)
-        expected = (CONSTANTS.euler_gamma - 1.0) * (-0.5) * 1e6 / math.log(1e3)
+        expected = (EULER_GAMMA - 1.0) * (-0.5) * 1e6 / math.log(1e3)
         assert r.second_term == pytest.approx(expected, rel=1e-12)
 
     def test_saias_near_u_one(self):
@@ -182,7 +183,7 @@ class TestSEstimate:
     def test_main_and_second_terms(self):
         r = s_estimate(1e4, 1e8)
         assert r.main_term == pytest.approx(tau(2.0) * math.log(1e4), rel=1e-12)
-        assert r.second_term == pytest.approx(-CONSTANTS.euler_gamma * rho(2.0), rel=1e-12)
+        assert r.second_term == pytest.approx(-EULER_GAMMA * rho(2.0), rel=1e-12)
 
     def test_tiny_case_within_envelope(self, sieve_small):
         r = s_estimate(5.0, 1.0)
@@ -226,7 +227,7 @@ class TestSErrorBound:
 class TestPhiEstimate:
     def test_main_term_formula(self):
         r = phi_estimate(1e6, 1e3)
-        expected = (1e6 * 0.5 - 1e3) * CONSTANTS.exp_gamma / zeta_one_y(1e3)
+        expected = (1e6 * 0.5 - 1e3) * EXP_GAMMA / zeta_one_y(1e3)
         assert r.main_term == pytest.approx(expected, rel=1e-12)
 
     def test_small_case(self, sieve_small):
@@ -307,6 +308,6 @@ class TestWpEta:
         d = DsaParams(48, 12, 24)
         u, v = 4.0, 2.0
         expect_wp = (rho(u) + conv_omega_rho(u, v).value
-                     - CONSTANTS.euler_gamma * conv_omega_rho_prime(u, v).value
+                     - EULER_GAMMA * conv_omega_rho_prime(u, v).value
                      / (12 * math.log(2.0)))
         assert wp(d) == pytest.approx(expect_wp, rel=1e-13)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from smoothdiv import (
-    CONSTANTS,
     ConstructionError,
     DomainError,
+    EULER_GAMMA,
+    EXP_GAMMA,
+    EXP_NEG_GAMMA,
     build_dickman_table,
     omega,
     omega_prime,
@@ -23,11 +25,11 @@ from oracles import RHO_3, rho_closed, rho_delay_grid, simpson_halving
 
 class TestConstants:
     def test_gamma_product(self):
-        prod = CONSTANTS.exp_gamma * CONSTANTS.exp_neg_gamma
+        prod = EXP_GAMMA * EXP_NEG_GAMMA
         assert abs(prod - 1.0) <= 4 * np.finfo(float).eps
 
     def test_gamma_value(self):
-        assert CONSTANTS.euler_gamma == pytest.approx(0.5772156649015329, rel=0, abs=0)
+        assert EULER_GAMMA == pytest.approx(0.5772156649015329, rel=0, abs=0)
 
 
 class TestRho:
@@ -121,8 +123,8 @@ class TestOmega:
         assert omega(2.5, buchstab) == pytest.approx((1 + math.log(1.5)) / 2.5, rel=1e-10)
 
     def test_converges_to_constant(self, buchstab):
-        assert omega(20.0, buchstab) == pytest.approx(CONSTANTS.exp_neg_gamma, abs=1e-9)
-        assert omega(35.0, buchstab) == CONSTANTS.exp_neg_gamma
+        assert omega(20.0, buchstab) == pytest.approx(EXP_NEG_GAMMA, abs=1e-9)
+        assert omega(35.0, buchstab) == EXP_NEG_GAMMA
 
     def test_non_finite_rejected(self, buchstab):
         with pytest.raises(DomainError):
