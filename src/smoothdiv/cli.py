@@ -13,8 +13,9 @@ Subcommands:
 * ``validate``  -- run the invariant suites.
 
 Exit codes: 0 success, 1 validation failed (``validate`` only), 2 usage
-error, 3 resource limit (sieve ceiling, or a table that cannot be built to
-the requested accuracy), 4 domain error.
+error (bad flags, or a config value of the wrong type or range), 3 resource
+limit (sieve ceiling, or a table that cannot be built to the requested
+accuracy), 4 domain error.
 Numbers in JSON/CSV output are decimal strings with 17 significant digits, so
 values round-trip exactly and identical invocations (including ``--seed``)
 produce byte-identical output.  A JSON config file (``--config`` or the
@@ -71,6 +72,10 @@ class Settings:
     epsilon: float = estimators.DEFAULT_EPSILON
 
 
+#: Float settings that only make sense as positive finite numbers.
+_POSITIVE_KEYS = ("target_rel_err", "abs_tol", "rel_tol")
+
+
 def load_settings(config_path: str | None) -> Settings:
     path = config_path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
@@ -97,6 +102,10 @@ def load_settings(config_path: str | None) -> Settings:
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             raise UsageError(f"config key {key!r} must be a number, got {value!r}")
         values[key] = value if known[key] == "int" else float(value)
+        if key in _POSITIVE_KEYS and not (math.isfinite(values[key]) and values[key] > 0):
+            raise UsageError(f"config key {key!r} must be positive and finite, got {value!r}")
+        if key == "sieve_ceiling" and value < 2:
+            raise UsageError(f"config key {key!r} must be at least 2, got {value!r}")
     return Settings(**values)
 
 
@@ -213,6 +222,8 @@ def _estimate_flags(result) -> list[str]:
 
 
 def _sieve_for(limit_needed: float, args, settings: Settings) -> oracle.SieveTables:
+    if not math.isfinite(limit_needed):
+        raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
     limit = int(args.limit) if getattr(args, "limit", None) else int(math.ceil(limit_needed))
     if limit < limit_needed:
         raise UsageError(f"--limit {limit} is below the required {limit_needed:g}")
@@ -279,15 +290,17 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
     needs_z = "z" in KINDS[args.kind].params
     if needs_z and (args.v is None) == (args.z is None):
         raise UsageError("give exactly one of --v (z = y^v) or --z (fixed)")
-    t = _sieve_for(max(xs), args, settings)  # one sieve for the grid, every kind
-    num = _numerics(settings)
-    rows = []
+    grid = []
     for x in xs:
         y = x ** (1.0 / args.u) if args.u is not None else args.y
         params = {"x": x, "y": y}
         if needs_z:
             params["z"] = y ** args.v if args.v is not None else args.z
-        rows.append(harness.compare_row(args.kind, params, t, num))
+        grid.append(params)
+    # One sieve for the grid, as large as the kind's exact count needs.
+    t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), args, settings)
+    num = _numerics(settings)
+    rows = [harness.compare_row(args.kind, p, t, num) for p in grid]
     ratios = [r.ratio for r in rows]
     report = harness.ComparisonReport(
         f"compare-{args.kind}", tuple(rows), seed=0, version=__version__,

@@ -8,9 +8,10 @@ every y, and its largest y-smooth divisor is 1.
 The workhorse is a smallest-prime-factor (SPF) table, which answers smooth
 parts, P+ and P- in O(log n) per query.  Counting loops are vectorized:
 
-* psi_exact / s_exact / weighted sums enumerate smooth numbers by breadth-first
-  products over the prime list (smooth numbers are sparse, so generation beats
-  scanning);
+* psi_exact / s_exact / weighted sums enumerate smooth numbers in O(output):
+  walking the primes in order, a number retires to the output once it is too
+  large to take the current prime, so only the still-live numbers are
+  multiplied (smooth numbers are sparse, so generation beats scanning);
 * theta_exact builds the full smooth-part array with stride multiplications;
 * phi_exact marks rough numbers with stride writes.
 
@@ -24,6 +25,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,6 +40,9 @@ from .piecewise import PiecewiseFunction
 
 #: Default sieve memory ceiling (table entries).
 DEFAULT_SIEVE_CEILING = 2**31
+
+#: Elements per chunk of _fsum_chunked.
+_CHUNK = 1 << 16
 
 
 class WeightKind(Enum):
@@ -106,27 +111,64 @@ def smooth_part(n: int, y: float, t: SieveTables) -> int:
 # -- smooth-number enumeration ---------------------------------------------------
 
 
-def smooth_numbers(primes, bound: float) -> np.ndarray:
-    """All integers <= bound whose prime factors all lie in ``primes``.
+def _walk_small(small: np.ndarray, cap: int, out: np.ndarray | None = None):
+    """Walk the primes ``small`` (ascending, each p^2 <= cap) from the live set {1}.
 
-    Breadth-first products: for each prime, every existing smooth number is
-    multiplied by each feasible power.  Returns an unsorted int64 array
-    (always containing 1); order never matters downstream because the
-    reciprocal sums are exactly rounded.
+    At prime p the live numbers above cap // p can take neither p nor any later
+    prime, so they retire; only the rest are multiplied by p, p^2, ...  Returns
+    (number retired, sorted final live set) and, given ``out``, writes the
+    retired numbers into out[:number retired] without an intermediate array.
+    """
+    live = np.ones(1, dtype=np.int64)
+    n = 0
+    for p in small.tolist():
+        top = cap // p
+        keep = live <= top
+        gone = keep.size - int(np.count_nonzero(keep))
+        if out is not None:
+            np.compress(~keep, live, out=out[n : n + gone])
+        n += gone
+        pieces = [cur := live[keep]]
+        while cur.size:
+            cur = cur * p
+            pieces.append(cur)
+            cur = cur[cur <= top]
+        live = np.concatenate(pieces)
+    live.sort()
+    return n, live
+
+
+def smooth_numbers(primes, bound: float) -> np.ndarray:
+    """All integers <= bound whose prime factors all lie in ``primes`` (ascending).
+
+    Retire/live split: walking the primes p <= sqrt(bound) in order, the live
+    numbers above bound // p retire to the output and only the rest are
+    multiplied by the powers of p.  A prime above sqrt(bound) enters a number
+    at most once, so its products are ``live[:c] * p`` straight from the
+    sorted final live set.  A number is scanned only while it is live, so the
+    work grows with the output plus the number of primes, not with their
+    product.  The small primes are walked twice, first to size the output and
+    then to fill one preallocated array, so the peak memory is the output plus
+    the largest live set.  Returns an unsorted int64 array (containing 1 when
+    bound >= 1); order never matters downstream because counts ignore it and
+    the reciprocal sums are exactly rounded.
     """
     cap = int(math.floor(bound))
     if cap < 1:
         return np.zeros(0, dtype=np.int64)
-    out = np.ones(1, dtype=np.int64)
-    for p in (int(q) for q in primes):
-        if p > cap:
-            break
-        chunks = [out]
-        cur = out[out <= cap // p] * p
-        while cur.size:
-            chunks.append(cur)
-            cur = cur[cur <= cap // p] * p
-        out = np.concatenate(chunks)
+    primes = np.asarray(primes, dtype=np.int64)
+    primes = primes[primes <= cap]
+    split = int(np.searchsorted(primes, math.isqrt(cap), side="right"))
+    small, large = primes[:split], primes[split:]
+    pos, live = _walk_small(small, cap)
+    counts = np.searchsorted(live, cap // large, side="right")
+    out = np.empty(pos + live.size + int(counts.sum()), dtype=np.int64)
+    _walk_small(small, cap, out)
+    out[pos : pos + live.size] = live
+    pos += live.size
+    for p, c in zip(large.tolist(), counts.tolist()):
+        np.multiply(live[:c], p, out=out[pos : pos + c])
+        pos += c
     return out
 
 
@@ -194,12 +236,13 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
-    rough_cum = np.cumsum(_rough_indicator(fx, y, t).astype(np.int64))
+    rough_cum = np.cumsum(_rough_indicator(fx, y, t), dtype=np.int64)
     d = smooth_numbers(t.primes_upto(min(y, fx)), fx)
     d = d[d > z]
     if d.size == 0:
         return 0
-    return int(rough_cum[fx // d].sum())
+    np.floor_divide(fx, d, out=d)  # in place: d is a private copy
+    return int(rough_cum[d].sum())
 
 
 def zeta_one_y(y: float) -> float:
@@ -234,6 +277,13 @@ def _primes_standalone(n: int) -> np.ndarray:
     return _primes_cached(n)
 
 
+def _fsum_chunked(a: np.ndarray, f=lambda c: c) -> float:
+    """math.fsum of f(a), fed chunk by chunk: one exactly rounded sum (not a
+    sum of per-chunk sums) without a Python list of the whole array."""
+    return math.fsum(itertools.chain.from_iterable(
+        f(a[i : i + _CHUNK]).tolist() for i in range(0, a.size, _CHUNK)))
+
+
 def s_exact(y: float, z: float, t: SieveTables) -> float:
     """S(y, z) = sum of 1/d over y-smooth d > z, exactly as
     zeta(1, y) - (finite partial sum); the infinite tail is captured
@@ -246,7 +296,7 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
     partial = 0.0
     if z >= 1:
         d = smooth_numbers(t.primes_upto(min(y, max(z, 2.0))), z)
-        partial = math.fsum((1.0 / di for di in d.tolist()))
+        partial = _fsum_chunked(d, lambda c: 1.0 / c.astype(float))
     return zeta_one_y(y) - partial
 
 
@@ -277,8 +327,7 @@ def weighted_smooth_sum(
         weights = special.rho(args, table=rho_table)
     else:
         raise DomainError(f"unknown weight kind {w!r}")
-    terms = weights / d.astype(float)
-    return math.fsum(terms.tolist())
+    return _fsum_chunked(weights / d.astype(float))
 
 
 # -- Monte Carlo oracle for the DSA risk probability -------------------------------

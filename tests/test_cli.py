@@ -138,6 +138,17 @@ class TestExactCommand:
         assert proc.returncode == EXIT_RESOURCE
         assert "resource error" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "psi", "--x", "inf", "--y", "5"],
+        ["exact", "theta", "--x", "nan", "--y", "5", "--z", "3"],
+        ["exact", "s", "--y", "10", "--z", "inf"],
+        ["compare", "--kind", "s", "--x", "100", "--y", "10", "--z", "nan"],
+    ])
+    def test_non_finite_sieve_limit_is_domain_error(self, argv, capsys):
+        assert cli.main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_single_point_grid(self):
@@ -175,6 +186,13 @@ class TestCompareCommand:
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["in_domain"] is False
         assert "FAIL" in row["note"]
+
+    def test_s_sieve_sized_by_z(self, capsys):
+        # S(y, z) needs a sieve up to z, not up to x: z > max(x) still answers.
+        assert cli.main(["exact", "s", "--y", "10", "--z", "1e6"]) == 0
+        exact = json.loads(capsys.readouterr().out)["outputs"]["value"]
+        assert cli.main(["compare", "--kind", "s", "--x", "100", "--y", "10", "--z", "1e6"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["exact"] == exact
 
 
 class TestDsaRiskCommand:
@@ -289,6 +307,34 @@ class TestConfig:
             load_settings(str(cfg))
         if isinstance(raw, dict):
             assert repr(next(iter(raw))) in str(err.value)
+
+    @pytest.mark.parametrize("raw", [
+        {"abs_tol": -1},
+        {"rel_tol": 0},
+        {"target_rel_err": -1e-10},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.inf},
+        {"target_rel_err": -math.inf},
+        {"sieve_ceiling": 1},
+        {"sieve_ceiling": -5},
+    ])
+    def test_config_range_errors_name_the_key(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli.main(["--config", str(cfg), "special", "--fn", "rho", "--u", "2"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert repr(next(iter(raw))) in err
+
+    def test_defaults_and_boundary_values_load(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        assert load_settings(None) == cli.Settings()
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"abs_tol": 1e-300, "rel_tol": 1, "target_rel_err": 0.5,
+                                   "sieve_ceiling": 2}))
+        s = load_settings(str(cfg))
+        assert (s.abs_tol, s.rel_tol, s.target_rel_err, s.sieve_ceiling) == (1e-300, 1.0, 0.5, 2)
 
     def test_config_accepts_numbers_for_float_fields(self, tmp_path):
         cfg = tmp_path / "conf.json"

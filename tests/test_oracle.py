@@ -167,6 +167,29 @@ class TestSmoothNumbers:
             assert got.size == psi_exact(10**4, y, sieve_small)
             assert np.unique(got).size == got.size
 
+    # y < 2 gives an empty prime list; y = 97 and 1000 put primes above the
+    # smaller bounds; bound = 1000 and 5000 reach primes above sqrt(bound).
+    @pytest.mark.parametrize("y", [1.5, 2.0, 5.0, 30.0, 97.0, 1000.0])
+    @pytest.mark.parametrize("bound", [0.5, 1.0, 1.5, 30.7, 100.0, 1000.0, 5000.0])
+    def test_matches_brute_force_filter(self, sieve_small, y, bound):
+        got = sorted(smooth_numbers(sieve_small.primes_upto(y), bound).tolist())
+        want = [n for n in range(1, math.floor(bound) + 1)
+                if smooth_part(n, y, sieve_small) == n]
+        assert got == want
+
+    def test_accepts_a_plain_list(self):
+        assert sorted(smooth_numbers([2, 3], 10).tolist()) == [1, 2, 3, 4, 6, 8, 9]
+
+
+class TestSlowCorners:
+    # The two largest enumerations the benchmark's exact-grid runs (3.4M and
+    # 4.7M smooth numbers), pinned on the 1e7 sieve.
+    def test_psi_at_sqrt_x(self, sieve_10m):
+        assert psi_exact(1e7, 1e7**0.5, sieve_10m) == 3362157
+
+    def test_s_exact_to_1e7(self, sieve_10m):
+        assert repr(s_exact(1e4, 1e7, sieve_10m)) == '2.161368261019737'
+
 
 class TestWeightedSmoothSum:
     def test_empty_interval(self, sieve_small):
