@@ -36,6 +36,7 @@ from .special import (
 )
 from .convolution import (
     ConvolutionValue,
+    Numerics,
     QuadratureSpec,
     conv_omega_rho,
     conv_omega_rho_prime,
@@ -85,6 +86,7 @@ __all__ = [
     "EXP_GAMMA",
     "EXP_NEG_GAMMA",
     "EstimateResult",
+    "Numerics",
     "PiecewiseFunction",
     "QuadratureSpec",
     "ResourceError",

@@ -20,8 +20,10 @@ Numbers in JSON/CSV output are decimal strings with 17 significant digits, so
 values round-trip exactly and identical invocations (including ``--seed``)
 produce byte-identical output.  A JSON config file (``--config`` or the
 ``SMOOTHDIV_CONFIG`` environment variable) can set tolerances, the sieve
-ceiling, the table ranges and epsilon; ``special``, ``estimate``, ``compare``
-and ``dsa-risk`` all use them, and command-line flags override them.
+ceiling, the table ranges and epsilon; every subcommand uses them (``validate``
+runs its suites on the configured tables and tolerances, and ``compare``
+weights the exact lemma6 sum by the configured omega table), and command-line
+flags override them.
 
 The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
 come from :data:`smoothdiv.harness.KINDS`.
@@ -69,7 +71,7 @@ class Settings:
     sieve_ceiling: int = oracle.DEFAULT_SIEVE_CEILING
     rho_u_max: int = special.DEFAULT_RHO_U_MAX
     omega_u_cut: int = special.DEFAULT_OMEGA_U_CUT
-    epsilon: float = estimators.DEFAULT_EPSILON
+    epsilon: float = convolution.DEFAULT_EPSILON
 
 
 #: Float settings that only make sense as positive finite numbers.
@@ -111,21 +113,23 @@ def load_settings(config_path: str | None) -> Settings:
 
 @lru_cache(maxsize=4)
 def _tables_for(target_rel_err: float, rho_u_max: int, omega_u_cut: int):
+    """Tables built to the configured ranges and accuracy; None for the
+    defaults, which :class:`~smoothdiv.convolution.Numerics` builds on first use."""
     if (target_rel_err == special.DEFAULT_TARGET_REL_ERR
             and rho_u_max == special.DEFAULT_RHO_U_MAX
             and omega_u_cut == special.DEFAULT_OMEGA_U_CUT):
-        return special.default_dickman(), special.default_buchstab()
+        return None, None
     return (special.build_dickman_table(rho_u_max, target_rel_err=target_rel_err),
             special.build_buchstab_table(omega_u_cut, target_rel_err=target_rel_err))
 
 
-def _numerics(s: Settings, epsilon: float | None = None) -> harness.Numerics:
+def _numerics(s: Settings, epsilon: float | None = None) -> convolution.Numerics:
     """Tables, quadrature tolerances and epsilon from the settings; a given
     ``epsilon`` (the ``--epsilon`` flag) overrides the configured one."""
     rt, ot = _tables_for(s.target_rel_err, s.rho_u_max, s.omega_u_cut)
-    return harness.Numerics(rt, ot,
-                            convolution.QuadratureSpec(abs_tol=s.abs_tol, rel_tol=s.rel_tol),
-                            s.epsilon if epsilon is None else epsilon)
+    return convolution.Numerics(rt, ot,
+                                convolution.QuadratureSpec(abs_tol=s.abs_tol, rel_tol=s.rel_tol),
+                                s.epsilon if epsilon is None else epsilon)
 
 
 # -- output record -------------------------------------------------------------
@@ -221,13 +225,47 @@ def _estimate_flags(result) -> list[str]:
     return flags
 
 
-def _sieve_for(limit_needed: float, args, settings: Settings) -> oracle.SieveTables:
-    if not math.isfinite(limit_needed):
-        raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
-    limit = int(args.limit) if getattr(args, "limit", None) else int(math.ceil(limit_needed))
-    if limit < limit_needed:
-        raise UsageError(f"--limit {limit} is below the required {limit_needed:g}")
+def _limit_flag(args) -> int | None:
+    """The ``--limit`` flag as an integer; None when it is absent or 0."""
+    limit = getattr(args, "limit", None)
+    if not limit:
+        return None
+    if not math.isfinite(limit):
+        raise UsageError(f"--limit must be a finite number, got {limit}")
+    return int(limit)
+
+
+def _sieve_for(limit_needed: float | int, args, settings: Settings) -> oracle.SieveTables:
+    """A sieve up to ``--limit``, or by default up to ``limit_needed`` (a
+    float, or an exact int that may exceed every float)."""
+    if isinstance(limit_needed, float):
+        if not math.isfinite(limit_needed):
+            raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
+        limit_needed = math.ceil(limit_needed)
+    limit = _limit_flag(args)
+    if limit is None:
+        limit = limit_needed
+    elif limit < limit_needed:
+        raise UsageError(f"--limit {limit} is below the required {limit_needed}")
     return oracle.build_sieve(max(limit, 2), ceiling=settings.sieve_ceiling)
+
+
+def _philox_seed(seed: int, span: int = 1) -> int:
+    """``--seed`` as the first of ``span`` Philox keys, which lie in [0, 2**128)."""
+    if not 0 <= seed <= 2**128 - span:
+        raise UsageError(f"--seed must lie in [0, 2**128 - {span}], got {seed}")
+    return seed
+
+
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base ** exponent`` for a derived grid value, which must be a finite real."""
+    try:
+        value = math.pow(base, exponent)
+    except (OverflowError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"{name} = {base:g}^{exponent:g} is not a finite real number")
+    return value
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -235,7 +273,7 @@ def _sieve_for(limit_needed: float, args, settings: Settings) -> oracle.SieveTab
 
 def cmd_special(args, settings: Settings) -> OutputRecord:
     num = _numerics(settings)
-    table = num.rho_table if args.fn.startswith("rho") else num.omega_table
+    table = num.rho if args.fn.startswith("rho") else num.omega
     fn = {"rho": special.rho, "rho1": special.rho_prime, "rho2": special.rho_double_prime,
           "omega": special.omega, "omega1": special.omega_prime}[args.fn]
     return OutputRecord(
@@ -269,7 +307,7 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
         p["n"] = int(p["n"])
     t = _sieve_for(kind.sieve_limit(**p), args, settings)
     return OutputRecord(command=f"exact {args.kind}", inputs=p,
-                        outputs={"value": kind.exact(t, **p)})
+                        outputs={"value": kind.exact(t, _numerics(settings), **p)})
 
 
 def _parse_x_list(spec: str) -> list[float]:
@@ -290,12 +328,14 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
     needs_z = "z" in KINDS[args.kind].params
     if needs_z and (args.v is None) == (args.z is None):
         raise UsageError("give exactly one of --v (z = y^v) or --z (fixed)")
+    if args.u == 0:
+        raise DomainError("--u must be nonzero (y = x^(1/u))")
     grid = []
     for x in xs:
-        y = x ** (1.0 / args.u) if args.u is not None else args.y
+        y = _power(x, 1.0 / args.u, "y") if args.u is not None else args.y
         params = {"x": x, "y": y}
         if needs_z:
-            params["z"] = y ** args.v if args.v is not None else args.z
+            params["z"] = _power(y, args.v, "z") if args.v is not None else args.z
         grid.append(params)
     # One sieve for the grid, as large as the kind's exact count needs.
     t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), args, settings)
@@ -315,16 +355,22 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         d = DsaParams(args.k, args.l, args.m)
-        w_k = estimators.wp(d, num.rho_table, num.omega_table, num.spec)
-        analytic = estimators.eta(d, num.rho_table, num.omega_table, num.spec)
+        w_k = estimators.wp(d, num)
+        analytic = estimators.eta(d, num)
     flags = [f"regime_warning={str(w.message)}" for w in caught]
     inputs = {"k": args.k, "l": args.l, "m": args.m}
     outputs = {"wp": w_k, "eta": analytic}
     if args.empirical:
-        t = _sieve_for(float(1 << args.l), args, settings)
+        seed = _philox_seed(args.seed)
+        # 2**l exceeds the ceiling exactly when l reaches its bit length;
+        # testing l first never builds 2**l for a huge l.
+        if args.l >= settings.sieve_ceiling.bit_length():
+            raise ResourceError(f"trial division needs a sieve up to 2^{args.l}, beyond "
+                                f"the ceiling {settings.sieve_ceiling}")
+        t = _sieve_for(1 << args.l, args, settings)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            emp, se = oracle.eta_empirical(d, args.empirical, args.seed, t)
+            emp, se = oracle.eta_empirical(d, args.empirical, seed, t)
         inputs["samples"] = args.empirical
         inputs["seed"] = args.seed
         outputs["empirical"] = emp
@@ -334,11 +380,12 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
 
 
 def cmd_validate(args, settings: Settings) -> tuple[str, bool]:
+    seed = _philox_seed(args.seed, span=3)  # the suites key Philox with seed .. seed + 2
+    limit = _limit_flag(args) or 10**6
     sieve = None
     if args.suite in ("estimators", "oracle", "all"):
-        sieve = oracle.build_sieve(int(args.limit) if args.limit else 10**6,
-                                   ceiling=settings.sieve_ceiling)
-    results = validation.run_suite(args.suite, seed=args.seed, sieve=sieve)
+        sieve = oracle.build_sieve(limit, ceiling=settings.sieve_ceiling)
+    results = validation.run_suite(args.suite, seed=seed, sieve=sieve, num=_numerics(settings))
     lines = [r.line() for r in results]
     n_fail = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,10 @@ from .piecewise import PiecewiseFunction
 #: stays far below any error envelope at desk scale.
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
+
+#: Default epsilon in the estimators' lower-bound check
+#: y >= exp((log log x)**(5/3 + eps)).
+DEFAULT_EPSILON = 0.01
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,26 @@ class ConvolutionValue:
     effective_support: tuple[float, float]
 
 
-_DEFAULT_SPEC = QuadratureSpec()
+class Numerics(NamedTuple):
+    """What an integral or estimate runs with: the rho and omega tables, the
+    quadrature spec and the domain-check epsilon.  A None table selects the
+    package default; :attr:`rho` and :attr:`omega` resolve it."""
+
+    rho_table: PiecewiseFunction | None = None
+    omega_table: PiecewiseFunction | None = None
+    spec: QuadratureSpec = QuadratureSpec()
+    epsilon: float = DEFAULT_EPSILON
+
+    @property
+    def rho(self) -> PiecewiseFunction:
+        return self.rho_table if self.rho_table is not None else special.default_dickman()
+
+    @property
+    def omega(self) -> PiecewiseFunction:
+        return self.omega_table if self.omega_table is not None else special.default_buchstab()
+
+
+DEFAULT_NUMERICS = Numerics()
 
 # dqk21 constants: Kronrod abscissae (the even-numbered ones, 1-based, are the
 # 10-point Gauss abscissae; the last is the centre), Kronrod weights, and the
@@ -148,14 +171,6 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a, b):
     return result, abserr, resabs, resasc
 
 
-def _rho_table(table: PiecewiseFunction | None) -> PiecewiseFunction:
-    return table if table is not None else special.default_dickman()
-
-
-def _omega_table(table: PiecewiseFunction | None) -> PiecewiseFunction:
-    return table if table is not None else special.default_buchstab()
-
-
 def _check_finite(*values):
     for v in values:
         if not math.isfinite(v):
@@ -169,7 +184,9 @@ def _knot_points(lo: float, hi: float, shifts_from: float | None) -> list[float]
         pts.add(float(k))
     if shifts_from is not None:
         u = shifts_from
-        j = 1
+        # u - j < hi needs j > u - hi; starting just below that skips only
+        # shifts the test would reject, so a huge u costs no more than a small one.
+        j = max(1, math.floor(u - hi))
         while u - j > lo:
             if u - j < hi:
                 pts.add(u - j)
@@ -257,11 +274,7 @@ def _sum_parts(parts) -> tuple[float, float]:
     return value, err
 
 
-def tau(
-    v: float,
-    rho_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> float:
+def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Tail integral of the Dickman function, integral of rho over [v, inf).
 
     For v < 0 this equals tau(0) since rho vanishes below 0.  The upper limit
@@ -269,13 +282,13 @@ def tau(
     remaining tail smaller than a tenth of the absolute tolerance.
     """
     _check_finite(v)
-    rho_t = _rho_table(rho_table)
+    rho_t = num.rho
     lo = max(float(v), 0.0)
-    hi = _tau_cutoff(lo, rho_t, spec)
+    hi = _tau_cutoff(lo, rho_t, num.spec)
     if hi <= lo:
         return 0.0
     points = _knot_points(lo, hi, None)
-    total, _ = _integrate_pieces(lambda s: special.rho(s, table=rho_t), points, spec)
+    total, _ = _integrate_pieces(lambda s: special.rho(s, table=rho_t), points, num.spec)
     return total
 
 
@@ -292,16 +305,10 @@ def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> fl
     return support_hi
 
 
-def conv_omega_rho(
-    u: float,
-    v: float,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> ConvolutionValue:
+def conv_omega_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
     """integral of omega(u-s) rho(s) ds over [v, u-1] (support-clipped)."""
     _check_finite(u, v)
-    rho_t, omega_t = _rho_table(rho_table), _omega_table(omega_table)
+    rho_t, omega_t = num.rho, num.omega
     hi = u - 1.0
     lo = min(max(v, 0.0), hi)
     cut = min(hi, special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR))
@@ -309,24 +316,18 @@ def conv_omega_rho(
         return ConvolutionValue(0.0, 0.0, (lo, hi))
     points = _knot_points(lo, cut, u)
     total, err = _integrate_pieces(
-        lambda s: special.omega(u - s, table=omega_t) * special.rho(s, table=rho_t), points, spec)
+        lambda s: special.omega(u - s, table=omega_t) * special.rho(s, table=rho_t), points, num.spec)
     return ConvolutionValue(total, err, (lo, hi))
 
 
-def conv_omega_rho_prime(
-    u: float,
-    v: float,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> ConvolutionValue:
+def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
     """integral of omega(u-s) rho'(s) ds over [v, u-1].
 
     rho' vanishes identically on (-inf, 1) and jumps to -1 at s = 1, so the
     lower limit is advanced to 1 analytically rather than sampling the jump.
     """
     _check_finite(u, v)
-    rho_t, omega_t = _rho_table(rho_table), _omega_table(omega_table)
+    rho_t, omega_t = num.rho, num.omega
     hi = u - 1.0
     lo = min(max(v, 1.0), hi)
     # rho'(s) = -rho(s-1)/s dies once s - 1 passes the rho support.
@@ -336,23 +337,18 @@ def conv_omega_rho_prime(
     points = _knot_points(lo, cut, u)
     total, err = _integrate_pieces(
         lambda s: special.omega(u - s, table=omega_t) * special._rho_prime_ext(s, table=rho_t),
-        points, spec)
+        points, num.spec)
     return ConvolutionValue(total, err, (lo, hi))
 
 
-def conv_rho_rho(
-    u: float,
-    v: float,
-    rho_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec = _DEFAULT_SPEC,
-) -> ConvolutionValue:
+def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
     """integral of rho(u-s) rho(s) ds over [v, u] (support-clipped).
 
     Both factors have unit-interval knots, so splits land at integer s and at
     s = u - j alike.
     """
     _check_finite(u, v)
-    rho_t = _rho_table(rho_table)
+    rho_t = num.rho
     hi = u
     lo = min(max(v, 0.0), hi)
     support = special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR)
@@ -362,5 +358,5 @@ def conv_rho_rho(
         return ConvolutionValue(0.0, 0.0, (lo, hi))
     points = _knot_points(cut_lo, cut_hi, u)
     total, err = _integrate_pieces(
-        lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t), points, spec)
+        lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t), points, num.spec)
     return ConvolutionValue(total, err, (lo, hi))

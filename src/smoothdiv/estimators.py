@@ -10,6 +10,10 @@ checked and reported via ``in_theorem_domain`` and ``domain_notes``, but the
 estimate is always computed.  Exploratory use outside the proven range is
 legitimate; only genuine precondition violations (x < 3, z < 1, ...) raise.
 
+Every estimator takes the rho and omega tables, the quadrature spec and the
+domain-check epsilon through one :class:`~smoothdiv.convolution.Numerics`
+argument ``num``; the default runs on the package's tables and tolerances.
+
 The headline estimator is ``theta_estimate`` for
 
     theta(x, y, z) = #{ n <= x : the largest y-smooth divisor of n exceeds z }
@@ -35,13 +39,9 @@ from dataclasses import dataclass
 
 from . import convolution, oracle, special
 from .constants import EULER_GAMMA, EXP_GAMMA
-from .convolution import QuadratureSpec
+from .convolution import DEFAULT_NUMERICS, Numerics
 from .errors import DomainError
 from .params import DsaParams, ScaledParams
-from .piecewise import PiecewiseFunction
-
-#: Default epsilon in the lower-bound check y >= exp((log log x)**(5/3 + eps)).
-DEFAULT_EPSILON = 0.01
 
 #: Guard for the log(v+1) denominator in the envelope; the theorem domain
 #: forces v > 1, so tiny v only occurs in out-of-domain evaluation and must
@@ -113,27 +113,25 @@ def _guarded_log_v_plus_1(v: float) -> float:
 
 
 def theta_envelope_factor(
-    u: float, v: float, y: float, rho_table: PiecewiseFunction | None = None
+    u: float, v: float, y: float, num: Numerics = DEFAULT_NUMERICS
 ) -> float:
     """E(x, y, z)/x as a function of (u, v, y); the envelope is x times this."""
     log_y = math.log(y)
-    r_v = special.rho(max(v, -1.0), table=rho_table) if v != float("-inf") else 0.0
-    term1 = special.rho(u - 1.0, table=rho_table)
+    r_v = special.rho(max(v, -1.0), table=num.rho) if v != float("-inf") else 0.0
+    term1 = special.rho(u - 1.0, table=num.rho)
     term2 = r_v * math.log1p(max(v, 0.0)) / log_y if v >= 0 else 0.0
     term3 = r_v / _guarded_log_v_plus_1(v) if v >= 0 else 0.0
     return (term1 + term2 + term3) / log_y
 
 
-def theta_error_bound(
-    p: ScaledParams, rho_table: PiecewiseFunction | None = None
-) -> float:
+def theta_error_bound(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """The theta error envelope E(x, y, z), implied constant 1.
 
     E = x/log y * (rho(u-1) + rho(v) log(v+1)/log y + rho(v)/log(v+1)),
     with the log(v+1) denominator guarded below v = 0.01.
     """
     _require_theta_pre(p)
-    return p.x * theta_envelope_factor(p.u, p.v, p.y, rho_table=rho_table)
+    return p.x * theta_envelope_factor(p.u, p.v, p.y, num)
 
 
 def _require_theta_pre(p: ScaledParams):
@@ -141,13 +139,7 @@ def _require_theta_pre(p: ScaledParams):
         raise DomainError("theta estimate requires x >= 3, y >= 2, z >= 1")
 
 
-def theta_estimate(
-    p: ScaledParams,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EstimateResult:
+def theta_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Two-term estimate of theta(x, y, z) with its error envelope.
 
     main   = (rho(u) + C_or(u, v)) * x
@@ -155,15 +147,14 @@ def theta_estimate(
     domain: y log y <= z <= x/y and y >= exp((log log x)^(5/3+eps)).
     """
     _require_theta_pre(p)
-    spec = spec if spec is not None else convolution.QuadratureSpec()
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or = convolution.conv_omega_rho(u, v, rho_table, omega_table, spec)
-    c_orp = convolution.conv_omega_rho_prime(u, v, rho_table, omega_table, spec)
-    main = (special.rho(u, table=rho_table) + c_or.value) * p.x
+    c_or = convolution.conv_omega_rho(u, v, num)
+    c_orp = convolution.conv_omega_rho_prime(u, v, num)
+    main = (special.rho(u, table=num.rho) + c_or.value) * p.x
     second = -EULER_GAMMA * c_orp.value * p.x / log_y
-    envelope = p.x * theta_envelope_factor(u, v, p.y, rho_table=rho_table)
-    ok_h, notes = _hildebrand_domain(p.x, p.y, epsilon)
+    envelope = p.x * theta_envelope_factor(u, v, p.y, num)
+    ok_h, notes = _hildebrand_domain(p.x, p.y, num.epsilon)
     ok_z_lo = p.y * log_y <= p.z
     ok_z_hi = p.z <= p.x / p.y
     notes.append("y log y <= z: " + ("ok" if ok_z_lo else "FAIL"))
@@ -174,12 +165,7 @@ def theta_estimate(
 # -- psi (smooth counting) ------------------------------------------------------
 
 
-def psi_estimate_hildebrand(
-    x: float,
-    y: float,
-    rho_table: PiecewiseFunction | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EstimateResult:
+def psi_estimate_hildebrand(x: float, y: float, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """First-order smooth-count estimate psi(x, y) ~ rho(u) x.
 
     Envelope: rho(u) x log(u+1)/log y.
@@ -187,18 +173,13 @@ def psi_estimate_hildebrand(
     if x < 3 or y < 2:
         raise DomainError("psi estimate requires x >= 3 and y >= 2")
     u = math.log(x) / math.log(y)
-    main = special.rho(u, table=rho_table) * x
+    main = special.rho(u, table=num.rho) * x
     envelope = main * math.log1p(u) / math.log(y)
-    ok, notes = _hildebrand_domain(x, y, epsilon)
+    ok, notes = _hildebrand_domain(x, y, num.epsilon)
     return EstimateResult(main, 0.0, abs(envelope), ok, tuple(notes))
 
 
-def psi_estimate_saias(
-    x: float,
-    y: float,
-    rho_table: PiecewiseFunction | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EstimateResult:
+def psi_estimate_saias(x: float, y: float, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Second-order smooth-count estimate.
 
     psi(x, y) = rho(u) x + (gamma - 1) rho'(u) x/log y + O(rho''(u) x/log^2 y),
@@ -208,10 +189,10 @@ def psi_estimate_saias(
         raise DomainError("psi estimate requires x >= 3 and y >= 2")
     u = math.log(x) / math.log(y)
     log_y = math.log(y)
-    main = special.rho(u, table=rho_table) * x
-    second = (EULER_GAMMA - 1.0) * special._rho_prime_ext(u, table=rho_table) * x / log_y
-    envelope = abs(special._rho_double_prime_ext(u, table=rho_table)) * x / log_y**2
-    ok_h, notes = _hildebrand_domain(x, y, epsilon)
+    main = special.rho(u, table=num.rho) * x
+    second = (EULER_GAMMA - 1.0) * special._rho_prime_ext(u, table=num.rho) * x / log_y
+    envelope = abs(special._rho_double_prime_ext(u, table=num.rho)) * x / log_y**2
+    ok_h, notes = _hildebrand_domain(x, y, num.epsilon)
     ok_xy = x >= y * log_y
     notes.append("x >= y log y: " + ("ok" if ok_xy else "FAIL"))
     return EstimateResult(main, second, envelope, ok_h and ok_xy, tuple(notes))
@@ -220,7 +201,7 @@ def psi_estimate_saias(
 # -- S(y, z) --------------------------------------------------------------------
 
 
-def s_error_bound(y: float, z: float, rho_table: PiecewiseFunction | None = None) -> float:
+def s_error_bound(y: float, z: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Envelope E(y, z) for the reciprocal smooth sum, split at z = y log y.
 
     E = rho(v) log(v+1)/log y   if z >= y log y   (boundary uses this branch),
@@ -231,7 +212,7 @@ def s_error_bound(y: float, z: float, rho_table: PiecewiseFunction | None = None
     log_y = math.log(y)
     if z >= y * log_y:
         v = math.log(z) / log_y
-        return special.rho(v, table=rho_table) * math.log1p(v) / log_y
+        return special.rho(v, table=num.rho) * math.log1p(v) / log_y
     return 1.0 / z + math.log(log_y) / log_y
 
 
@@ -243,13 +224,7 @@ def _exp_text(x: float) -> str:
         return f"exp({x:.6g})"
 
 
-def s_estimate(
-    y: float,
-    z: float,
-    rho_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EstimateResult:
+def s_estimate(y: float, z: float, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Estimate of S(y, z), the sum of 1/d over y-smooth d > z.
 
     S(y, z) = tau(v) log y - gamma rho(v) + O(E(y, z)),
@@ -257,21 +232,20 @@ def s_estimate(
     """
     if y < 3 or z < 1:
         raise DomainError("S(y, z) requires y >= 3 and z >= 1")
-    spec = spec if spec is not None else convolution.QuadratureSpec()
     log_y = math.log(y)
     v = math.log(z) / log_y
-    main = convolution.tau(v, rho_table, spec) * log_y
-    second = -EULER_GAMMA * special.rho(v, table=rho_table)
-    envelope = s_error_bound(y, z, rho_table)
+    main = convolution.tau(v, num) * log_y
+    second = -EULER_GAMMA * special.rho(v, table=num.rho)
+    envelope = s_error_bound(y, z, num)
     # The cap itself overflows a double once y is large, so compare log z
     # with log(cap); that overflows too only for an epsilon far below 0.
     try:
-        log_z_cap = math.exp(log_y ** (3.0 / 5.0 - epsilon))
+        log_z_cap = math.exp(log_y ** (3.0 / 5.0 - num.epsilon))
     except OverflowError:
         log_z_cap = math.inf
     ok = math.log(z) <= log_z_cap
     notes = (
-        f"epsilon={epsilon:g}",
+        f"epsilon={num.epsilon:g}",
         f"z <= exp(exp((log y)^(3/5-eps))) i.e. z <= {_exp_text(log_z_cap)}: "
         + ("ok" if ok else "FAIL"),
         "envelope branch: " + ("z >= y log y" if z >= y * log_y else "z < y log y"),
@@ -282,13 +256,7 @@ def s_estimate(
 # -- phi (rough counting) --------------------------------------------------------
 
 
-def phi_estimate(
-    x: float,
-    y: float,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> EstimateResult:
+def phi_estimate(x: float, y: float, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Rough-count estimate phi(x, y) = (x omega(u) - y) e^gamma / zeta(1, y).
 
     zeta(1, y) is the exact finite Euler product over primes <= y, not its
@@ -300,43 +268,33 @@ def phi_estimate(
     if y > x:
         raise DomainError("phi estimate requires y <= x")
     u = math.log(x) / math.log(y)
-    main = (x * special.omega(u, table=omega_table) - y) * EXP_GAMMA / oracle.zeta_one_y(y)
-    envelope = x * special.rho(u, table=rho_table) / math.log(y) ** 2
-    ok, notes = _hildebrand_domain(x, y, epsilon)
+    main = (x * special.omega(u, table=num.omega) - y) * EXP_GAMMA / oracle.zeta_one_y(y)
+    envelope = x * special.rho(u, table=num.rho) / math.log(y) ** 2
+    ok, notes = _hildebrand_domain(x, y, num.epsilon)
     return EstimateResult(main, 0.0, envelope, ok, tuple(notes))
 
 
 # -- weighted smooth-divisor sums -------------------------------------------------
 
 
-def lemma6_estimate(
-    p: ScaledParams,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-) -> EstimateResult:
+def lemma6_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Estimate of the omega-weighted reciprocal sum over smooth d in (z, x/y]:
 
         sum omega(u - u_d)/d = C_or(u, v) log y - gamma C_or'(u, v) + O(E(y, z)).
     """
     if not (1 <= p.z <= p.x / p.y):
         raise DomainError("requires 1 <= z <= x/y")
-    spec = spec if spec is not None else convolution.QuadratureSpec()
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or = convolution.conv_omega_rho(u, v, rho_table, omega_table, spec)
-    c_orp = convolution.conv_omega_rho_prime(u, v, rho_table, omega_table, spec)
+    c_or = convolution.conv_omega_rho(u, v, num)
+    c_orp = convolution.conv_omega_rho_prime(u, v, num)
     main = c_or.value * log_y
     second = -EULER_GAMMA * c_orp.value
-    envelope = s_error_bound(p.y, p.z, rho_table)
+    envelope = s_error_bound(p.y, p.z, num)
     return EstimateResult(main, second, envelope, True, ())
 
 
-def lemma4_bound(
-    p: ScaledParams,
-    rho_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def lemma4_bound(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Upper-bound comparator for the rho-weighted reciprocal sum:
 
         C_rr(u, v) log(u+1) + rho(u-v) rho(v) + rho(u-1),
@@ -346,12 +304,11 @@ def lemma4_bound(
     """
     if not (1 <= p.z <= p.x / p.y):
         raise DomainError("requires 1 <= z <= x/y")
-    spec = spec if spec is not None else convolution.QuadratureSpec()
     u, v = p.u, p.v
-    c_rr = convolution.conv_rho_rho(u, v, rho_table, spec)
+    c_rr = convolution.conv_rho_rho(u, v, num)
 
     def r(t):
-        return special.rho(t, table=rho_table)
+        return special.rho(t, table=num.rho)
 
     return c_rr.value * math.log1p(u) + r(u - v) * r(v) + r(u - 1.0)
 
@@ -359,47 +316,29 @@ def lemma4_bound(
 # -- DSA risk ---------------------------------------------------------------------
 
 
-def _wp_scaled(
-    k: float,
-    l: int,
-    m: float,
-    rho_table: PiecewiseFunction | None,
-    omega_table: PiecewiseFunction | None,
-    spec: QuadratureSpec,
-) -> float:
+def _wp_scaled(k: float, l: int, m: float, num: Numerics) -> float:
     u = k / l
     v = m / l
-    c_or = convolution.conv_omega_rho(u, v, rho_table, omega_table, spec)
-    c_orp = convolution.conv_omega_rho_prime(u, v, rho_table, omega_table, spec)
+    c_or = convolution.conv_omega_rho(u, v, num)
+    c_orp = convolution.conv_omega_rho_prime(u, v, num)
     return (
-        special.rho(u, table=rho_table)
+        special.rho(u, table=num.rho)
         + c_or.value
         - EULER_GAMMA * c_orp.value / (l * math.log(2.0))
     )
 
 
-def wp(
-    d: DsaParams,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def wp(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Probability that a random k-bit integer has a 2**l-smooth divisor > 2**m:
 
         wp = rho(k/l) + C_or(k/l, m/l) - gamma C_or'(k/l, m/l) / (l log 2).
     """
     if d.l == 0:
         raise DomainError("smoothness exponent l must be positive")
-    spec = spec if spec is not None else convolution.QuadratureSpec()
-    return _wp_scaled(d.k, d.l, d.m, rho_table, omega_table, spec)
+    return _wp_scaled(d.k, d.l, d.m, num)
 
 
-def eta(
-    d: DsaParams,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def eta(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """DSA large-subgroup exposure probability, eta = 2 wp(k) - wp(k-1).
 
     The difference accounts for sampling n uniformly from [2**(k-1), 2**k)
@@ -407,7 +346,6 @@ def eta(
     """
     if d.k <= 1:
         raise DomainError("eta requires k >= 2")
-    spec = spec if spec is not None else convolution.QuadratureSpec()
-    w_k = _wp_scaled(d.k, d.l, d.m, rho_table, omega_table, spec)
-    w_km1 = _wp_scaled(d.k - 1, d.l, d.m, rho_table, omega_table, spec)
+    w_k = _wp_scaled(d.k, d.l, d.m, num)
+    w_km1 = _wp_scaled(d.k - 1, d.l, d.m, num)
     return 2.0 * w_k - w_km1

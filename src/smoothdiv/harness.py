@@ -23,15 +23,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, estimators, oracle
-from .convolution import QuadratureSpec
+from .convolution import DEFAULT_NUMERICS, Numerics
 from .estimators import EstimateResult
 from .params import DsaParams, ScaledParams
-from .piecewise import PiecewiseFunction
 
 _THEOREM1_XS = (1e5, 1e6, 1e7)
 _THEOREM1_UV = ((4.0, 2.0), (5.0, 2.0), (6.0, 3.0))
@@ -49,22 +48,14 @@ def fmt17(x) -> str:
 # -- kind registry ---------------------------------------------------------------
 
 
-class Numerics(NamedTuple):
-    """What an estimate runs with; None selects the package default."""
-
-    rho_table: PiecewiseFunction | None = None
-    omega_table: PiecewiseFunction | None = None
-    spec: QuadratureSpec | None = None
-    epsilon: float = estimators.DEFAULT_EPSILON
-
-
 @dataclass(frozen=True)
 class Kind:
     """One quantity: its parameters, its estimate and its exact count.
 
     The callables take the parameter values as keywords:
-    ``estimate(num, **p)``, ``exact(sieve, **p)`` and
-    ``sieve_limit(**p)``, the sieve size ``exact`` needs.  They look their
+    ``estimate(num, **p)``, ``exact(sieve, num, **p)`` and
+    ``sieve_limit(**p)``, the sieve size ``exact`` needs; ``num`` is a
+    :class:`~smoothdiv.convolution.Numerics`.  They look their
     functions up through the module at call time, so wrappers installed on
     ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and
     ``compare`` offer every kind with an estimate; ``exact`` offers the kinds
@@ -78,47 +69,44 @@ class Kind:
     exact_command: bool = False
 
 
-def _psi_exact(t, x, y):
+def _psi_exact(t, num, x, y):
     return oracle.psi_exact(x, y, t)
 
 
 KINDS: dict[str, Kind] = {
     "theta": Kind(
         ("x", "y", "z"),
-        lambda num, x, y, z: estimators.theta_estimate(
-            ScaledParams(x, y, z), num.rho_table, num.omega_table, num.spec, num.epsilon),
-        lambda t, x, y, z: oracle.theta_exact(x, y, z, t),
+        lambda num, x, y, z: estimators.theta_estimate(ScaledParams(x, y, z), num),
+        lambda t, num, x, y, z: oracle.theta_exact(x, y, z, t),
         exact_command=True),
     "psi-h": Kind(
         ("x", "y"),
-        lambda num, x, y: estimators.psi_estimate_hildebrand(x, y, num.rho_table, num.epsilon),
+        lambda num, x, y: estimators.psi_estimate_hildebrand(x, y, num),
         _psi_exact),
     "psi-s": Kind(
         ("x", "y"),
-        lambda num, x, y: estimators.psi_estimate_saias(x, y, num.rho_table, num.epsilon),
+        lambda num, x, y: estimators.psi_estimate_saias(x, y, num),
         _psi_exact),
     "psi": Kind(("x", "y"), exact=_psi_exact, exact_command=True),
     "phi": Kind(
         ("x", "y"),
-        lambda num, x, y: estimators.phi_estimate(
-            x, y, num.rho_table, num.omega_table, num.epsilon),
-        lambda t, x, y: oracle.phi_exact(x, y, t),
+        lambda num, x, y: estimators.phi_estimate(x, y, num),
+        lambda t, num, x, y: oracle.phi_exact(x, y, t),
         exact_command=True),
     "s": Kind(
         ("y", "z"),
-        lambda num, y, z: estimators.s_estimate(y, z, num.rho_table, num.spec, num.epsilon),
-        lambda t, y, z: oracle.s_exact(y, z, t),
+        lambda num, y, z: estimators.s_estimate(y, z, num),
+        lambda t, num, y, z: oracle.s_exact(y, z, t),
         sieve_limit=lambda z, **_: max(z, 2.0),
         exact_command=True),
     "lemma6": Kind(
         ("x", "y", "z"),
-        lambda num, x, y, z: estimators.lemma6_estimate(
-            ScaledParams(x, y, z), num.rho_table, num.omega_table, num.spec),
-        lambda t, x, y, z: oracle.weighted_smooth_sum(
-            ScaledParams(x, y, z), oracle.WeightKind.BUCHSTAB_OMEGA, t)),
+        lambda num, x, y, z: estimators.lemma6_estimate(ScaledParams(x, y, z), num),
+        lambda t, num, x, y, z: oracle.weighted_smooth_sum(
+            ScaledParams(x, y, z), oracle.WeightKind.BUCHSTAB_OMEGA, t, num)),
     "smoothpart": Kind(
         ("n", "y"),
-        exact=lambda t, n, y: oracle.smooth_part(n, y, t),
+        exact=lambda t, num, n, y: oracle.smooth_part(n, y, t),
         sieve_limit=lambda n, **_: n,
         exact_command=True),
 }
@@ -209,7 +197,7 @@ def compare_row(
     kind: str,
     params: dict,
     sieve: oracle.SieveTables,
-    num: Numerics = Numerics(),
+    num: Numerics = DEFAULT_NUMERICS,
     note: str | None = None,
 ) -> ReportRow:
     """Exact count vs. estimate of ``kind`` at one point.
@@ -221,7 +209,7 @@ def compare_row(
     entry = KINDS[kind]
     p = {k: params[k] for k in entry.params}
     est = entry.estimate(num, **p)
-    exact = float(entry.exact(sieve, **p))
+    exact = float(entry.exact(sieve, num, **p))
     if note is None:
         note = "" if est.in_theorem_domain else "; ".join(
             n for n in est.domain_notes if "FAIL" in n)

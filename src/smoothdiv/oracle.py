@@ -34,15 +34,23 @@ from functools import lru_cache
 import numpy as np
 
 from . import special
+from .convolution import DEFAULT_NUMERICS, Numerics
 from .errors import DomainError, ResourceError
 from .params import DsaParams, ScaledParams
-from .piecewise import PiecewiseFunction
 
 #: Default sieve memory ceiling (table entries).
 DEFAULT_SIEVE_CEILING = 2**31
 
 #: Elements per chunk of _fsum_chunked.
 _CHUNK = 1 << 16
+
+
+def _require_not_nan(**values) -> None:
+    """NaN compares false with everything, so a NaN bound would silently
+    select nothing (or everything); reject it."""
+    for name, v in values.items():
+        if math.isnan(v):
+            raise DomainError(f"{name} must not be NaN")
 
 
 class WeightKind(Enum):
@@ -66,6 +74,7 @@ class SieveTables:
 
     def primes_upto(self, y: float) -> np.ndarray:
         """Primes p <= y from the table (requires y <= limit)."""
+        _require_not_nan(y=y)
         if y > self.limit:
             raise ResourceError(f"primes up to {y} exceed the sieve limit {self.limit}")
         hi = int(np.searchsorted(self.primes, math.floor(y), side="right"))
@@ -93,6 +102,7 @@ def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables
 def smooth_part(n: int, y: float, t: SieveTables) -> int:
     """n_y: the largest y-smooth divisor of n (product of p^a || n with p <= y)."""
     n = int(n)
+    _require_not_nan(y=y)
     if n < 1:
         raise DomainError("smooth_part requires n >= 1")
     if n > t.limit:
@@ -176,6 +186,8 @@ def smooth_numbers(primes, bound: float) -> np.ndarray:
 
 
 def _floor_x(x: float, t: SieveTables) -> int:
+    if not math.isfinite(x):
+        raise DomainError("x must be finite")
     fx = int(math.floor(x))
     if fx > t.limit:
         raise ResourceError(f"x={x} exceeds the sieve limit {t.limit}")
@@ -184,6 +196,7 @@ def _floor_x(x: float, t: SieveTables) -> int:
 
 def psi_exact(x: float, y: float, t: SieveTables) -> int:
     """#{n <= x : P+(n) <= y}, by smooth-number enumeration."""
+    _require_not_nan(y=y)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
@@ -200,6 +213,7 @@ def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
 
 def phi_exact(x: float, y: float, t: SieveTables) -> int:
     """#{n <= x : P-(n) > y}; n = 1 counts (P-(1) = infinity)."""
+    _require_not_nan(y=y)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
@@ -219,6 +233,7 @@ def _smooth_part_array(fx: int, y: float, t: SieveTables) -> np.ndarray:
 
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from the smooth-part array."""
+    _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
@@ -233,6 +248,7 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
 
     Must equal ``theta_exact`` exactly; the two routes share no counting code.
     """
+    _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
@@ -291,6 +307,7 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
 
     Exact up to floating summation error: the partial sum is compensated.
     """
+    _require_not_nan(y=y, z=z)
     if z > t.limit:
         raise ResourceError(f"z={z} exceeds the sieve limit {t.limit}")
     partial = 0.0
@@ -301,11 +318,7 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
 
 
 def weighted_smooth_sum(
-    p: ScaledParams,
-    w: WeightKind,
-    t: SieveTables,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
+    p: ScaledParams, w: WeightKind, t: SieveTables, num: Numerics = DEFAULT_NUMERICS
 ) -> float:
     """sum of weight(u - u_d)/d over y-smooth d in (z, x/y], u_d = log d/log y.
 
@@ -322,9 +335,9 @@ def weighted_smooth_sum(
     u_d = np.log(d.astype(float)) / math.log(p.y)
     args = p.u - u_d
     if w is WeightKind.BUCHSTAB_OMEGA:
-        weights = special.omega(args, table=omega_table)
+        weights = special.omega(args, table=num.omega)
     elif w is WeightKind.DICKMAN_RHO:
-        weights = special.rho(args, table=rho_table)
+        weights = special.rho(args, table=num.rho)
     else:
         raise DomainError(f"unknown weight kind {w!r}")
     return _fsum_chunked(weights / d.astype(float))
@@ -336,12 +349,15 @@ def weighted_smooth_sum(
 def _sample_kbit(rng: np.random.Generator, k: int, samples: int):
     """Uniform k-bit integers (top bit set).  numpy path for k <= 62, word
     assembly into Python ints above."""
-    if k <= 62:
-        return rng.integers(1 << (k - 1), 1 << k, size=samples, dtype=np.int64)
     nbits = k - 1
     nwords = (nbits + 63) // 64
-    words = rng.integers(0, np.iinfo(np.uint64).max, size=(samples, nwords),
-                         dtype=np.uint64, endpoint=True)
+    try:
+        if k <= 62:
+            return rng.integers(1 << nbits, 1 << k, size=samples, dtype=np.int64)
+        words = rng.integers(0, np.iinfo(np.uint64).max, size=(samples, nwords),
+                             dtype=np.uint64, endpoint=True)
+    except (MemoryError, ValueError, OverflowError):  # numpy refuses an array this large
+        raise ResourceError(f"{samples} samples of {k} bits do not fit in memory") from None
     mask = (1 << nbits) - 1
     top = 1 << nbits
     return [top | (int.from_bytes(row.tobytes(), "little") & mask) for row in words]
@@ -381,24 +397,24 @@ def eta_empirical(
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    bound = 1 << d.l
-    if bound > t.limit:
+    # 2**l > limit exactly when l reaches the limit's bit length; testing l
+    # first never builds 2**l for a huge l.
+    if d.l >= t.limit.bit_length():
         raise ResourceError(
-            f"trial division needs primes up to 2^{d.l} = {bound}, beyond the "
-            f"sieve limit {t.limit}"
-        )
-    primes = t.primes_upto(float(bound))
+            f"trial division needs primes up to 2^{d.l}, beyond the sieve limit {t.limit}")
+    primes = t.primes_upto(float(1 << d.l))
     rng = np.random.Generator(np.random.Philox(key=seed))
     ns = _sample_kbit(rng, d.k, samples)
-    threshold = 1 << d.m
     if d.m >= d.k:
         hits = 0  # smooth part <= n < 2**k <= 2**m: can never exceed the threshold
-    elif isinstance(ns, np.ndarray):
-        sp = _smooth_parts_int64(ns, primes)
-        hits = int(np.count_nonzero(sp > threshold))
     else:
-        primorial = math.prod(int(p) for p in primes.tolist())
-        hits = sum(1 for n in ns if _smooth_part_bigint(n, primorial) > threshold)
+        threshold = 1 << d.m  # below 2**k, so never larger than a sample
+        if isinstance(ns, np.ndarray):
+            sp = _smooth_parts_int64(ns, primes)
+            hits = int(np.count_nonzero(sp > threshold))
+        else:
+            primorial = math.prod(int(p) for p in primes.tolist())
+            hits = sum(1 for n in ns if _smooth_part_bigint(n, primorial) > threshold)
     est = hits / samples
     std_err = math.sqrt(est * (1.0 - est) / samples)
     return est, std_err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,9 @@ class DsaParams:
     def __post_init__(self):
         if self.k < 2 or self.l < 1 or self.m < 1:
             raise DomainError("require k >= 2, l >= 1, m >= 1")
+        # The estimates scale k, l and m as floats (u = k/l, v = m/l).
+        if max(self.k, self.l, self.m) > sys.float_info.max:
+            raise DomainError("require k, l, m below 2**1024")
         if not (self.k > self.m >= self.l):
             warnings.warn(
                 f"(k, l, m) = ({self.k}, {self.l}, {self.m}) is outside the "

@@ -10,14 +10,14 @@ produces byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import convolution, estimators, oracle, special
 from .constants import EXP_GAMMA, EXP_NEG_GAMMA
+from .convolution import DEFAULT_NUMERICS, Numerics
 from .params import ScaledParams
-from .piecewise import PiecewiseFunction
 
 DEFAULT_SEED = 20260808
 
@@ -74,12 +74,11 @@ def simpson_adaptive(f, a: float, b: float, rel_tol: float = 1e-11, max_doubling
 
 
 def validate_special(
-    seed: int = DEFAULT_SEED,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
+    seed: int = DEFAULT_SEED, num: Numerics = DEFAULT_NUMERICS
 ) -> list[CheckResult]:
-    rt = rho_table if rho_table is not None else special.default_dickman()
-    ot = omega_table if omega_table is not None else special.default_buchstab()
+    rt, ot = num.rho, num.omega
+    # The sample ranges below stop at the end of a shorter configured table.
+    rho_hi, omega_hi = float(rt.hi), float(ot.hi)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out: list[CheckResult] = []
 
@@ -88,7 +87,7 @@ def validate_special(
 
     # Delay-ODE identity for rho: u rho(u) = integral of rho over [u-1, u],
     # integral from the module's own segments.
-    us = rng.uniform(1.0, 40.0, size=200)
+    us = rng.uniform(1.0, min(40.0, rho_hi), size=200)
     worst = 0.0
     for u in us:
         u = float(u)
@@ -111,7 +110,7 @@ def validate_special(
         f"max relative disagreement {_fmt(worst)} over 20 points (tol 1e-8)")
 
     # Delay-ODE identity for omega: u omega(u) = 1 + integral over [1, u-1].
-    us_o = rng.uniform(2.0, 30.0, size=200)
+    us_o = rng.uniform(2.0, min(30.0, omega_hi + 1.0), size=200)
     worst = 0.0
     for u in us_o:
         u = float(u)
@@ -122,14 +121,15 @@ def validate_special(
         f"max absolute defect {_fmt(worst)} over 200 points (tol 1e-9)")
 
     # rho strictly decreasing on [1, 40]; 0 < rho <= 1 on [0, 60].
-    grid = np.linspace(1.0, 40.0, 601)
-    vals = special.rho(grid, table=rt)
+    top = min(40.0, rho_hi)
+    vals = special.rho(np.linspace(1.0, top, 601), table=rt)
     decreasing = bool(np.all(np.diff(vals) < 0.0))
-    add("rho_strictly_decreasing", decreasing, "rho decreasing on [1, 40] (601-point grid)")
-    grid = np.linspace(0.0, 60.0, 601)
-    vals = special.rho(grid, table=rt)
+    add("rho_strictly_decreasing", decreasing,
+        f"rho decreasing on [1, {_fmt(top)}] (601-point grid)")
+    top = min(60.0, rho_hi)
+    vals = special.rho(np.linspace(0.0, top, 601), table=rt)
     add("rho_range", bool(np.all(vals > 0.0) and np.all(vals <= 1.0)),
-        "0 < rho <= 1 on [0, 60]")
+        f"0 < rho <= 1 on [0, {_fmt(top)}]")
 
     # Buchstab range and high-precision deviation monotonicity at integers.
     grid = np.linspace(1.0, 35.0, 601)
@@ -147,7 +147,7 @@ def validate_special(
         f"(node near k = 4: {_fmt(devs[1])}); last {_fmt(devs[-1])}")
 
     # |rho'(t)| <= K rho(t) log(t+1) with a single fitted K <= 3 on [1.5, 30].
-    ts = np.linspace(1.5, 30.0, 572)
+    ts = np.linspace(1.5, min(30.0, rho_hi), 572)
     ratios = [abs(special.rho_prime(float(t), table=rt))
               / (special.rho(float(t), table=rt) * math.log1p(float(t))) for t in ts]
     fitted_k = max(ratios)
@@ -155,7 +155,7 @@ def validate_special(
         f"fitted K = {_fmt(fitted_k)} (bound 3)")
 
     # rho' from the recurrence equals the analytic segment derivative.
-    us_d = rng.uniform(0.05, 40.0, size=100)
+    us_d = rng.uniform(0.05, min(40.0, rho_hi), size=100)
     worst = 0.0
     for u in us_d:
         u = float(u)
@@ -202,12 +202,9 @@ def validate_special(
 
 
 def validate_convolution(
-    seed: int = DEFAULT_SEED,
-    rho_table: PiecewiseFunction | None = None,
-    omega_table: PiecewiseFunction | None = None,
+    seed: int = DEFAULT_SEED, num: Numerics = DEFAULT_NUMERICS
 ) -> list[CheckResult]:
-    rt = rho_table if rho_table is not None else special.default_dickman()
-    ot = omega_table if omega_table is not None else special.default_buchstab()
+    rt, ot = num.rho, num.omega
     rng = np.random.Generator(np.random.Philox(key=seed + 1))
     out: list[CheckResult] = []
 
@@ -219,9 +216,9 @@ def validate_convolution(
     for u in (3.5, 6.0, 10.7875):
         vs = np.linspace(0.0, u - 1.0, 9)
         for conv in (convolution.conv_omega_rho, convolution.conv_omega_rho_prime):
-            vals = [abs(conv(u, float(v), rt, ot).value) for v in vs]
+            vals = [abs(conv(u, float(v), num).value) for v in vs]
             ok = ok and all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
-        vals = [abs(convolution.conv_rho_rho(u, float(v), rt).value) for v in vs]
+        vals = [abs(convolution.conv_rho_rho(u, float(v), num).value) for v in vs]
         ok = ok and all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
     add("monotone_in_v", ok, "all three convolutions non-increasing in v at u = 3.5, 6, 10.7875")
 
@@ -232,9 +229,9 @@ def validate_convolution(
         for v in (1.0, 1.5, 2.0, 3.0):
             if v >= u - 1:
                 continue
-            c1 = convolution.conv_omega_rho(u, v, rt, ot).value
-            c2 = convolution.conv_omega_rho_prime(u, v, rt, ot).value
-            tv = convolution.tau(v, rt)
+            c1 = convolution.conv_omega_rho(u, v, num).value
+            c2 = convolution.conv_omega_rho_prime(u, v, num).value
+            tv = convolution.tau(v, num)
             ok = ok and c1 <= tv * (1.0 + 1e-10) and abs(c2) <= special.rho(v, table=rt) * (1.0 + 1e-10)
             ok = ok and c2 <= 0.0
             worst = max(worst, c1 / tv)
@@ -244,11 +241,11 @@ def validate_convolution(
     # Robustness: halving abs_tol moves values by less than the reported error.
     ok = True
     moved = 0.0
-    tight = convolution.QuadratureSpec(abs_tol=convolution.DEFAULT_ABS_TOL / 2.0)
+    tight = num._replace(spec=replace(num.spec, abs_tol=num.spec.abs_tol / 2.0))
     pts = [(float(u), float(v)) for u in rng.uniform(2.2, 12.0, 10) for v in rng.uniform(0.0, 2.0, 5)]
     for u, v in pts:
-        a = convolution.conv_omega_rho(u, v, rt, ot)
-        b = convolution.conv_omega_rho(u, v, rt, ot, tight)
+        a = convolution.conv_omega_rho(u, v, num)
+        b = convolution.conv_omega_rho(u, v, tight)
         delta = abs(a.value - b.value)
         allowed = max(a.est_abs_err, 1e-15)
         ok = ok and delta <= allowed
@@ -261,9 +258,8 @@ def validate_convolution(
     # (right-continuity), so the integral uses the same open-node piece
     # quadrature as the convolutions; the splits land on every jump.
     worst = 0.0
-    spec = convolution.QuadratureSpec()
     for u, v in [(4.0, 1.2), (6.5, 1.0), (9.25, 2.5), (11.0, 3.5)]:
-        lhs = convolution.conv_omega_rho_prime(u, v, rt, ot).value
+        lhs = convolution.conv_omega_rho_prime(u, v, num).value
         boundary = (special.omega(1.0, table=ot) * special.rho(u - 1.0, table=rt)
                     - special.omega(u - v, table=ot) * special.rho(v, table=rt))
 
@@ -271,7 +267,7 @@ def validate_convolution(
             return special.omega_prime(u - s, table=ot) * special.rho(s, table=rt)
 
         pieces = convolution._knot_points(v, u - 1.0, u)
-        integral, _err = convolution._integrate_pieces(f, pieces, spec)
+        integral, _err = convolution._integrate_pieces(f, pieces, num.spec)
         worst = max(worst, abs(lhs - (boundary + integral)))
     add("integration_by_parts", worst <= 1e-8,
         f"max defect {_fmt(worst)} across 4 (u, v) pairs (tol 1e-8)")
@@ -279,7 +275,7 @@ def validate_convolution(
     # tau tail consistency: tau(v) - tau(v') equals the segment integral.
     worst = 0.0
     for v, vp in [(0.0, 1.0), (0.5, 2.5), (2.0, 5.0)]:
-        diff = convolution.tau(v, rt) - convolution.tau(vp, rt)
+        diff = convolution.tau(v, num) - convolution.tau(vp, num)
         worst = max(worst, abs(diff - rt.integral(v, vp)))
     add("tau_differences", worst <= 1e-10,
         f"tau(v) - tau(v') matches segment integrals to {_fmt(worst)}")
@@ -292,6 +288,7 @@ def validate_convolution(
 def validate_estimators(
     seed: int = DEFAULT_SEED,
     sieve: oracle.SieveTables | None = None,
+    num: Numerics = DEFAULT_NUMERICS,
 ) -> list[CheckResult]:
     t = sieve if sieve is not None else oracle.build_sieve(10**6)
     out: list[CheckResult] = []
@@ -305,16 +302,16 @@ def validate_estimators(
         p = ScaledParams(x, y, z)
         if p.v < p.u - 1.0:
             continue
-        r = estimators.theta_estimate(p)
-        ok = ok and r.value / p.x == special.rho(p.u)
+        r = estimators.theta_estimate(p, num)
+        ok = ok and r.value / p.x == special.rho(p.u, table=num.rho)
     add("empty_support_reduces_to_rho", ok, "theta/x == rho(u) when v >= u-1")
 
     # Two code paths, one formula: theta at powers of two vs wp.
     worst = 0.0
     for (k, l, m) in [(40, 10, 20), (48, 12, 24), (60, 15, 30), (863, 80, 160)]:
         p = ScaledParams(2.0**k, 2.0**l, 2.0**m)
-        a = estimators.theta_estimate(p).value / p.x
-        b = estimators.wp(estimators.DsaParams(k, l, m))
+        a = estimators.theta_estimate(p, num).value / p.x
+        b = estimators.wp(estimators.DsaParams(k, l, m), num)
         worst = max(worst, abs(a - b))
     add("theta_wp_consistency", worst <= 1e-12,
         f"max |theta/x - wp| = {_fmt(worst)} (tol 1e-12)")
@@ -323,8 +320,8 @@ def validate_estimators(
     ok = True
     for (x, y, z) in [(1e5, 30.0, 500.0), (1e7, 100.0, 2000.0), (1e9, 50.0, 1e4)]:
         p = ScaledParams(x, y, z)
-        env = estimators.theta_error_bound(p)
-        factor = estimators.theta_envelope_factor(p.u, p.v, p.y)
+        env = estimators.theta_error_bound(p, num)
+        factor = estimators.theta_envelope_factor(p.u, p.v, p.y, num)
         ok = ok and env >= 0.0 and abs(env - x * factor) <= 1e-12 * env
     add("envelope_positive_homogeneous", ok,
         "theta envelope is x times a function of (u, v, y), and nonnegative")
@@ -337,8 +334,8 @@ def validate_estimators(
     worst = 0.0
     for (x, y, z) in grid:
         p = ScaledParams(x, y, z)
-        exact = oracle.weighted_smooth_sum(p, oracle.WeightKind.BUCHSTAB_OMEGA, t)
-        est = estimators.lemma6_estimate(p)
+        exact = oracle.weighted_smooth_sum(p, oracle.WeightKind.BUCHSTAB_OMEGA, t, num)
+        est = estimators.lemma6_estimate(p, num)
         worst = max(worst, abs(exact - est.value) / est.error_envelope)
     add("lemma6_constant", worst <= 10.0,
         f"max |exact - estimate| / E(y, z) = {_fmt(worst)} over 12 points (bound 10)")
@@ -428,10 +425,10 @@ def validate_oracle(
 
 
 _SUITES = {
-    "special": lambda seed, sieve: validate_special(seed),
-    "convolution": lambda seed, sieve: validate_convolution(seed),
+    "special": lambda seed, sieve, num: validate_special(seed, num),
+    "convolution": lambda seed, sieve, num: validate_convolution(seed, num),
     "estimators": validate_estimators,
-    "oracle": validate_oracle,
+    "oracle": lambda seed, sieve, num: validate_oracle(seed, sieve),
 }
 
 
@@ -439,15 +436,17 @@ def run_suite(
     name: str,
     seed: int = DEFAULT_SEED,
     sieve: oracle.SieveTables | None = None,
+    num: Numerics = DEFAULT_NUMERICS,
 ) -> list[CheckResult]:
     """Run one invariant suite ('special', 'convolution', 'estimators',
-    'oracle') or 'all'."""
+    'oracle') or 'all'.  The exact counts of the oracle suite need no
+    tables, so it ignores ``num``."""
     if name == "all":
         shared = sieve if sieve is not None else oracle.build_sieve(10**6)
         results = []
         for key in ("special", "convolution", "estimators", "oracle"):
-            results.extend(_SUITES[key](seed, shared))
+            results.extend(_SUITES[key](seed, shared, num))
         return results
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return _SUITES[name](seed, sieve)
+    return _SUITES[name](seed, sieve, num)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothdiv import cli
 from smoothdiv.cli import (
@@ -149,6 +152,24 @@ class TestExactCommand:
         err = capsys.readouterr().err
         assert err.startswith("domain error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "psi", "--x", "1e5", "--y", "nan"],
+        ["exact", "phi", "--x", "1e5", "--y", "nan"],
+        ["exact", "theta", "--x", "1e5", "--y", "nan", "--z", "10"],
+        ["exact", "theta", "--x", "1e5", "--y", "30", "--z", "nan"],
+        ["exact", "smoothpart", "--n", "12", "--y", "nan"],
+    ])
+    def test_nan_bound_is_domain_error(self, argv, capsys):
+        # The first three ended in a ValueError traceback; smoothpart printed
+        # 12 and theta with z = nan printed 0.
+        assert cli.main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+
+    def test_infinite_y_takes_every_prime(self, capsys):
+        assert cli.main(["exact", "smoothpart", "--n", "12", "--y", "inf"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["value"] == "12"
+
 
 class TestCompareCommand:
     def test_single_point_grid(self):
@@ -187,6 +208,27 @@ class TestCompareCommand:
         assert row["in_domain"] is False
         assert "FAIL" in row["note"]
 
+    def test_lemma6_exact_uses_configured_table(self, tmp_path, capsys):
+        # The exact column weights by omega as the estimate does; it took the
+        # default table (...955) while the estimate took the configured one.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps({"omega_u_cut": 10}))
+        argv = ["compare", "--kind", "lemma6", "--x", "1e7", "--y", "3", "--z", "10"]
+        assert cli.main(["--config", str(cfg), *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"][0]["exact"] == "0.28852493158428977"
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--kind", "psi-h", "--x", "1e5", "--u", "0"],
+        ["compare", "--kind", "psi-h", "--x", "1e5", "--u", "1e-300"],
+        ["compare", "--kind", "s", "--x", "1e5", "--y", "10", "--v", "1e6"],
+        ["compare", "--kind", "s", "--x", "1e5", "--y", "-10", "--v", "0.5"],
+    ])
+    def test_underivable_grid_is_domain_error(self, argv, capsys):
+        # ZeroDivisionError, OverflowError (twice) and a complex z before.
+        assert cli.main(argv) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+
     def test_s_sieve_sized_by_z(self, capsys):
         # S(y, z) needs a sieve up to z, not up to x: z > max(x) still answers.
         assert cli.main(["exact", "s", "--y", "10", "--z", "1e6"]) == 0
@@ -212,12 +254,64 @@ class TestDsaRiskCommand:
         proc = run_cli("dsa-risk", "--k", "1", "--l", "10", "--m", "20")
         assert proc.returncode == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("argv, code, needle", [
+        (["--seed", "-1"], EXIT_USAGE, "--seed"),
+        (["--seed", str(2**128)], EXIT_USAGE, "--seed"),
+        (["--k", "2", "--l", "5000", "--m", "5"], EXIT_RESOURCE, "2^5000"),
+        (["--k", str(2**62), "--l", "1", "--m", "1"], EXIT_RESOURCE, "memory"),
+        (["--k", str(10**400)], EXIT_DOMAIN, "2**1024"),
+    ])
+    def test_flag_values_that_crashed(self, argv, code, needle, capsys):
+        # A later flag overrides the default one before it.
+        base = ["dsa-risk", "--k", "70", "--l", "10", "--m", "20", "--empirical", "3"]
+        assert cli.main(base + argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+    def test_largest_seed_and_huge_k_and_m_run(self, capsys):
+        # 2**128 - 1 is the largest Philox key; u = k/l = 2**62 once meant
+        # testing ~2**62 split points; 1 << m was built although m >= k.
+        base = ["dsa-risk", "--k", "70", "--l", "10", "--m", "20", "--empirical", "3"]
+        assert cli.main(base + ["--seed", str(2**128 - 1)]) == 0
+        assert cli.main(["dsa-risk", "--k", str(2**62), "--l", "1", "--m", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(base + ["--m", str(2**128)]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["empirical"] == "0"
+
 
 class TestValidateCommand:
     def test_special_suite_exits_zero(self):
         proc = run_cli("validate", "special")
         assert proc.returncode == 0
         assert "FAIL" not in proc.stdout
+
+    @pytest.mark.parametrize("config, text", [
+        ({"target_rel_err": 1e-9}, "<= target 1e-09\n"),
+        # A shorter table is sampled up to its end (u = 30, not 40).
+        ({"rho_u_max": 30, "omega_u_cut": 20}, "rho decreasing on [1, 30]"),
+    ])
+    def test_config_reaches_the_suites(self, tmp_path, capsys, config, text):
+        # The suites ran on the default tables whatever the config said.
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["--config", str(cfg), "validate", "special"]) == 0
+        assert text in capsys.readouterr().out
+
+
+class TestLimitFlag:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["exact", "psi", "--x", "100", "--y", "5"],
+        ["compare", "--x", "1e3", "--u", "2", "--v", "1.2"],
+        ["dsa-risk", "--k", "40", "--l", "10", "--m", "20", "--empirical", "3"],
+        ["validate", "oracle"],
+    ])
+    def test_non_finite_limit_is_usage_error(self, argv, value, capsys):
+        # int(inf) and int(nan) raised OverflowError and ValueError.
+        assert cli.main(argv + ["--limit", value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "--limit" in err
 
 
 class TestDeterminism:
@@ -405,3 +499,79 @@ class TestPinnedOutput:
         assert cli.main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the exit-code contract over random argv --------------------------------------
+
+# Finite draws stay within 1e7: estimate phi sieves the primes up to y under
+# its own 2**31 ceiling, whatever the config says, so y near 1e9 would
+# allocate a gigabyte.
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, -7.5, 1.0, 2.0, 2.5, 1e-300, -1e-300, 1e300, -1e300,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(min_value=-1e7, max_value=1e7),
+)
+# Huge integers are ones numpy refuses to allocate for outright; a k near
+# 2**32 would draw gigabytes of sample words.
+_INTS = st.one_of(st.integers(-3, 100),
+                  st.sampled_from([2**62, 2**64, 2**128, 2**128 - 1, 10**40, 10**400]))
+
+
+def _flag(name, values):
+    """``--name=value`` (the = keeps a negative value from reading as a flag)."""
+    return values.map(lambda v: [f"--{name}={v!r}"])
+
+
+def _maybe(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _argv(head, *flags):
+    return st.tuples(*flags).map(lambda parts: head + [t for part in parts for t in part])
+
+
+_EXACT_KINDS = [k for k, e in cli.KINDS.items() if e.exact_command]
+_ARGV = st.one_of(
+    st.sampled_from(["rho", "rho1", "rho2", "omega", "omega1"]).flatmap(
+        lambda fn: _argv(["special", f"--fn={fn}"], _flag("u", _FLOATS))),
+    st.sampled_from(cli._ESTIMATE_KINDS).flatmap(
+        lambda kind: _argv(["estimate", kind], _maybe("x", _FLOATS), _maybe("y", _FLOATS),
+                           _maybe("z", _FLOATS), _maybe("epsilon", _FLOATS))),
+    st.sampled_from(_EXACT_KINDS).flatmap(
+        lambda kind: _argv(["exact", kind], _maybe("x", _FLOATS), _maybe("y", _FLOATS),
+                           _maybe("z", _FLOATS), _maybe("n", _FLOATS),
+                           _maybe("limit", _FLOATS))),
+    st.sampled_from(cli._ESTIMATE_KINDS).flatmap(
+        lambda kind: _argv(
+            ["compare", f"--kind={kind}"],
+            st.lists(_FLOATS, min_size=1, max_size=3).map(
+                lambda xs: ["--x=" + ",".join(map(repr, xs))]),
+            _maybe("u", _FLOATS), _maybe("y", _FLOATS), _maybe("v", _FLOATS),
+            _maybe("z", _FLOATS), _maybe("limit", _FLOATS))),
+    _argv(["dsa-risk"], _flag("k", _INTS), _flag("l", _INTS), _flag("m", _INTS),
+          _maybe("empirical", st.one_of(st.integers(-2, 40), st.sampled_from([2**62, 10**40]))),
+          _maybe("seed", _INTS), _maybe("limit", _FLOATS)),
+)
+
+
+@pytest.fixture(scope="module")
+def small_ceiling_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "conf.json"
+    path.write_text(json.dumps({"sieve_ceiling": 1000000}))
+    return str(path)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_ARGV)
+def test_any_argv_exits_with_a_contract_code(small_ceiling_config, argv):
+    # 0 success, 2 usage, 3 resource, 4 domain; 1 belongs to validate alone.
+    # Every error but argparse's own is one line on stderr.
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(["--config", small_ceiling_config, *argv])
+        except SystemExit as exc:  # argparse rejects bad argv this way
+            assert exc.code == EXIT_USAGE, (argv, err.getvalue())
+            return
+    assert code in (0, EXIT_USAGE, EXIT_RESOURCE, EXIT_DOMAIN), (argv, code, err.getvalue())
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())

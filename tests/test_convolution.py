@@ -6,6 +6,7 @@ import pytest
 from smoothdiv import (
     DomainError,
     EXP_GAMMA,
+    Numerics,
     QuadratureSpec,
     conv_omega_rho,
     conv_omega_rho_prime,
@@ -137,7 +138,7 @@ class TestConvolutionProperties:
                for u in rng.uniform(2.2, 12.0, 10) for v in rng.uniform(0.0, 2.0, 5)]
         for u, v in pts:
             base = conv_omega_rho(u, v)
-            tighter = conv_omega_rho(u, v, spec=tight)
+            tighter = conv_omega_rho(u, v, Numerics(spec=tight))
             assert abs(base.value - tighter.value) <= max(base.est_abs_err, 1e-15)
 
     def test_integration_by_parts(self, dickman, buchstab):
@@ -153,3 +154,39 @@ class TestConvolutionProperties:
                 lambda s: omega_prime(u - s, buchstab) * rho(s, dickman),
                 pieces, QuadratureSpec())
             assert abs(lhs - (boundary + integral)) <= 1e-8
+
+
+def _knot_points_every_shift(lo, hi, u):
+    """The split points with every shift u - j tested from j = 1 on."""
+    pts = {float(k) for k in range(math.ceil(lo), math.floor(hi) + 1)}
+    j = 1
+    while u - j > lo:
+        if u - j < hi:
+            pts.add(u - j)
+        j += 1
+    eps = 1e-12 * max(1.0, abs(hi))
+    merged = [lo]
+    for p in sorted(pts):
+        if p - merged[-1] > eps and hi - p > eps:
+            merged.append(p)
+    merged.append(hi)
+    return merged
+
+
+class TestKnotPoints:
+    def test_same_points_as_testing_every_shift(self):
+        from smoothdiv.convolution import _knot_points
+
+        rng = np.random.Generator(np.random.Philox(key=5))
+        for _ in range(300):
+            lo = float(rng.uniform(0.0, 5.0))
+            hi = lo + float(rng.uniform(0.0, 12.0))
+            u = float(rng.choice([hi + rng.uniform(0.0, 90.0), hi + rng.integers(0, 90),
+                                  lo + rng.uniform(0.0, 3.0)]))
+            assert _knot_points(lo, hi, u) == _knot_points_every_shift(lo, hi, u)
+
+    def test_huge_shift_is_cheap(self):
+        # dsa-risk --k 2**62 --l 1 gives u = 2**62; every shift was tested, one by one.
+        from smoothdiv.convolution import _knot_points
+
+        assert _knot_points(0.0, 80.0, 2.0**62) == [float(k) for k in range(81)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,32 @@ class TestCountingFunctions:
     def test_range_error(self, sieve_small):
         with pytest.raises(ResourceError):
             psi_exact(10**6, 5.0, sieve_small)
+
+    @pytest.mark.parametrize("call", [
+        lambda t: t.primes_upto(math.nan),
+        lambda t: smooth_part(12, math.nan, t),
+        lambda t: psi_exact(1e4, math.nan, t),
+        lambda t: phi_exact(1e4, math.nan, t),
+        lambda t: psi_exact(0.5, math.nan, t),
+        lambda t: theta_exact(1e4, math.nan, 10.0, t),
+        lambda t: theta_exact(1e4, 30.0, math.nan, t),
+        lambda t: theta_exact_decomposed(1e4, math.nan, 10.0, t),
+        lambda t: theta_exact_decomposed(1e4, 30.0, math.nan, t),
+        lambda t: s_exact(10.0, math.nan, t),
+        lambda t: psi_exact(math.inf, 5.0, t),
+    ], ids=["primes_upto", "smooth_part", "psi", "phi", "psi_below_1", "theta_y",
+            "theta_z", "decomposed_y", "decomposed_z", "s_z", "psi_x_inf"])
+    def test_nan_bounds_are_domain_errors(self, sieve_small, call):
+        # NaN compares false with everything: these raised ValueError from
+        # floor(nan), or answered smooth_part(12, nan) = 12, theta(.., z=nan) = 0
+        # and s_exact(10, nan) = zeta(1, 10).
+        with pytest.raises(DomainError):
+            call(sieve_small)
+
+    def test_infinite_y_takes_every_prime(self, sieve_small):
+        assert smooth_part(360, math.inf, sieve_small) == 360
+        assert psi_exact(100.0, math.inf, sieve_small) == 100
+        assert theta_exact(100.0, math.inf, 50.0, sieve_small) == 50
 
 
 class TestZetaOneY:
@@ -261,3 +288,21 @@ class TestEtaEmpirical:
     def test_resource_limit(self, sieve_small):
         with pytest.raises(ResourceError):
             eta_empirical(DsaParams(40, 20, 30), 100, 1, sieve_small)
+
+    @pytest.mark.parametrize("k, l, samples", [
+        (2**62, 10, 2),       # 2**56 words a sample: numpy refuses the array
+        (10**40, 10, 1),      # more words than an array dimension holds
+        (40, 10, 2**62),      # more samples than memory
+        (40, 2**128, 1),      # 2**l is never built
+    ])
+    def test_huge_requests_are_resource_errors(self, sieve_small, k, l, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # l = 2**128 lies outside k > m >= l
+            d = DsaParams(k, l, 30)
+        with pytest.raises(ResourceError):
+            eta_empirical(d, samples, 1, sieve_small)
+
+    def test_huge_m_never_builds_its_threshold(self, sieve_small):
+        with pytest.warns(UserWarning):
+            d = DsaParams(40, 10, 2**128)
+        assert eta_empirical(d, 10, 1, sieve_small) == (0.0, 0.0)

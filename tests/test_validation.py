@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothdiv import validation
+from smoothdiv import Numerics, validation
 from smoothdiv.piecewise import PiecewiseFunction
 from smoothdiv.special import default_dickman
 
@@ -33,7 +33,7 @@ def test_corrupted_table_is_detected():
     corrupted = PiecewiseFunction(
         kind=base.kind, knots=base.knots, coeffs=coeffs, u_max=base.u_max,
         target_rel_err=base.target_rel_err, certificate=base.certificate)
-    results = validation.validate_special(rho_table=corrupted)
+    results = validation.validate_special(num=Numerics(rho_table=corrupted))
     failed = [r for r in results if not r.passed]
     assert failed, "corruption went unnoticed"
     assert any("rho" in r.name for r in failed)
