@@ -9,7 +9,8 @@ Subcommands:
 * ``compare``   -- exact vs. estimate over a parameter grid, emitted as a
                    comparison-report JSON document;
 * ``dsa-risk``  -- the DSA large-subgroup exposure probability, analytic and
-                   optionally Monte Carlo;
+                   optionally Monte Carlo; flagged ``eta_negative=true`` when
+                   the analytic value falls below 0;
 * ``validate``  -- run the invariant suites.
 
 Exit codes: 0 success, 1 validation failed (``validate`` only), 2 usage
@@ -26,7 +27,10 @@ weights the exact lemma6 sum by the configured omega table), and command-line
 flags override them.
 
 The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
-come from :data:`smoothdiv.harness.KINDS`.
+come from :data:`smoothdiv.harness.KINDS`.  Each command sieves exactly as far
+as its count needs: ``exact`` and ``compare`` to the kind's ``sieve_limit``,
+``dsa-risk --empirical`` to 2**l and ``validate`` to 10**6, always under the
+configured ``sieve_ceiling``.
 """
 
 from __future__ import annotations
@@ -225,29 +229,14 @@ def _estimate_flags(result) -> list[str]:
     return flags
 
 
-def _limit_flag(args) -> int | None:
-    """The ``--limit`` flag as an integer; None when it is absent or 0."""
-    limit = getattr(args, "limit", None)
-    if not limit:
-        return None
-    if not math.isfinite(limit):
-        raise UsageError(f"--limit must be a finite number, got {limit}")
-    return int(limit)
-
-
-def _sieve_for(limit_needed: float | int, args, settings: Settings) -> oracle.SieveTables:
-    """A sieve up to ``--limit``, or by default up to ``limit_needed`` (a
-    float, or an exact int that may exceed every float)."""
+def _sieve_for(limit_needed: float | int, settings: Settings) -> oracle.SieveTables:
+    """A sieve up to ``limit_needed`` (a float, or an exact int that may
+    exceed every float) under the configured ceiling."""
     if isinstance(limit_needed, float):
         if not math.isfinite(limit_needed):
             raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
         limit_needed = math.ceil(limit_needed)
-    limit = _limit_flag(args)
-    if limit is None:
-        limit = limit_needed
-    elif limit < limit_needed:
-        raise UsageError(f"--limit {limit} is below the required {limit_needed}")
-    return oracle.build_sieve(max(limit, 2), ceiling=settings.sieve_ceiling)
+    return oracle.build_sieve(max(limit_needed, 2), ceiling=settings.sieve_ceiling)
 
 
 def _philox_seed(seed: int, span: int = 1) -> int:
@@ -305,7 +294,7 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
         if not p["n"].is_integer():
             raise UsageError(f"--n must be an integer, got {p['n']!r}")
         p["n"] = int(p["n"])
-    t = _sieve_for(kind.sieve_limit(**p), args, settings)
+    t = _sieve_for(kind.sieve_limit(**p), settings)
     return OutputRecord(command=f"exact {args.kind}", inputs=p,
                         outputs={"value": kind.exact(t, _numerics(settings), **p)})
 
@@ -338,7 +327,7 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
             params["z"] = _power(y, args.v, "z") if args.v is not None else args.z
         grid.append(params)
     # One sieve for the grid, as large as the kind's exact count needs.
-    t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), args, settings)
+    t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), settings)
     num = _numerics(settings)
     rows = [harness.compare_row(args.kind, p, t, num) for p in grid]
     ratios = [r.ratio for r in rows]
@@ -358,6 +347,8 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
         w_k = estimators.wp(d, num)
         analytic = estimators.eta(d, num)
     flags = [f"regime_warning={str(w.message)}" for w in caught]
+    if analytic < 0.0:  # a probability, so the asymptotic formula is off here
+        flags.append("eta_negative=true")
     inputs = {"k": args.k, "l": args.l, "m": args.m}
     outputs = {"wp": w_k, "eta": analytic}
     if args.empirical:
@@ -367,7 +358,7 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
         if args.l >= settings.sieve_ceiling.bit_length():
             raise ResourceError(f"trial division needs a sieve up to 2^{args.l}, beyond "
                                 f"the ceiling {settings.sieve_ceiling}")
-        t = _sieve_for(1 << args.l, args, settings)
+        t = _sieve_for(1 << args.l, settings)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             emp, se = oracle.eta_empirical(d, args.empirical, seed, t)
@@ -381,10 +372,9 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
 
 def cmd_validate(args, settings: Settings) -> tuple[str, bool]:
     seed = _philox_seed(args.seed, span=3)  # the suites key Philox with seed .. seed + 2
-    limit = _limit_flag(args) or 10**6
     sieve = None
     if args.suite in ("estimators", "oracle", "all"):
-        sieve = oracle.build_sieve(limit, ceiling=settings.sieve_ceiling)
+        sieve = _sieve_for(10**6, settings)
     results = validation.run_suite(args.suite, seed=seed, sieve=sieve, num=_numerics(settings))
     lines = [r.line() for r in results]
     n_fail = sum(1 for r in results if not r.passed)
@@ -430,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--y", type=float)
     ex.add_argument("--z", type=float)
     ex.add_argument("--n", type=float)
-    ex.add_argument("--limit", type=float, help="sieve limit (default: as needed)")
     ex.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     cp = sub.add_parser("compare", help="exact vs. estimate over a grid")
@@ -440,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--y", type=float, help="fixed y")
     cp.add_argument("--v", type=float, help="derive z = y^v")
     cp.add_argument("--z", type=float, help="fixed z")
-    cp.add_argument("--limit", type=float, help="sieve limit (default: max x)")
     cp.add_argument("--report", help="also write the report JSON to this path")
 
     dr = sub.add_parser("dsa-risk", help="DSA large-subgroup exposure probability")
@@ -450,13 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("--empirical", type=int, metavar="SAMPLES",
                     help="also run a seeded Monte Carlo with this many samples")
     dr.add_argument("--seed", type=int, default=7)
-    dr.add_argument("--limit", type=float, help="sieve limit (default: 2^l)")
     dr.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     va = sub.add_parser("validate", help="run invariant suites")
     va.add_argument("suite", choices=["special", "convolution", "estimators", "oracle", "all"])
     va.add_argument("--seed", type=int, default=validation.DEFAULT_SEED)
-    va.add_argument("--limit", type=float, help="sieve limit for oracle-backed checks")
 
     return p
 

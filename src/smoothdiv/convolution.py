@@ -295,7 +295,7 @@ def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
 def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> float:
     """First knot where rho's monotone decay bounds the remaining tail below
     abs_tol/10 (rho is decreasing beyond 1, so tail <= rho(k) * remaining length)."""
-    support_hi = special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR)
+    support_hi = special.rho_support_hi(rho_t)
     k = max(math.ceil(lo), 1)
     while k < support_hi:
         remaining = support_hi - k
@@ -311,7 +311,7 @@ def conv_omega_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> Conv
     rho_t, omega_t = num.rho, num.omega
     hi = u - 1.0
     lo = min(max(v, 0.0), hi)
-    cut = min(hi, special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR))
+    cut = min(hi, special.rho_support_hi(rho_t))
     if cut <= lo:
         return ConvolutionValue(0.0, 0.0, (lo, hi))
     points = _knot_points(lo, cut, u)
@@ -331,7 +331,7 @@ def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -
     hi = u - 1.0
     lo = min(max(v, 1.0), hi)
     # rho'(s) = -rho(s-1)/s dies once s - 1 passes the rho support.
-    cut = min(hi, special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR) + 1.0)
+    cut = min(hi, special.rho_support_hi(rho_t) + 1.0)
     if cut <= lo:
         return ConvolutionValue(0.0, 0.0, (lo, hi))
     points = _knot_points(lo, cut, u)
@@ -351,7 +351,7 @@ def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> Convol
     rho_t = num.rho
     hi = u
     lo = min(max(v, 0.0), hi)
-    support = special.rho_support_hi(rho_t, special.DEFAULT_VALUE_FLOOR)
+    support = special.rho_support_hi(rho_t)
     cut_hi = min(hi, support)            # rho(s) dead beyond
     cut_lo = max(lo, u - support)        # rho(u-s) dead below
     if cut_hi <= cut_lo:

@@ -5,8 +5,11 @@ n <= floor(x); "prime <= y" means p <= floor(y); divisor thresholds d > z are
 strict.  P+(1) = 1 and P-(1) = infinity, so n = 1 is y-smooth and y-rough for
 every y, and its largest y-smooth divisor is 1.
 
-The workhorse is a smallest-prime-factor (SPF) table, which answers smooth
-parts, P+ and P- in O(log n) per query.  Counting loops are vectorized:
+One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
+:func:`build_sieve` its prime list and :func:`zeta_one_y` its Euler product,
+and keeps nothing between calls.  ``build_sieve`` adds a smallest-prime-factor
+(SPF) table, which answers smooth parts in O(log n) per query.  Counting loops
+are vectorized:
 
 * psi_exact / s_exact / weighted sums enumerate smooth numbers in O(output):
   walking the primes in order, a number retires to the output once it is too
@@ -29,7 +32,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +83,18 @@ class SieveTables:
         return self.primes[:hi]
 
 
+def sieve_primes(n: int) -> np.ndarray:
+    """Primes p <= n, ascending, as int64 (empty for n < 2)."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    is_comp = np.zeros(n + 1, dtype=bool)
+    is_comp[:2] = True
+    for i in range(2, math.isqrt(n) + 1):
+        if not is_comp[i]:
+            is_comp[i * i :: i] = True
+    return np.flatnonzero(~is_comp).astype(np.int64)
+
+
 def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
     """Build SPF and prime tables for 2..limit (deterministic)."""
     limit = int(limit)
@@ -88,15 +102,17 @@ def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables
         raise DomainError("sieve limit must be at least 2")
     if limit > ceiling:
         raise ResourceError(f"sieve limit {limit} exceeds the ceiling {ceiling}")
+    primes = sieve_primes(limit)
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    untouched = np.flatnonzero(spf[2:] == 0) + 2  # primes
-    spf[untouched] = untouched
+    # A composite n has its least prime factor p with p*p <= n.  Writing the
+    # primes up to sqrt(limit) in descending order lets the smallest prime
+    # dividing n write spf[n] last.
+    small = primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))]
+    for p in small[::-1].tolist():
+        spf[p * p :: p] = p
+    spf[primes] = primes
     spf[1] = 1
-    return SieveTables(limit=limit, spf=spf, primes=untouched.astype(np.int64))
+    return SieveTables(limit=limit, spf=spf, primes=primes)
 
 
 def smooth_part(n: int, y: float, t: SieveTables) -> int:
@@ -269,28 +285,13 @@ def zeta_one_y(y: float) -> float:
     """
     if not math.isfinite(y) or y < 0:
         raise DomainError("zeta_one_y requires finite y >= 0")
-    primes = _primes_standalone(int(math.floor(y)) if y >= 2 else 0)
+    n = int(math.floor(y))
+    if n > DEFAULT_SIEVE_CEILING:
+        raise ResourceError(f"prime sieve up to {n} exceeds the ceiling")
+    primes = sieve_primes(n)
     if primes.size == 0:
         return 1.0
     return math.exp(-math.fsum(math.log1p(-1.0 / int(p)) for p in primes))
-
-
-@lru_cache(maxsize=4)
-def _primes_cached(n: int) -> np.ndarray:
-    is_comp = np.zeros(n + 1, dtype=bool)
-    is_comp[:2] = True
-    for i in range(2, math.isqrt(n) + 1):
-        if not is_comp[i]:
-            is_comp[i * i :: i] = True
-    return np.flatnonzero(~is_comp).astype(np.int64)
-
-
-def _primes_standalone(n: int) -> np.ndarray:
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    if n > DEFAULT_SIEVE_CEILING:
-        raise ResourceError(f"prime sieve up to {n} exceeds the ceiling")
-    return _primes_cached(n)
 
 
 def _fsum_chunked(a: np.ndarray, f=lambda c: c) -> float:

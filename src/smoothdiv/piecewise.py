@@ -9,7 +9,7 @@ segment integration are pure.
 
 Extension conventions (value 0 below the table, asymptotic value above it,
 underflow reporting) are applied by the wrappers in :mod:`smoothdiv.special`,
-not here: this module evaluates strictly inside ``[knots[0], knots[-1] + 1]``.
+not here: this module evaluates strictly inside ``[knots[0], knots[-1]]``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ class PiecewiseFunction:
     kind: str
     knots: np.ndarray          # shape (nseg + 1,), consecutive integers
     coeffs: np.ndarray         # shape (nseg, degree + 1)
-    u_max: float               # evaluation ceiling = knots[-1]
     target_rel_err: float
     certificate: np.ndarray    # shape (nseg,)
     _anti: np.ndarray = field(init=False, repr=False)
@@ -72,8 +71,8 @@ class PiecewiseFunction:
         knots = np.asarray(self.knots, dtype=float)
         coeffs = np.ascontiguousarray(np.asarray(self.coeffs, dtype=float))
         cert = np.asarray(self.certificate, dtype=float)
-        if knots.ndim != 1 or np.any(np.diff(knots) <= 0):
-            raise DomainError("knots must be strictly increasing")
+        if knots.ndim != 1 or np.any(np.diff(knots) != 1.0):
+            raise DomainError("knots must be increasing, in consecutive unit steps")
         if coeffs.shape[0] != knots.size - 1:
             raise DomainError("need exactly one segment per consecutive knot pair")
         if cert.shape != (coeffs.shape[0],):
@@ -242,7 +241,7 @@ def save_piecewise(table: PiecewiseFunction, path) -> None:
     payload = {
         "schema": SCHEMA_TAG,
         "kind": table.kind,
-        "u_max": table.u_max,
+        "u_max": table.hi,
         "target_rel_err": table.target_rel_err,
         "knots": [float(k) for k in table.knots],
         "coefficients": [[float(c) for c in row] for row in table.coeffs],
@@ -257,11 +256,13 @@ def load_piecewise(path) -> PiecewiseFunction:
     schema = payload.get("schema")
     if schema != SCHEMA_TAG:
         raise DomainError(f"unsupported table schema {schema!r} (expected {SCHEMA_TAG!r})")
-    return PiecewiseFunction(
+    table = PiecewiseFunction(
         kind=payload["kind"],
         knots=np.asarray(payload["knots"], dtype=float),
         coeffs=np.asarray(payload["coefficients"], dtype=float),
-        u_max=float(payload["u_max"]),
         target_rel_err=float(payload["target_rel_err"]),
         certificate=np.asarray(payload["certificate"], dtype=float),
     )
+    if float(payload["u_max"]) != table.hi:
+        raise DomainError(f"u_max={payload['u_max']!r} disagrees with the last knot {table.hi}")
+    return table

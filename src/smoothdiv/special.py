@@ -199,6 +199,33 @@ def _certify_buchstab(table: PiecewiseFunction) -> np.ndarray:
 # -- table builders -----------------------------------------------------------
 
 
+def _certified(kind: str, knots: np.ndarray, segs, target_rel_err: float,
+               certify) -> PiecewiseFunction:
+    """The table of ``segs`` on ``knots`` carrying the per-segment defect that
+    ``certify`` measures on it.
+
+    Raises :class:`ConstructionError` if the defect exceeds ``target_rel_err``
+    on any segment.
+    """
+    table = PiecewiseFunction(
+        kind=kind,
+        knots=knots,
+        coeffs=_to_float_array(segs),
+        target_rel_err=float(target_rel_err),
+        certificate=np.zeros(knots.size - 1),
+    )
+    cert = certify(table)
+    if cert.max() > target_rel_err:
+        raise ConstructionError(
+            f"{kind} table certificate {cert.max():.3e} exceeds target "
+            f"{target_rel_err:.3e}"
+        )
+    # The table has not been handed out yet, so replacing the placeholder
+    # certificate is still part of its construction.
+    object.__setattr__(table, "certificate", cert)
+    return table
+
+
 def build_dickman_table(
     u_max: int = DEFAULT_RHO_U_MAX,
     degree: int | None = None,
@@ -215,28 +242,8 @@ def build_dickman_table(
     if u_max < 2 or degree < 8:
         raise DomainError("need u_max >= 2 and degree >= 8")
     segs = _dickman_segments(int(u_max), degree, _construction_precision(degree))
-    table = PiecewiseFunction(
-        kind=KIND_DICKMAN,
-        knots=np.arange(0, int(u_max) + 1, dtype=float),
-        coeffs=_to_float_array(segs),
-        u_max=float(u_max),
-        target_rel_err=float(target_rel_err),
-        certificate=np.zeros(int(u_max)),
-    )
-    cert = _certify_dickman(table)
-    if cert.max() > target_rel_err:
-        raise ConstructionError(
-            f"dickman table certificate {cert.max():.3e} exceeds target "
-            f"{target_rel_err:.3e}"
-        )
-    return PiecewiseFunction(
-        kind=table.kind,
-        knots=table.knots,
-        coeffs=table.coeffs,
-        u_max=table.u_max,
-        target_rel_err=table.target_rel_err,
-        certificate=cert,
-    )
+    return _certified(KIND_DICKMAN, np.arange(0, int(u_max) + 1, dtype=float), segs,
+                      target_rel_err, _certify_dickman)
 
 
 def build_buchstab_table(
@@ -248,28 +255,8 @@ def build_buchstab_table(
     if u_cut < 3 or degree < 8:
         raise DomainError("need u_cut >= 3 and degree >= 8")
     segs = _buchstab_segments(int(u_cut), int(degree), _construction_precision(degree))
-    table = PiecewiseFunction(
-        kind=KIND_BUCHSTAB,
-        knots=np.arange(1, int(u_cut) + 1, dtype=float),
-        coeffs=_to_float_array(segs),
-        u_max=float(u_cut),
-        target_rel_err=float(target_rel_err),
-        certificate=np.zeros(int(u_cut) - 1),
-    )
-    cert = _certify_buchstab(table)
-    if cert.max() > target_rel_err:
-        raise ConstructionError(
-            f"buchstab table certificate {cert.max():.3e} exceeds target "
-            f"{target_rel_err:.3e}"
-        )
-    return PiecewiseFunction(
-        kind=table.kind,
-        knots=table.knots,
-        coeffs=table.coeffs,
-        u_max=table.u_max,
-        target_rel_err=table.target_rel_err,
-        certificate=cert,
-    )
+    return _certified(KIND_BUCHSTAB, np.arange(1, int(u_cut) + 1, dtype=float), segs,
+                      target_rel_err, _certify_buchstab)
 
 
 @lru_cache(maxsize=1)
@@ -283,14 +270,15 @@ def default_buchstab() -> PiecewiseFunction:
 
 
 @lru_cache(maxsize=8)
-def rho_support_hi(table: PiecewiseFunction, value_floor: float) -> float:
+def rho_support_hi(table: PiecewiseFunction) -> float:
     """Largest knot at which the table still exceeds the underflow floor.
 
     Beyond this point rho is reported as exact 0, so integrands may be
-    clipped there; the discarded mass is below ``value_floor`` per unit.
+    clipped there; the discarded mass is below ``DEFAULT_VALUE_FLOOR`` per
+    unit.
     """
     for k in range(table.n_segments, 0, -1):
-        if table.value(float(table.knots[k - 1])) >= value_floor:
+        if table.value(float(table.knots[k - 1])) >= DEFAULT_VALUE_FLOOR:
             return float(table.knots[k])
     return float(table.knots[0])
 

@@ -254,6 +254,13 @@ class TestDsaRiskCommand:
         proc = run_cli("dsa-risk", "--k", "1", "--l", "10", "--m", "20")
         assert proc.returncode == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("k, l, m, negative", [(20, 3, 19, True), (863, 80, 160, False)])
+    def test_negative_eta_is_flagged(self, k, l, m, negative, capsys):
+        assert cli.main(["dsa-risk", "--k", str(k), "--l", str(l), "--m", str(m)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (float(rec["outputs"]["eta"]) < 0) is negative
+        assert ("eta_negative=true" in rec["flags"]) is negative
+
     @pytest.mark.parametrize("argv, code, needle", [
         (["--seed", "-1"], EXIT_USAGE, "--seed"),
         (["--seed", str(2**128)], EXIT_USAGE, "--seed"),
@@ -299,6 +306,8 @@ class TestValidateCommand:
 
 
 class TestLimitFlag:
+    """Each command sizes its sieve from its count, so ``--limit`` is gone."""
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("argv", [
         ["exact", "psi", "--x", "100", "--y", "5"],
@@ -307,11 +316,12 @@ class TestLimitFlag:
         ["validate", "oracle"],
     ])
     def test_non_finite_limit_is_usage_error(self, argv, value, capsys):
-        # int(inf) and int(nan) raised OverflowError and ValueError.
-        assert cli.main(argv + ["--limit", value]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and err.count("\n") == 1
-        assert "--limit" in err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--limit", value])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --limit" in captured.err
 
 
 class TestDeterminism:
@@ -539,18 +549,17 @@ _ARGV = st.one_of(
                            _maybe("z", _FLOATS), _maybe("epsilon", _FLOATS))),
     st.sampled_from(_EXACT_KINDS).flatmap(
         lambda kind: _argv(["exact", kind], _maybe("x", _FLOATS), _maybe("y", _FLOATS),
-                           _maybe("z", _FLOATS), _maybe("n", _FLOATS),
-                           _maybe("limit", _FLOATS))),
+                           _maybe("z", _FLOATS), _maybe("n", _FLOATS))),
     st.sampled_from(cli._ESTIMATE_KINDS).flatmap(
         lambda kind: _argv(
             ["compare", f"--kind={kind}"],
             st.lists(_FLOATS, min_size=1, max_size=3).map(
                 lambda xs: ["--x=" + ",".join(map(repr, xs))]),
             _maybe("u", _FLOATS), _maybe("y", _FLOATS), _maybe("v", _FLOATS),
-            _maybe("z", _FLOATS), _maybe("limit", _FLOATS))),
+            _maybe("z", _FLOATS))),
     _argv(["dsa-risk"], _flag("k", _INTS), _flag("l", _INTS), _flag("m", _INTS),
           _maybe("empirical", st.one_of(st.integers(-2, 40), st.sampled_from([2**62, 10**40]))),
-          _maybe("seed", _INTS), _maybe("limit", _FLOATS)),
+          _maybe("seed", _INTS)),
 )
 
 

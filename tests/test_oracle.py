@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -71,6 +72,32 @@ class TestBuildSieve:
             build_sieve(1)
         with pytest.raises(ResourceError):
             build_sieve(10**7, ceiling=10**6)
+
+
+class TestSievePins:
+    """Exact bytes of the SPF table, the prime list and the Euler product, so
+    that a new way of sieving must reproduce them."""
+
+    def test_sieve_bytes(self, sieve_1m):
+        assert sieve_1m.spf.dtype == np.uint32 and sieve_1m.primes.dtype == np.int64
+        assert hashlib.sha256(sieve_1m.spf.tobytes()).hexdigest() == (
+            "b6e7392eb69c31c5d238462ff16008ed6650defbc27cd260ff8d55edd817978e")
+        assert hashlib.sha256(sieve_1m.primes.tobytes()).hexdigest() == (
+            "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40")
+
+    @pytest.mark.parametrize("y, expected", [
+        (1, "1.0"), (2, "2.0"), (100, "8.31135737891573"),
+        (1e4, "16.424489632190085"), (1e6, "24.6073829476294"),
+    ])
+    def test_zeta_one_y_repr(self, y, expected):
+        assert repr(zeta_one_y(y)) == expected
+
+    def test_spf_matches_trial_division_at_small_limits(self):
+        for limit in range(2, 200):
+            t = build_sieve(limit)
+            assert t.spf[0] == 0 and t.spf[1] == 1
+            for n in range(2, limit + 1):
+                assert int(t.spf[n]) == next(p for p in range(2, n + 1) if n % p == 0)
 
 
 class TestSmoothPart:

@@ -16,7 +16,7 @@ def test_roundtrip_is_bit_identical(tmp_path, dickman):
     assert np.array_equal(loaded.knots, dickman.knots)
     assert np.array_equal(loaded.coeffs, dickman.coeffs)
     assert np.array_equal(loaded.certificate, dickman.certificate)
-    assert loaded.u_max == dickman.u_max
+    assert loaded.hi == dickman.hi
     assert loaded.target_rel_err == dickman.target_rel_err
     assert loaded.kind == dickman.kind
     # Saving again reproduces the file byte for byte.
@@ -46,10 +46,33 @@ def test_knots_must_increase():
             kind="dickman",
             knots=np.array([0.0, 2.0, 1.0]),
             coeffs=np.zeros((2, 4)),
-            u_max=2.0,
             target_rel_err=1e-10,
             certificate=np.zeros(2),
         )
+
+
+def test_knots_must_be_unit_steps():
+    # Evaluation finds a segment by floor(u - knots[0]), so knots [0, 2, 4]
+    # would answer value(1.5) from the segment that starts at 2.
+    with pytest.raises(DomainError, match="unit steps"):
+        PiecewiseFunction(
+            kind="dickman",
+            knots=np.array([0.0, 2.0, 4.0]),
+            coeffs=np.array([[1.0, 0.0], [2.0, 0.0]]),
+            target_rel_err=1e-10,
+            certificate=np.zeros(2),
+        )
+
+
+def test_load_rejects_u_max_off_the_last_knot(tmp_path):
+    path = tmp_path / "short.json"
+    save_piecewise(build_buchstab_table(u_cut=4), path)
+    payload = json.loads(path.read_text())
+    assert payload["u_max"] == 4.0
+    payload["u_max"] = 57.0
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match="u_max"):
+        load_piecewise(path)
 
 
 def test_one_segment_per_knot_pair():
@@ -58,7 +81,6 @@ def test_one_segment_per_knot_pair():
             kind="dickman",
             knots=np.array([0.0, 1.0, 2.0]),
             coeffs=np.zeros((3, 4)),
-            u_max=2.0,
             target_rel_err=1e-10,
             certificate=np.zeros(3),
         )
@@ -70,7 +92,6 @@ def test_unknown_kind_rejected():
             kind="mystery",
             knots=np.array([0.0, 1.0]),
             coeffs=np.zeros((1, 4)),
-            u_max=1.0,
             target_rel_err=1e-10,
             certificate=np.zeros(1),
         )

@@ -108,7 +108,7 @@ def test_fallback_converges_across_underflow_cut(monkeypatch):
     u, v = 93.4, 6.98
     c, calls = _passes(monkeypatch, convolution.conv_rho_rho, u, v)
     assert len(calls) > 1
-    support = special.rho_support_hi(special.default_dickman(), special.DEFAULT_VALUE_FLOOR)
+    support = special.rho_support_hi(special.default_dickman())
     pts = _knot_points(max(v, u - support), min(u, support), u)
     simpson = sum(simpson_adaptive(lambda s: rho(u - s) * rho(s), a, b, rel_tol=1e-13)
                   for a, b in zip(pts[:-1], pts[1:]))

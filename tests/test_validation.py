@@ -31,7 +31,7 @@ def test_corrupted_table_is_detected():
     coeffs = base.coeffs.copy()
     coeffs[5, 0] *= 1.0 + 1e-6  # break one segment's constant term
     corrupted = PiecewiseFunction(
-        kind=base.kind, knots=base.knots, coeffs=coeffs, u_max=base.u_max,
+        kind=base.kind, knots=base.knots, coeffs=coeffs,
         target_rel_err=base.target_rel_err, certificate=base.certificate)
     results = validation.validate_special(num=Numerics(rho_table=corrupted))
     failed = [r for r in results if not r.passed]
