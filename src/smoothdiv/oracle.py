@@ -15,7 +15,10 @@ are vectorized:
   walking the primes in order, a number retires to the output once it is too
   large to take the current prime, so only the still-live numbers are
   multiplied (smooth numbers are sparse, so generation beats scanning);
-* theta_exact builds the full smooth-part array with stride multiplications;
+* theta_exact computes smooth parts one cache-sized block of integers at a
+  time with stride multiplications per prime power, in O(block) memory;
+* theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
+  counts rough numbers only up to x/z;
 * phi_exact marks rough numbers with stride writes.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
@@ -23,7 +26,11 @@ results are independent of enumeration order.
 
 The Monte Carlo oracle for the DSA risk probability uses the counter-based,
 splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
-byte-identical.
+byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
+no division per prime: the 2-part is the lowest set bit, and an odd p is
+tested and divided out by multiplying with its inverse mod 2**64.  Larger
+samples take gcd(n, primorial) with Python ints, the primorial built by a
+balanced product tree.
 """
 
 from __future__ import annotations
@@ -45,6 +52,9 @@ DEFAULT_SIEVE_CEILING = 2**31
 
 #: Elements per chunk of _fsum_chunked.
 _CHUNK = 1 << 16
+
+#: Integers per block of theta_exact (1 MB of uint32 smooth parts).
+_BLOCK = 1 << 18
 
 
 def _require_not_nan(**values) -> None:
@@ -79,6 +89,8 @@ class SieveTables:
         _require_not_nan(y=y)
         if y > self.limit:
             raise ResourceError(f"primes up to {y} exceed the sieve limit {self.limit}")
+        if y < 2:  # also y = -inf, which has no floor
+            return self.primes[:0]
         hi = int(np.searchsorted(self.primes, math.floor(y), side="right"))
         return self.primes[:hi]
 
@@ -236,25 +248,43 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
     return int(np.count_nonzero(_rough_indicator(fx, y, t)))
 
 
-def _smooth_part_array(fx: int, y: float, t: SieveTables) -> np.ndarray:
-    """sp[n] = n_y for 0 <= n <= fx, via stride multiplications per prime power."""
-    sp = np.ones(fx + 1, dtype=np.int64)
-    for p in t.primes_upto(min(y, fx)):
-        q = int(p)
-        while q <= fx:
-            sp[q::q] *= int(p)
-            q *= int(p)
-    return sp
-
-
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
-    """#{n <= x : n_y > z}, counted directly from the smooth-part array."""
+    """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
+
+    A block holds the smooth parts of _BLOCK consecutive n as uint32, wide
+    enough because n is at most the sieve limit (below 2**32, as for the
+    uint32 SPF table).  Each prime power q = p**a <= x multiplies the entries
+    of its multiples by p: a q below the block size through the stride
+    ``block[(-lo) % q :: q]``, and a larger q, which hits a block at most
+    once, together with the other large ones in one ``np.multiply.at``.
+    Memory is O(_BLOCK + number of prime powers), independent of x.
+    """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
-    sp = _smooth_part_array(fx, y, t)
-    return int(np.count_nonzero(sp[1:] > z))
+    p = t.primes_upto(min(y, fx))
+    qs, ps = [p], [p]  # every prime power q = p**a <= fx, beside its prime
+    while p.size:
+        keep = qs[-1] <= fx // p
+        p = p[keep]
+        qs.append(qs[-1][keep] * p)
+        ps.append(p)
+    qs = np.concatenate(qs)
+    ps = np.concatenate(ps).astype(np.uint32)
+    small = qs < _BLOCK
+    strided = list(zip(qs[small].tolist(), ps[small].tolist()))
+    big_q, big_p = qs[~small], ps[~small]
+    count = 0
+    for lo in range(1, fx + 1, _BLOCK):
+        block = np.ones(min(_BLOCK, fx + 1 - lo), dtype=np.uint32)
+        for q, p in strided:
+            block[(-lo) % q :: q] *= p
+        at = (-lo) % big_q
+        hit = at < block.size
+        np.multiply.at(block, at[hit], big_p[hit])
+        count += int(np.count_nonzero(block > z))
+    return count
 
 
 def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
@@ -262,18 +292,20 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
 
         theta(x, y, z) = sum over smooth d > z of phi(x/d, y).
 
-    Must equal ``theta_exact`` exactly; the two routes share no counting code.
+    Every x // d lies below x/z, so the rough indicator and its running count
+    go only to max(x // d), not to x.  Must equal ``theta_exact`` exactly;
+    the two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
-    rough_cum = np.cumsum(_rough_indicator(fx, y, t), dtype=np.int64)
     d = smooth_numbers(t.primes_upto(min(y, fx)), fx)
     d = d[d > z]
     if d.size == 0:
         return 0
     np.floor_divide(fx, d, out=d)  # in place: d is a private copy
+    rough_cum = np.cumsum(_rough_indicator(int(d.max()), y, t), dtype=np.int64)
     return int(rough_cum[d].sum())
 
 
@@ -365,15 +397,44 @@ def _sample_kbit(rng: np.random.Generator, k: int, samples: int):
 
 
 def _smooth_parts_int64(ns: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    rem = ns.copy()
-    sp = np.ones_like(ns)
+    """Smooth parts over ``primes`` of positive int64 samples, no division per prime.
+
+    The 2-part of n is its lowest set bit, n & -n.  For odd p, with p' the
+    inverse of p mod 2**64, p divides n exactly when n * p' mod 2**64 is at
+    most (2**64 - 1) // p, and that product is then n / p (Granlund and
+    Montgomery 1994): one wrapping uint64 multiply per sample and prime.
+    """
+    rem = ns.astype(np.uint64)
+    sp = np.ones_like(rem)
+    if primes.size and primes[0] == 2:
+        sp = rem & -rem
+        rem //= sp
+        primes = primes[1:]
+    # One product and one mask buffer for all primes, not two temporaries per
+    # prime: an exact-grid run peaks ~8 MB lower.
+    prod = np.empty_like(rem)
+    divides = np.empty(rem.shape, dtype=bool)
     for p in primes.tolist():
-        idx = np.flatnonzero(rem % p == 0)
+        inv = np.uint64(pow(p, -1, 1 << 64))
+        lim = np.uint64(((1 << 64) - 1) // p)
+        np.multiply(rem, inv, out=prod)
+        idx = np.flatnonzero(np.less_equal(prod, lim, out=divides))
         while idx.size:
-            rem[idx] //= p
-            sp[idx] *= p
-            idx = idx[rem[idx] % p == 0]
-    return sp
+            q = rem[idx] * inv
+            rem[idx] = q
+            sp[idx] *= np.uint64(p)
+            idx = idx[q * inv <= lim]
+    return sp.view(np.int64)  # sp <= n < 2**63
+
+
+def _product_tree(values: list[int]) -> int:
+    """Product of ``values`` by pairwise products, level by level.  Operands
+    of equal size keep big-int multiplication subquadratic, where a running
+    left-to-right product is quadratic in the result's size."""
+    while len(values) > 1:
+        values = [a * b for a, b in itertools.zip_longest(values[::2], values[1::2],
+                                                          fillvalue=1)]
+    return values[0] if values else 1
 
 
 def _smooth_part_bigint(n: int, primorial: int) -> int:
@@ -392,9 +453,13 @@ def eta_empirical(
     """Monte Carlo estimate of the DSA risk probability.
 
     Samples n uniformly from [2**(k-1), 2**k), extracts the 2**l-smooth part
-    by dividing out every sieved prime <= 2**l, and tests whether it exceeds
-    2**m.  Returns (sample proportion, binomial standard error).  Deterministic
-    for a fixed seed (Philox counter-based PRNG keyed by the seed).
+    of n over the sieved primes <= 2**l, and tests whether it exceeds 2**m.
+    For k <= 62 the samples are uint64 and each prime is tested and divided
+    out by a multiply with its inverse mod 2**64 (the 2-part is n & -n); above
+    that, the smooth part is the repeated gcd of n with the primorial of those
+    primes.  Returns (sample proportion, binomial standard error).
+    Deterministic for a fixed seed (Philox counter-based PRNG keyed by the
+    seed).
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -414,7 +479,7 @@ def eta_empirical(
             sp = _smooth_parts_int64(ns, primes)
             hits = int(np.count_nonzero(sp > threshold))
         else:
-            primorial = math.prod(int(p) for p in primes.tolist())
+            primorial = _product_tree(primes.tolist())
             hits = sum(1 for n in ns if _smooth_part_bigint(n, primorial) > threshold)
     est = hits / samples
     std_err = math.sqrt(est * (1.0 - est) / samples)

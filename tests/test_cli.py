@@ -498,6 +498,11 @@ PINNED_STDOUT = [
      "3634c9643597bd01163b2611fa0c2ed25a443bc6cdece59bbab436493d633832"),
     (("exact", "psi", "--x", "1e4", "--y", "7", "--format", "table"),
      "cc072452632bdfa1b14706922c715f660090f05d6070568533b0ee0a2d78eaab"),
+    # Monte Carlo on the int64 path (k <= 62) and the big-int path.
+    (("dsa-risk", "--k", "40", "--l", "10", "--m", "20", "--empirical", "20000", "--seed", "7"),
+     "c86fea9db44920e6999ec202ed55328abec9de5b8a3c40a806127e141944dfd2"),
+    (("dsa-risk", "--k", "100", "--l", "14", "--m", "30", "--empirical", "2000", "--seed", "7"),
+     "43af5f4f2c48e32618261d0aaba436c534b30d525dcee5d6bb775220da993f16"),
 ]
 
 

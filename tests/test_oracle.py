@@ -1,9 +1,11 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smoothdiv import (
     DomainError,
@@ -24,6 +26,7 @@ from smoothdiv import (
     weighted_smooth_sum,
     zeta_one_y,
 )
+from smoothdiv import oracle
 from smoothdiv.oracle import WeightKind
 
 
@@ -40,6 +43,18 @@ def brute_smooth_part(n, y):
         d += 1
     if n > 1 and n <= y:
         s *= n
+    return s
+
+
+def brute_smooth_part_upto(n, bound, primes):
+    """Smooth part of n over ``primes`` <= bound, by Python-int trial division."""
+    s = 1
+    for p in primes:
+        if p > bound:
+            break
+        while n % p == 0:
+            n //= p
+            s *= p
     return s
 
 
@@ -179,6 +194,65 @@ class TestCountingFunctions:
         assert theta_exact(100.0, math.inf, 50.0, sieve_small) == 50
 
 
+def reference_theta(fx, y, z, t):
+    """theta from the full smooth-part array sp[0..fx], filled by one stride
+    multiplication per prime power."""
+    sp = np.ones(fx + 1, dtype=np.int64)
+    for p in t.primes_upto(min(y, fx)).tolist():
+        q = p
+        while q <= fx:
+            sp[q::q] *= p
+            q *= p
+    return int(np.count_nonzero(sp[1:] > z))
+
+
+_BOUNDS = st.one_of(
+    st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 0.999, 1.0, 1.5, 1.999, 2.0, math.inf]),
+    st.floats(min_value=0.0, max_value=2e5),
+)
+
+
+class TestThetaRoutes:
+    # A block of 1 puts every prime power above the block size; 7 and 64 mix
+    # strided and single-hit prime powers.  Small blocks cap x at 400 blocks
+    # so that an example stays cheap; the default block draws x up to 1e5.
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_routes_agree_with_full_array(self, sieve_small, block, data):
+        x_max = 10**5 if block is None else min(10**5, 400 * block)
+        x = data.draw(st.one_of(st.integers(0, x_max), st.floats(0.0, float(x_max))), "x")
+        y = data.draw(st.one_of(_BOUNDS, st.just(float(x))), "y")
+        z = data.draw(st.one_of(_BOUNDS, st.just(float(x))), "z")
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(oracle, "_BLOCK", block)
+            direct = theta_exact(x, y, z, sieve_small)
+        want = reference_theta(math.floor(x), y, z, sieve_small) if x >= 1 else 0
+        assert direct == want
+        assert theta_exact_decomposed(x, y, z, sieve_small) == want
+
+
+class TestThetaAtScale:
+    ARGS = (1e7, 1e7**0.2, 1e7**0.4)
+
+    def test_pinned_count(self, sieve_10m):
+        assert theta_exact(*self.ARGS, sieve_10m) == 918187
+
+    @pytest.mark.parametrize("route", [theta_exact, theta_exact_decomposed],
+                             ids=["direct", "decomposed"])
+    def test_peak_allocation_is_far_below_x(self, sieve_10m, route):
+        # numpy reports its buffers to tracemalloc; an int64 array over
+        # 0..1e7 alone would be 80 MB.
+        tracemalloc.start()
+        try:
+            route(*self.ARGS, sieve_10m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestZetaOneY:
     def test_small_values(self):
         assert zeta_one_y(1.9) == 1.0
@@ -311,6 +385,51 @@ class TestEtaEmpirical:
         d = DsaParams(70, 10, 20)
         est, se = eta_empirical(d, 2 * 10**3, 9, sieve_small)
         assert 0.0 <= est <= 1.0 and se >= 0.0
+
+    # Seeded results pinned across both sampling paths: int64 for k <= 62,
+    # Python ints above.
+    @pytest.mark.parametrize("k, l, m, samples, seed, expected", [
+        (40, 8, 20, 20000, 1, "(0.0298, 0.0012023302374971694)"),
+        (50, 12, 25, 20000, 2, "(0.073, 0.0018394428504305317)"),
+        (62, 15, 30, 20000, 3, "(0.08455, 0.0019672480461294145)"),
+        (64, 12, 30, 2000, 4, "(0.0245, 0.003456859123539749)"),
+        (100, 14, 30, 2000, 5, "(0.0575, 0.005205465877325487)"),
+        (128, 16, 40, 2000, 6, "(0.0285, 0.0037207358143249033)"),
+    ])
+    def test_pinned_results(self, sieve_small, k, l, m, samples, seed, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # some rows lie outside the paper's regime
+            d = DsaParams(k, l, m)
+        assert repr(eta_empirical(d, samples, seed, sieve_small)) == expected
+
+    def test_int64_smooth_parts_match_trial_division(self, sieve_small):
+        primes = sieve_small.primes_upto(2.0**16)
+        near = [p for p in primes.tolist() if abs(p - 2**15) < 100]
+        ns = [2**61, 2**62 - 1, 2 * 3**38, 3**39, 5**26, 2**31 * 3**19]
+        for p in near:
+            a = 1
+            while p ** (a + 1) < 2**62:
+                a += 1
+            ns += [p**a, p ** (a - 1), 2 * p**2 * 3**19]
+        ns += (sieve_small.primes[-50:] * sieve_small.primes[-100:-50]).tolist()
+        for bound in (2, 3, 2**15, 2**16):
+            got = oracle._smooth_parts_int64(np.array(ns, dtype=np.int64),
+                                             sieve_small.primes_upto(bound))
+            assert got.tolist() == [brute_smooth_part_upto(n, bound, primes.tolist())
+                                    for n in ns]
+
+    def test_int64_divisibility_bound_is_tight(self):
+        # 274177 divides 2**64 + 1, so for it the cofactor 1 maps to exactly
+        # one above (2**64 - 1) // p; a cofactor of 1 must stay undivided.
+        p = 274177
+        got = oracle._smooth_parts_int64(np.array([1, 2, 3, p, 6 * p, p * p], dtype=np.int64),
+                                         np.array([2, p], dtype=np.int64))
+        assert got.tolist() == [1, 2, 1, p, 2 * p, p * p]
+
+    def test_product_tree_is_the_product(self):
+        for n in range(0, 40):
+            values = [3 * i + 2 for i in range(n)]
+            assert oracle._product_tree(values) == math.prod(values)
 
     def test_resource_limit(self, sieve_small):
         with pytest.raises(ResourceError):
