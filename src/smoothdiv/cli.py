@@ -30,7 +30,8 @@ The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
 come from :data:`smoothdiv.harness.KINDS`.  Each command sieves exactly as far
 as its count needs: ``exact`` and ``compare`` to the kind's ``sieve_limit``,
 ``dsa-risk --empirical`` to 2**l and ``validate`` to 10**6, always under the
-configured ``sieve_ceiling``.
+configured ``sieve_ceiling``.  The Euler product zeta(1, y) behind ``estimate
+phi`` and ``exact s`` sieves the primes up to y, under the same ceiling.
 """
 
 from __future__ import annotations
@@ -239,6 +240,20 @@ def _sieve_for(limit_needed: float | int, settings: Settings) -> oracle.SieveTab
     return oracle.build_sieve(max(limit_needed, 2), ceiling=settings.sieve_ceiling)
 
 
+def _check_zeta_primes(kind: harness.Kind, routes: tuple[str, ...], points: list[dict],
+                       settings: Settings) -> None:
+    """The Euler product zeta(1, y) sieves the primes up to y without a sieve
+    table; hold that y to the configured ceiling as well, when one of
+    ``routes`` evaluates it.  A non-finite y is left to the route's own
+    domain check."""
+    if kind.zeta_route not in routes:
+        return
+    for p in points:
+        if math.isfinite(p["y"]) and p["y"] > settings.sieve_ceiling:
+            raise ResourceError(f"zeta(1, y) needs the primes up to y={p['y']:g}, beyond "
+                                f"the ceiling {settings.sieve_ceiling}")
+
+
 def _philox_seed(seed: int, span: int = 1) -> int:
     """``--seed`` as the first of ``span`` Philox keys, which lie in [0, 2**128)."""
     if not 0 <= seed <= 2**128 - span:
@@ -277,6 +292,7 @@ def cmd_special(args, settings: Settings) -> OutputRecord:
 def cmd_estimate(args, settings: Settings) -> OutputRecord:
     kind = KINDS[args.kind]
     p = _need(args, *kind.params)
+    _check_zeta_primes(kind, ("estimate",), [p], settings)
     r = kind.estimate(_numerics(settings, args.epsilon), **p)
     return OutputRecord(
         command=f"estimate {args.kind}",
@@ -295,6 +311,7 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
             raise UsageError(f"--n must be an integer, got {p['n']!r}")
         p["n"] = int(p["n"])
     t = _sieve_for(kind.sieve_limit(**p), settings)
+    _check_zeta_primes(kind, ("exact",), [p], settings)
     return OutputRecord(command=f"exact {args.kind}", inputs=p,
                         outputs={"value": kind.exact(t, _numerics(settings), **p)})
 
@@ -328,6 +345,7 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
         grid.append(params)
     # One sieve for the grid, as large as the kind's exact count needs.
     t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), settings)
+    _check_zeta_primes(KINDS[args.kind], ("estimate", "exact"), grid, settings)
     num = _numerics(settings)
     rows = [harness.compare_row(args.kind, p, t, num) for p in grid]
     ratios = [r.ratio for r in rows]

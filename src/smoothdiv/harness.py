@@ -59,7 +59,10 @@ class Kind:
     functions up through the module at call time, so wrappers installed on
     ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and
     ``compare`` offer every kind with an estimate; ``exact`` offers the kinds
-    marked ``exact_command``.
+    marked ``exact_command``.  ``zeta_route`` names the callable,
+    ``"estimate"`` or ``"exact"``, that evaluates the Euler product
+    zeta(1, y), which sieves the primes up to the parameter y outside any
+    sieve table; the CLI holds that y to its sieve ceiling.
     """
 
     params: tuple[str, ...]
@@ -67,6 +70,7 @@ class Kind:
     exact: Callable[..., float] | None = None
     sieve_limit: Callable[..., float] = lambda x, **_: x
     exact_command: bool = False
+    zeta_route: str | None = None
 
 
 def _psi_exact(t, num, x, y):
@@ -92,13 +96,15 @@ KINDS: dict[str, Kind] = {
         ("x", "y"),
         lambda num, x, y: estimators.phi_estimate(x, y, num),
         lambda t, num, x, y: oracle.phi_exact(x, y, t),
-        exact_command=True),
+        exact_command=True,
+        zeta_route="estimate"),
     "s": Kind(
         ("y", "z"),
         lambda num, y, z: estimators.s_estimate(y, z, num),
         lambda t, num, y, z: oracle.s_exact(y, z, t),
         sieve_limit=lambda z, **_: max(z, 2.0),
-        exact_command=True),
+        exact_command=True,
+        zeta_route="exact"),
     "lemma6": Kind(
         ("x", "y", "z"),
         lambda num, x, y, z: estimators.lemma6_estimate(ScaledParams(x, y, z), num),

@@ -7,14 +7,17 @@ every y, and its largest y-smooth divisor is 1.
 
 One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
 :func:`build_sieve` its prime list and :func:`zeta_one_y` its Euler product,
-and keeps nothing between calls.  ``build_sieve`` adds a smallest-prime-factor
-(SPF) table, which answers smooth parts in O(log n) per query.  Counting loops
-are vectorized:
+and keeps nothing between calls.  A :class:`SieveTables` holds only that list;
+``smooth_part`` divides n by the listed primes that divide it, and the
+smallest-prime-factor table ``SieveTables.spf`` is built only if read.
+Counting loops are vectorized:
 
-* psi_exact / s_exact / weighted sums enumerate smooth numbers in O(output):
-  walking the primes in order, a number retires to the output once it is too
-  large to take the current prime, so only the still-live numbers are
-  multiplied (smooth numbers are sparse, so generation beats scanning);
+* smooth numbers are enumerated in O(output): walking the primes in order, a
+  number retires once it is too large to take the current prime, so only the
+  still-live numbers are multiplied (smooth numbers are sparse, so generation
+  beats scanning).  One walk serves three consumers: psi_exact counts it,
+  s_exact streams it into one compensated sum, and smooth_numbers (behind
+  theta_exact_decomposed and the weighted sums) writes it into one array;
 * theta_exact computes smooth parts one cache-sized block of integers at a
   time with stride multiplications per prime power, in O(block) memory;
 * theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
@@ -30,11 +33,13 @@ byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
 no division per prime: the 2-part is the lowest set bit, and an odd p is
 tested and divided out by multiplying with its inverse mod 2**64.  Larger
 samples take gcd(n, primorial) with Python ints, the primorial built by a
-balanced product tree.
+balanced product tree.  The int64 samples are drawn in one call and reduced
+in blocks of _SAMPLE_BLOCK, so the working buffers span one block.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,6 +61,9 @@ _CHUNK = 1 << 16
 #: Integers per block of theta_exact (1 MB of uint32 smooth parts).
 _BLOCK = 1 << 18
 
+#: Samples per block of the int64 Monte Carlo (512 KB of uint64 each).
+_SAMPLE_BLOCK = 1 << 16
+
 
 def _require_not_nan(**values) -> None:
     """NaN compares false with everything, so a NaN bound would silently
@@ -74,14 +82,14 @@ class WeightKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SieveTables:
-    """Smallest-prime-factor table and prime list up to ``limit``.
+    """The primes up to ``limit``, ascending, as int64.
 
-    Immutable after construction; shareable across threads.  ``spf[n]`` is the
-    least prime factor of n for 2 <= n <= limit (spf[1] = 1).
+    Immutable after construction; shareable across threads.  No count needs
+    more than the prime list: smooth parts are found by trial division over
+    the primes that divide n.
     """
 
     limit: int
-    spf: np.ndarray
     primes: np.ndarray
 
     def primes_upto(self, y: float) -> np.ndarray:
@@ -93,6 +101,21 @@ class SieveTables:
             return self.primes[:0]
         hi = int(np.searchsorted(self.primes, math.floor(y), side="right"))
         return self.primes[:hi]
+
+    @functools.cached_property
+    def spf(self) -> np.ndarray:
+        """Smallest-prime-factor table, uint32, built on first access (4 bytes
+        per entry): ``spf[n]`` is the least prime factor of n for
+        2 <= n <= limit, spf[0] = 0 and spf[1] = 1.  No count reads it."""
+        spf = np.zeros(self.limit + 1, dtype=np.uint32)
+        # A composite n has its least prime factor p with p*p <= n.  Writing
+        # the primes up to sqrt(limit) in descending order lets the smallest
+        # prime dividing n write spf[n] last.
+        for p in self.primes_upto(math.isqrt(self.limit))[::-1].tolist():
+            spf[p * p :: p] = p
+        spf[self.primes] = self.primes
+        spf[1] = 1
+        return spf
 
 
 def sieve_primes(n: int) -> np.ndarray:
@@ -108,38 +131,30 @@ def sieve_primes(n: int) -> np.ndarray:
 
 
 def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
-    """Build SPF and prime tables for 2..limit (deterministic)."""
+    """The primes up to ``limit`` (deterministic); ``limit`` is at most ``ceiling``."""
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be at least 2")
     if limit > ceiling:
         raise ResourceError(f"sieve limit {limit} exceeds the ceiling {ceiling}")
-    primes = sieve_primes(limit)
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    # A composite n has its least prime factor p with p*p <= n.  Writing the
-    # primes up to sqrt(limit) in descending order lets the smallest prime
-    # dividing n write spf[n] last.
-    small = primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))]
-    for p in small[::-1].tolist():
-        spf[p * p :: p] = p
-    spf[primes] = primes
-    spf[1] = 1
-    return SieveTables(limit=limit, spf=spf, primes=primes)
+    return SieveTables(limit=limit, primes=sieve_primes(limit))
 
 
 def smooth_part(n: int, y: float, t: SieveTables) -> int:
-    """n_y: the largest y-smooth divisor of n (product of p^a || n with p <= y)."""
+    """n_y: the largest y-smooth divisor of n (product of p^a || n with p <= y).
+
+    Trial division by the primes p <= min(y, n) that divide n, found in one
+    vectorized ``n % p`` over the table's primes.
+    """
     n = int(n)
     _require_not_nan(y=y)
     if n < 1:
         raise DomainError("smooth_part requires n >= 1")
     if n > t.limit:
         raise ResourceError(f"n={n} exceeds the sieve limit {t.limit}")
+    primes = t.primes_upto(min(y, n))
     s = 1
-    while n > 1:
-        p = int(t.spf[n])
-        if p > y:
-            break
+    for p in primes[n % primes == 0].tolist():
         while n % p == 0:
             n //= p
             s *= p
@@ -149,23 +164,27 @@ def smooth_part(n: int, y: float, t: SieveTables) -> int:
 # -- smooth-number enumeration ---------------------------------------------------
 
 
-def _walk_small(small: np.ndarray, cap: int, out: np.ndarray | None = None):
+def _split_at_sqrt(primes, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= cap (ascending), split into those with p^2 <= cap and the rest."""
+    primes = np.asarray(primes, dtype=np.int64)
+    primes = primes[primes <= cap]
+    split = int(np.searchsorted(primes, math.isqrt(cap), side="right"))
+    return primes[:split], primes[split:]
+
+
+def _walk_small(small: np.ndarray, cap: int):
     """Walk the primes ``small`` (ascending, each p^2 <= cap) from the live set {1}.
 
     At prime p the live numbers above cap // p can take neither p nor any later
-    prime, so they retire; only the rest are multiplied by p, p^2, ...  Returns
-    (number retired, sorted final live set) and, given ``out``, writes the
-    retired numbers into out[:number retired] without an intermediate array.
+    prime, so they retire; only the rest are multiplied by p, p^2, ...  Yields
+    each prime's retired numbers, then the sorted final live set, which is
+    always the last array yielded.
     """
     live = np.ones(1, dtype=np.int64)
-    n = 0
     for p in small.tolist():
         top = cap // p
         keep = live <= top
-        gone = keep.size - int(np.count_nonzero(keep))
-        if out is not None:
-            np.compress(~keep, live, out=out[n : n + gone])
-        n += gone
+        yield live[~keep]
         pieces = [cur := live[keep]]
         while cur.size:
             cur = cur * p
@@ -173,7 +192,37 @@ def _walk_small(small: np.ndarray, cap: int, out: np.ndarray | None = None):
             cur = cur[cur <= top]
         live = np.concatenate(pieces)
     live.sort()
-    return n, live
+    yield live
+
+
+def _large_counts(live: np.ndarray, cap: int, large: np.ndarray) -> np.ndarray:
+    """For each prime p above sqrt(cap), the count c with live[:c] * p <= cap."""
+    return np.searchsorted(live, cap // large, side="right")
+
+
+def _smooth_pieces(primes, cap: int):
+    """The integers in [1, cap] whose prime factors lie in ``primes``, as a
+    stream of arrays: the retired numbers of the walk, the final live set,
+    then ``live[:c] * p`` for each prime p above sqrt(cap).  A prime above
+    sqrt(cap) enters a number at most once, so its products come straight
+    from the sorted live set.  Memory is one piece plus the live set."""
+    small, large = _split_at_sqrt(primes, cap)
+    for piece in _walk_small(small, cap):
+        yield piece
+    live = piece  # the walk yields the final live set last
+    for p, c in zip(large.tolist(), _large_counts(live, cap, large).tolist()):
+        yield live[:c] * p
+
+
+def _count_smooth(small: np.ndarray, large: np.ndarray, cap: int) -> int:
+    """How many integers in [1, cap] have all prime factors in ``small`` and
+    ``large`` (split at sqrt(cap)): one walk, and no product of a prime
+    above sqrt(cap) is formed."""
+    n = 0
+    for piece in _walk_small(small, cap):
+        n += piece.size
+    live = piece  # the walk yields the final live set last
+    return n + int(_large_counts(live, cap, large).sum())
 
 
 def smooth_numbers(primes, bound: float) -> np.ndarray:
@@ -185,26 +234,26 @@ def smooth_numbers(primes, bound: float) -> np.ndarray:
     at most once, so its products are ``live[:c] * p`` straight from the
     sorted final live set.  A number is scanned only while it is live, so the
     work grows with the output plus the number of primes, not with their
-    product.  The small primes are walked twice, first to size the output and
-    then to fill one preallocated array, so the peak memory is the output plus
-    the largest live set.  Returns an unsorted int64 array (containing 1 when
-    bound >= 1); order never matters downstream because counts ignore it and
-    the reciprocal sums are exactly rounded.
+    product.  The small primes are walked twice, first to count the output
+    and then to fill one preallocated array piece by piece, so the peak
+    memory is the output plus the largest live set.  Returns an unsorted int64
+    array (containing 1 when bound >= 1); order never matters downstream
+    because counts ignore it and the reciprocal sums are exactly rounded.
     """
     cap = int(math.floor(bound))
     if cap < 1:
         return np.zeros(0, dtype=np.int64)
-    primes = np.asarray(primes, dtype=np.int64)
-    primes = primes[primes <= cap]
-    split = int(np.searchsorted(primes, math.isqrt(cap), side="right"))
-    small, large = primes[:split], primes[split:]
-    pos, live = _walk_small(small, cap)
-    counts = np.searchsorted(live, cap // large, side="right")
-    out = np.empty(pos + live.size + int(counts.sum()), dtype=np.int64)
-    _walk_small(small, cap, out)
-    out[pos : pos + live.size] = live
-    pos += live.size
-    for p, c in zip(large.tolist(), counts.tolist()):
+    small, large = _split_at_sqrt(primes, cap)
+    out = np.empty(_count_smooth(small, large, cap), dtype=np.int64)
+    pos = 0
+    for piece in _walk_small(small, cap):
+        out[pos : pos + piece.size] = piece
+        pos += piece.size
+    live = piece  # the walk yields the final live set last
+    # Multiply straight into the output, not through _smooth_pieces: a
+    # temporary per large prime made y = 1e6, bound = 1e7 (78k such primes)
+    # ~40 % slower.
+    for p, c in zip(large.tolist(), _large_counts(live, cap, large).tolist()):
         np.multiply(live[:c], p, out=out[pos : pos + c])
         pos += c
     return out
@@ -223,12 +272,15 @@ def _floor_x(x: float, t: SieveTables) -> int:
 
 
 def psi_exact(x: float, y: float, t: SieveTables) -> int:
-    """#{n <= x : P+(n) <= y}, by smooth-number enumeration."""
+    """#{n <= x : P+(n) <= y}, counted by one walk of the smooth-number
+    enumeration: the retired numbers, the final live set, and for each prime
+    above sqrt(x) the length of the live prefix it multiplies.  No array of
+    smooth numbers is formed."""
     _require_not_nan(y=y)
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
-    return int(smooth_numbers(t.primes_upto(min(y, fx)), fx).size)
+    return _count_smooth(*_split_at_sqrt(t.primes_upto(min(y, fx)), fx), fx)
 
 
 def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
@@ -252,8 +304,8 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
     A block holds the smooth parts of _BLOCK consecutive n as uint32, wide
-    enough because n is at most the sieve limit (below 2**32, as for the
-    uint32 SPF table).  Each prime power q = p**a <= x multiplies the entries
+    enough because n is at most the sieve limit (at most 2**31 under the
+    default ceiling).  Each prime power q = p**a <= x multiplies the entries
     of its multiples by p: a q below the block size through the stride
     ``block[(-lo) % q :: q]``, and a larger q, which hits a block at most
     once, together with the other large ones in one ``np.multiply.at``.
@@ -326,11 +378,14 @@ def zeta_one_y(y: float) -> float:
     return math.exp(-math.fsum(math.log1p(-1.0 / int(p)) for p in primes))
 
 
-def _fsum_chunked(a: np.ndarray, f=lambda c: c) -> float:
-    """math.fsum of f(a), fed chunk by chunk: one exactly rounded sum (not a
-    sum of per-chunk sums) without a Python list of the whole array."""
+def _fsum_chunked(pieces, f=lambda c: c) -> float:
+    """math.fsum of f over the arrays ``pieces``, each re-sliced to _CHUNK
+    elements: one exactly rounded sum (not a sum of per-chunk sums).  fsum
+    reads each chunk through a memoryview, one float at a time, so no Python
+    list of a chunk is built (a list's floats are allocated one by one; the
+    view's are recycled, which is ~3x faster)."""
     return math.fsum(itertools.chain.from_iterable(
-        f(a[i : i + _CHUNK]).tolist() for i in range(0, a.size, _CHUNK)))
+        memoryview(f(a[i : i + _CHUNK])) for a in pieces for i in range(0, a.size, _CHUNK)))
 
 
 def s_exact(y: float, z: float, t: SieveTables) -> float:
@@ -339,14 +394,16 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
     analytically by the Euler product.
 
     Exact up to floating summation error: the partial sum is compensated.
+    The smooth d <= z stream from the enumeration into that one sum piece by
+    piece, so no array of them is formed.
     """
     _require_not_nan(y=y, z=z)
     if z > t.limit:
         raise ResourceError(f"z={z} exceeds the sieve limit {t.limit}")
     partial = 0.0
     if z >= 1:
-        d = smooth_numbers(t.primes_upto(min(y, max(z, 2.0))), z)
-        partial = _fsum_chunked(d, lambda c: 1.0 / c.astype(float))
+        pieces = _smooth_pieces(t.primes_upto(min(y, max(z, 2.0))), math.floor(z))
+        partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
     return zeta_one_y(y) - partial
 
 
@@ -373,7 +430,7 @@ def weighted_smooth_sum(
         weights = special.rho(args, table=num.rho)
     else:
         raise DomainError(f"unknown weight kind {w!r}")
-    return _fsum_chunked(weights / d.astype(float))
+    return _fsum_chunked([weights / d.astype(float)])
 
 
 # -- Monte Carlo oracle for the DSA risk probability -------------------------------
@@ -411,7 +468,7 @@ def _smooth_parts_int64(ns: np.ndarray, primes: np.ndarray) -> np.ndarray:
         rem //= sp
         primes = primes[1:]
     # One product and one mask buffer for all primes, not two temporaries per
-    # prime: an exact-grid run peaks ~8 MB lower.
+    # prime.
     prod = np.empty_like(rem)
     divides = np.empty(rem.shape, dtype=bool)
     for p in primes.tolist():
@@ -454,10 +511,12 @@ def eta_empirical(
 
     Samples n uniformly from [2**(k-1), 2**k), extracts the 2**l-smooth part
     of n over the sieved primes <= 2**l, and tests whether it exceeds 2**m.
-    For k <= 62 the samples are uint64 and each prime is tested and divided
-    out by a multiply with its inverse mod 2**64 (the 2-part is n & -n); above
-    that, the smooth part is the repeated gcd of n with the primorial of those
-    primes.  Returns (sample proportion, binomial standard error).
+    For k <= 62 the samples are drawn in one call, as int64, and reduced in
+    blocks of _SAMPLE_BLOCK: each prime is tested and divided out by a
+    multiply with its inverse mod 2**64 (the 2-part is n & -n), and the hits
+    are summed over the blocks.  Above that, the smooth part is the repeated
+    gcd of n with the primorial of those primes.  Returns (sample proportion,
+    binomial standard error).
     Deterministic for a fixed seed (Philox counter-based PRNG keyed by the
     seed).
     """
@@ -476,8 +535,10 @@ def eta_empirical(
     else:
         threshold = 1 << d.m  # below 2**k, so never larger than a sample
         if isinstance(ns, np.ndarray):
-            sp = _smooth_parts_int64(ns, primes)
-            hits = int(np.count_nonzero(sp > threshold))
+            hits = sum(
+                int(np.count_nonzero(_smooth_parts_int64(ns[i : i + _SAMPLE_BLOCK], primes)
+                                     > threshold))
+                for i in range(0, samples, _SAMPLE_BLOCK))
         else:
             primorial = _product_tree(primes.tolist())
             hits = sum(1 for n in ns if _smooth_part_bigint(n, primorial) > threshold)

@@ -363,6 +363,25 @@ class TestOutputRecord:
 
 
 class TestConfig:
+    # zeta(1, y) sieves the primes up to y without a table: y beyond the
+    # configured ceiling is a resource error, not a 1e8 sieve that exits 0.
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "phi", "--x", "1e12", "--y", "1e8"],
+        ["compare", "--kind", "phi", "--x", "1e6", "--y", "1e8"],
+        ["exact", "s", "--y", "1e8", "--z", "10"],
+        ["compare", "--kind", "s", "--x", "100", "--y", "1e8", "--z", "10"],
+    ], ids=["estimate-phi", "compare-phi", "exact-s", "compare-s"])
+    def test_euler_product_obeys_the_config_ceiling(self, tmp_path, capsys, argv):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sieve_ceiling": 1000000}))
+        assert cli.main(["--config", str(cfg), *argv]) == EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "1e+08" in err
+        # y at the ceiling still answers, and estimate s sieves nothing.
+        argv = [a if a != "1e8" else "1e6" for a in argv]
+        assert cli.main(["--config", str(cfg), *argv]) == 0
+        assert cli.main(["--config", str(cfg), "estimate", "s", "--y", "1e8", "--z", "1e9"]) == 0
+
     def test_config_file_sets_epsilon(self, tmp_path):
         # Larger epsilon tightens the y lower bound enough to flip the flag.
         cfg = tmp_path / "conf.json"
@@ -518,13 +537,12 @@ class TestPinnedOutput:
 
 # -- the exit-code contract over random argv --------------------------------------
 
-# Finite draws stay within 1e7: estimate phi sieves the primes up to y under
-# its own 2**31 ceiling, whatever the config says, so y near 1e9 would
-# allocate a gigabyte.
+# Finite draws span every float: each sieve, the Euler product's primes
+# included, stays under the config's ceiling of 1e6.
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -7.5, 1.0, 2.0, 2.5, 1e-300, -1e-300, 1e300, -1e300,
                      math.inf, -math.inf, math.nan]),
-    st.floats(min_value=-1e7, max_value=1e7),
+    st.floats(allow_nan=False, allow_infinity=False),
 )
 # Huge integers are ones numpy refuses to allocate for outright; a k near
 # 2**32 would draw gigabytes of sample words.

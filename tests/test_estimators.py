@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,21 @@ class TestWpEta:
     def test_eta_reduction_when_support_empty(self):
         d = DsaParams(30, 5, 29)
         assert eta(d) == pytest.approx(2.0 * rho(6.0) - rho(29 / 5), rel=1e-12)
+
+    # k up to 4096 with l and m at and around the edges of k > m >= l,
+    # inside and outside that regime; l = k/2 and l >= k put u = k/l <= 2.
+    _GRID = [(k, l, m)
+             for k in (2, 3, 8, 40, 160, 863, 1024, 2048, 4096)
+             for l in sorted({1, 2, 8, 20, 80, max(k // 2, 1), k - 1, k, k + 1} - {0})
+             for m in sorted({1, l, 2 * l, k - 1, k, k + 5} - {0})]
+
+    def test_wp_in_unit_interval_and_eta_finite_on_a_grid(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # most of the grid lies outside the regime
+            for k, l, m in self._GRID:
+                d = DsaParams(k, l, m)
+                assert 0.0 <= wp(d) <= 1.0, (k, l, m)
+                assert math.isfinite(eta(d)), (k, l, m)
 
     def test_eta_matches_convolution_assembly(self):
         d = DsaParams(48, 12, 24)

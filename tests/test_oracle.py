@@ -88,6 +88,14 @@ class TestBuildSieve:
         with pytest.raises(ResourceError):
             build_sieve(10**7, ceiling=10**6)
 
+    def test_spf_is_built_only_when_read(self):
+        # 40 MB of uint32 at 1e7 that no count reads.
+        t = build_sieve(10**7)
+        assert "spf" not in vars(t)
+        spf = t.spf
+        assert vars(t)["spf"] is spf and t.spf is spf
+        assert spf.size == 10**7 + 1 and spf[9999991] == 9999991  # the largest prime
+
 
 class TestSievePins:
     """Exact bytes of the SPF table, the prime list and the Euler product, so
@@ -127,6 +135,21 @@ class TestSmoothPart:
         for n in rng.integers(1, 10**5, size=200).tolist():
             for y in (2.0, 7.0, 31.0):
                 assert smooth_part(n, y, sieve_small) == brute_smooth_part(n, y)
+
+    def test_infinite_y_against_brute_force(self, sieve_small):
+        rng = np.random.Generator(np.random.Philox(key=8))
+        for n in [*range(1, 200), *rng.integers(1, 10**5 + 1, size=200).tolist(), 10**5]:
+            assert smooth_part(n, math.inf, sieve_small) == brute_smooth_part(n, math.inf) == n
+
+    def test_prime_above_y(self, sieve_small):
+        # A prime above y has smooth part 1, and times 4 it keeps only the 4;
+        # the table's largest primes included.
+        for y in (2.0, 10.0, 96.5, 1000.0):
+            big = sieve_small.primes[sieve_small.primes > y]
+            for p in [*big[:20].tolist(), *big[-5:].tolist()]:
+                assert smooth_part(p, y, sieve_small) == brute_smooth_part(p, y) == 1
+                if 4 * p <= sieve_small.limit:
+                    assert smooth_part(4 * p, y, sieve_small) == brute_smooth_part(4 * p, y) == 4
 
     def test_range_errors(self, sieve_small):
         with pytest.raises(ResourceError):
@@ -253,6 +276,66 @@ class TestThetaAtScale:
         assert peak < 8 * 2**20
 
 
+def _peak_allocation(call) -> int:
+    """tracemalloc's peak over ``call()``; numpy reports its buffers to it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds near the sqrt(x) split of the enumeration, where a prime p moves
+# from the walked primes (p*p <= x) to the ones that multiply the live set.
+_NEAR_SQUARES = st.sampled_from([2, 3, 5, 7, 31, 97, 211, 313]).flatmap(
+    lambda p: st.integers(p * p - 2, p * p + 2))
+
+
+class TestPsiCount:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=st.one_of(_NEAR_SQUARES, st.integers(-3, 10**5),
+                       st.floats(-10.0, 1.0), st.floats(0.0, 1e5)),
+           y=st.one_of(_BOUNDS, _NEAR_SQUARES.map(float)))
+    def test_count_equals_enumeration_size(self, sieve_small, x, y):
+        want = smooth_numbers(sieve_small.primes_upto(min(y, x)), x).size
+        assert psi_exact(x, y, sieve_small) == want
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(xs=st.lists(st.floats(-2.0, 1e5), min_size=2, max_size=6),
+           ys=st.lists(_BOUNDS, min_size=2, max_size=6))
+    def test_monotone_in_x_and_y(self, sieve_small, xs, ys):
+        xs, ys = sorted(xs), sorted(ys)
+        for y in ys:
+            counts = [psi_exact(x, y, sieve_small) for x in xs]
+            assert counts == sorted(counts)
+        for x in xs:
+            counts = [psi_exact(x, y, sieve_small) for y in ys]
+            assert counts == sorted(counts)
+
+
+class TestOracleMemory:
+    """The exact-grid oracles hold what their answer needs, not an array per
+    answer; 8 MB is an int64 array of 2**20 entries."""
+
+    def test_psi_counts_without_an_array(self, sieve_10m):
+        # The count is 3.4M: its array would be 27 MB.
+        assert _peak_allocation(lambda: psi_exact(1e7, 1e7**0.5, sieve_10m)) < 8 * 2**20
+
+    def test_s_exact_streams_its_sum(self, sieve_10m):
+        # 4.7M smooth numbers up to 1e7: 38 MB as one array.
+        assert _peak_allocation(lambda: s_exact(1e4, 1e7, sieve_10m)) < 8 * 2**20
+
+    def test_monte_carlo_works_in_blocks(self, sieve_10m):
+        # All 2**20 int64 samples are drawn in one call (8 MB), so that the
+        # Philox stream is the one a single draw gives; the smooth-part
+        # buffers then span one block, not every sample (four 8 MB buffers).
+        samples = 2**20
+        peak = _peak_allocation(
+            lambda: eta_empirical(DsaParams(48, 8, 20), samples, 3, sieve_10m))
+        assert peak < 8 * samples + 4 * 2**20
+
+
 class TestZetaOneY:
     def test_small_values(self):
         assert zeta_one_y(1.9) == 1.0
@@ -282,6 +365,19 @@ class TestSExact:
     def test_range_error(self, sieve_small):
         with pytest.raises(ResourceError):
             s_exact(5.0, 10**6, sieve_small)
+
+    # The (y, z) points of the benchmark's Lemma 3 rows, recorded before the
+    # partial sum streamed from the enumeration.
+    @pytest.mark.parametrize("y, z, expected", [
+        (100.0, 10.0, "5.382389124947476"),
+        (1000.0, 50.0, "7.851770335522238"),
+        (10000.0, 1000.0, "8.93901877163974"),
+        (100.0, 1e4, "0.6681479388069347"),
+        (1000.0, 1e6, "1.0096353529877202"),
+        (10000.0, 1e7, "2.161368261019737"),
+    ])
+    def test_lemma3_grid_repr(self, sieve_10m, y, z, expected):
+        assert repr(s_exact(y, z, sieve_10m)) == expected
 
 
 class TestSmoothNumbers:
@@ -401,6 +497,19 @@ class TestEtaEmpirical:
             warnings.simplefilter("ignore")  # some rows lie outside the paper's regime
             d = DsaParams(k, l, m)
         assert repr(eta_empirical(d, samples, seed, sieve_small)) == expected
+
+    # 3 * 2**16 + 5 samples cross three int64 blocks into a short fourth;
+    # recorded before the smooth parts were found block by block.
+    @pytest.mark.parametrize("k, l, m, seed, expected", [
+        (40, 8, 20, 11, "(0.03061343858239282, 0.000388506634116142)"),
+        (48, 12, 24, 12, "(0.08713564209894564, 0.0006360553769758102)"),
+        (62, 15, 30, 13, "(0.08437387151409113, 0.0006268403758444346)"),
+        (30, 10, 15, 14, "(0.19727586680433135, 0.0008974577765876148)"),
+    ])
+    def test_pinned_across_blocks(self, sieve_small, k, l, m, seed, expected):
+        assert oracle._SAMPLE_BLOCK == 2**16
+        got = eta_empirical(DsaParams(k, l, m), 3 * 2**16 + 5, seed, sieve_small)
+        assert repr(got) == expected
 
     def test_int64_smooth_parts_match_trial_division(self, sieve_small):
         primes = sieve_small.primes_upto(2.0**16)
