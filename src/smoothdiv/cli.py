@@ -37,6 +37,8 @@ phi`` and ``exact s`` sieves the primes up to y, under the same ceiling.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -173,7 +175,9 @@ class OutputRecord:
             vals = ([d["command"]] + list(d["inputs"].values())
                     + list(d["outputs"].values())
                     + [";".join(d["flags"]), d["version"]])
-            return ",".join(cols) + "\n" + ",".join(vals) + "\n"
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([cols, vals])
+            return buf.getvalue()
         if fmt == "table":
             lines = [f"command: {d['command']}"]
             for section in ("inputs", "outputs"):

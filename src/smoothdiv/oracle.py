@@ -12,16 +12,17 @@ and keeps nothing between calls.  A :class:`SieveTables` holds only that list;
 smallest-prime-factor table ``SieveTables.spf`` is built only if read.
 Counting loops are vectorized:
 
-* smooth numbers are enumerated in O(output): walking the primes in order, a
-  number retires once it is too large to take the current prime, so only the
-  still-live numbers are multiplied (smooth numbers are sparse, so generation
-  beats scanning).  One walk serves three consumers: psi_exact counts it,
-  s_exact streams it into one compensated sum, and smooth_numbers (behind
-  theta_exact_decomposed and the weighted sums) writes it into one array;
+* smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
+  walking the primes in order, a number retires once it is too large to take
+  the current prime, so only the still-live numbers are multiplied (smooth
+  numbers are sparse, so generation beats scanning).  s_exact and
+  theta_exact_decomposed read the stream piece by piece, smooth_numbers (for
+  the weighted sums) copies it into one array, and psi_exact counts the same
+  walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of integers at a
   time with stride multiplications per prime power, in O(block) memory;
 * theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
-  counts rough numbers only up to x/z;
+  counts rough numbers only up to x/(floor(z) + 1);
 * phi_exact marks rough numbers with stride writes.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
@@ -55,7 +56,7 @@ from .params import DsaParams, ScaledParams
 #: Default sieve memory ceiling (table entries).
 DEFAULT_SIEVE_CEILING = 2**31
 
-#: Elements per chunk of _fsum_chunked.
+#: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
 
 #: Integers per block of theta_exact (1 MB of uint32 smooth parts).
@@ -122,7 +123,10 @@ def sieve_primes(n: int) -> np.ndarray:
     """Primes p <= n, ascending, as int64 (empty for n < 2)."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    is_comp = np.zeros(n + 1, dtype=bool)
+    try:
+        is_comp = np.zeros(n + 1, dtype=bool)
+    except (MemoryError, ValueError):  # numpy refuses an array this large
+        raise ResourceError(f"a prime sieve up to {n} does not fit in memory") from None
     is_comp[:2] = True
     for i in range(2, math.isqrt(n) + 1):
         if not is_comp[i]:
@@ -195,67 +199,58 @@ def _walk_small(small: np.ndarray, cap: int):
     yield live
 
 
-def _large_counts(live: np.ndarray, cap: int, large: np.ndarray) -> np.ndarray:
-    """For each prime p above sqrt(cap), the count c with live[:c] * p <= cap."""
-    return np.searchsorted(live, cap // large, side="right")
-
-
 def _smooth_pieces(primes, cap: int):
     """The integers in [1, cap] whose prime factors lie in ``primes``, as a
     stream of arrays: the retired numbers of the walk, the final live set,
-    then ``live[:c] * p`` for each prime p above sqrt(cap).  A prime above
-    sqrt(cap) enters a number at most once, so its products come straight
-    from the sorted live set.  Memory is one piece plus the live set."""
+    then ``live[:c] * p`` for each prime p above sqrt(cap) in ascending order,
+    batched into pieces of about _CHUNK products (one gather and one multiply
+    each).  Such a p enters a number at most once, so its products come
+    straight from the sorted live set.  Memory is one piece plus the live set."""
     small, large = _split_at_sqrt(primes, cap)
     for piece in _walk_small(small, cap):
         yield piece
     live = piece  # the walk yields the final live set last
-    for p, c in zip(large.tolist(), _large_counts(live, cap, large).tolist()):
-        yield live[:c] * p
+    counts = np.searchsorted(live, cap // large, side="right")  # live[:c] * p <= cap
+    ends = np.cumsum(counts)
+    starts = ends - counts  # each prime's first slot in the stream of products
+    i = 0
+    while i < large.size:
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + _CHUNK, side="right")))
+        idx = np.arange(starts[i], ends[j - 1]) - np.repeat(starts[i:j], counts[i:j])
+        yield np.repeat(large[i:j], counts[i:j]) * live[idx]
+        i = j
 
 
-def _count_smooth(small: np.ndarray, large: np.ndarray, cap: int) -> int:
-    """How many integers in [1, cap] have all prime factors in ``small`` and
-    ``large`` (split at sqrt(cap)): one walk, and no product of a prime
-    above sqrt(cap) is formed."""
+def _count_smooth(primes, cap: int) -> int:
+    """How many integers :func:`_smooth_pieces` yields: one walk, and no
+    product of a prime above sqrt(cap) is formed."""
+    small, large = _split_at_sqrt(primes, cap)
     n = 0
     for piece in _walk_small(small, cap):
         n += piece.size
     live = piece  # the walk yields the final live set last
-    return n + int(_large_counts(live, cap, large).sum())
+    return n + int(np.searchsorted(live, cap // large, side="right").sum())
 
 
 def smooth_numbers(primes, bound: float) -> np.ndarray:
     """All integers <= bound whose prime factors all lie in ``primes`` (ascending).
 
-    Retire/live split: walking the primes p <= sqrt(bound) in order, the live
-    numbers above bound // p retire to the output and only the rest are
-    multiplied by the powers of p.  A prime above sqrt(bound) enters a number
-    at most once, so its products are ``live[:c] * p`` straight from the
-    sorted final live set.  A number is scanned only while it is live, so the
-    work grows with the output plus the number of primes, not with their
-    product.  The small primes are walked twice, first to count the output
-    and then to fill one preallocated array piece by piece, so the peak
-    memory is the output plus the largest live set.  Returns an unsorted int64
-    array (containing 1 when bound >= 1); order never matters downstream
-    because counts ignore it and the reciprocal sums are exactly rounded.
+    The pieces of :func:`_smooth_pieces`, copied in stream order into one
+    array sized beforehand by :func:`_count_smooth`, so the peak memory is the
+    output plus the largest live set or piece.  The work grows with the
+    output plus the number of primes, not with their product.  Returns an
+    unsorted int64 array (containing 1 when bound >= 1); order never matters
+    downstream because counts ignore it and the reciprocal sums are exactly
+    rounded.
     """
     cap = int(math.floor(bound))
     if cap < 1:
         return np.zeros(0, dtype=np.int64)
-    small, large = _split_at_sqrt(primes, cap)
-    out = np.empty(_count_smooth(small, large, cap), dtype=np.int64)
+    out = np.empty(_count_smooth(primes, cap), dtype=np.int64)
     pos = 0
-    for piece in _walk_small(small, cap):
+    for piece in _smooth_pieces(primes, cap):
         out[pos : pos + piece.size] = piece
         pos += piece.size
-    live = piece  # the walk yields the final live set last
-    # Multiply straight into the output, not through _smooth_pieces: a
-    # temporary per large prime made y = 1e6, bound = 1e7 (78k such primes)
-    # ~40 % slower.
-    for p, c in zip(large.tolist(), _large_counts(live, cap, large).tolist()):
-        np.multiply(live[:c], p, out=out[pos : pos + c])
-        pos += c
     return out
 
 
@@ -280,7 +275,7 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
     fx = _floor_x(x, t)
     if fx < 1:
         return 0
-    return _count_smooth(*_split_at_sqrt(t.primes_upto(min(y, fx)), fx), fx)
+    return _count_smooth(t.primes_upto(min(y, fx)), fx)
 
 
 def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
@@ -303,16 +298,18 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
-    A block holds the smooth parts of _BLOCK consecutive n as uint32, wide
-    enough because n is at most the sieve limit (at most 2**31 under the
-    default ceiling).  Each prime power q = p**a <= x multiplies the entries
-    of its multiples by p: a q below the block size through the stride
-    ``block[(-lo) % q :: q]``, and a larger q, which hits a block at most
-    once, together with the other large ones in one ``np.multiply.at``.
+    A block holds the smooth parts of _BLOCK consecutive n as uint32, so x
+    must lie below 2**32 whatever the sieve limit.  Each prime power
+    q = p**a <= x multiplies the entries of its multiples by p: a q below the
+    block size through the stride ``block[(-lo) % q :: q]``, and a larger q,
+    which hits a block at most once, together with the other large ones in
+    one ``np.multiply.at``.
     Memory is O(_BLOCK + number of prime powers), independent of x.
     """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
+    if fx >= 2**32:
+        raise ResourceError(f"x={x} needs smooth parts beyond the uint32 blocks")
     if fx < 1:
         return 0
     p = t.primes_upto(min(y, fx))
@@ -344,21 +341,19 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
 
         theta(x, y, z) = sum over smooth d > z of phi(x/d, y).
 
-    Every x // d lies below x/z, so the rough indicator and its running count
-    go only to max(x // d), not to x.  Must equal ``theta_exact`` exactly;
-    the two routes share no counting code.
+    Every smooth d > z is at least floor(z) + 1, so the rough indicator and
+    its running count go only to x // (floor(z) + 1), not to x; the smooth d
+    stream in piece by piece and are never held as one array.  Must equal
+    ``theta_exact`` exactly; the two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
-    if fx < 1:
+    if fx < 1 or z >= fx:  # no smooth d <= x exceeds z; also z = +inf
         return 0
-    d = smooth_numbers(t.primes_upto(min(y, fx)), fx)
-    d = d[d > z]
-    if d.size == 0:
-        return 0
-    np.floor_divide(fx, d, out=d)  # in place: d is a private copy
-    rough_cum = np.cumsum(_rough_indicator(int(d.max()), y, t), dtype=np.int64)
-    return int(rough_cum[d].sum())
+    hi = fx // (math.floor(z) + 1) if z >= 1 else fx
+    rough_cum = np.cumsum(_rough_indicator(hi, y, t), dtype=np.int64)
+    return sum(int(rough_cum[fx // d[d > z]].sum())
+               for d in _smooth_pieces(t.primes_upto(min(y, fx)), fx))
 
 
 def zeta_one_y(y: float) -> float:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -102,8 +103,8 @@ class TestEstimateCommand:
     def test_csv_and_json_carry_identical_values(self):
         args = ("estimate", "s", "--y", "1e4", "--z", "1e8")
         rec = record_of(run_cli(*args))
-        csv = run_cli(*args, "--format", "csv").stdout.splitlines()
-        header, row = csv[0].split(","), csv[1].split(",")
+        lines = run_cli(*args, "--format", "csv").stdout.splitlines()
+        header, row = lines[0].split(","), lines[1].split(",")
         csv_map = dict(zip(header, row))
         assert csv_map["out_value"] == rec["outputs"]["value"]
         assert csv_map["out_error_envelope"] == rec["outputs"]["error_envelope"]
@@ -275,6 +276,17 @@ class TestDsaRiskCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err
 
+    def test_csv_quotes_a_flag_with_commas(self, capsys):
+        # The regime warning reads "(k, l, m) = (40, 10, 40) is outside ...".
+        argv = ["dsa-risk", "--k", "40", "--l", "10", "--m", "40"]
+        assert cli.main(argv) == 0
+        flags = json.loads(capsys.readouterr().out)["flags"]
+        assert any("," in f for f in flags)
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert len(row) == len(header)
+        assert row[header.index("flags")] == ";".join(flags)
+
     def test_largest_seed_and_huge_k_and_m_run(self, capsys):
         # 2**128 - 1 is the largest Philox key; u = k/l = 2**62 once meant
         # testing ~2**62 split points; 1 << m was built although m >= k.
@@ -381,6 +393,16 @@ class TestConfig:
         argv = [a if a != "1e8" else "1e6" for a in argv]
         assert cli.main(["--config", str(cfg), *argv]) == 0
         assert cli.main(["--config", str(cfg), "estimate", "s", "--y", "1e8", "--z", "1e9"]) == 0
+
+    def test_unallocatable_sieve_is_resource_error(self, tmp_path, capsys):
+        # A ceiling the config accepts, and a sieve of 10**16 flags (8.9 PiB)
+        # that no address space holds: numpy refuses it without allocating.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sieve_ceiling": 10**17}))
+        assert cli.main(["--config", str(cfg), "exact", "psi", "--x", "1e16",
+                         "--y", "10"]) == EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("resource error: ") and err.count("\n") == 1
 
     def test_config_file_sets_epsilon(self, tmp_path):
         # Larger epsilon tightens the y lower bound enough to flip the flag.

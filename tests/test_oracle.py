@@ -88,6 +88,13 @@ class TestBuildSieve:
         with pytest.raises(ResourceError):
             build_sieve(10**7, ceiling=10**6)
 
+    @pytest.mark.parametrize("limit", [10**16, 2**63])
+    def test_unallocatable_sieve_is_a_resource_error(self, limit):
+        # 10**16 flags (8.9 PiB) exceed any address space and 2**63 exceeds
+        # numpy's largest dimension, so nothing is ever allocated.
+        with pytest.raises(ResourceError):
+            build_sieve(limit, ceiling=2**64)
+
     def test_spf_is_built_only_when_read(self):
         # 40 MB of uint32 at 1e7 that no count reads.
         t = build_sieve(10**7)
@@ -190,6 +197,13 @@ class TestCountingFunctions:
         with pytest.raises(ResourceError):
             psi_exact(10**6, 5.0, sieve_small)
 
+    def test_theta_refuses_x_beyond_uint32_blocks(self):
+        # A hand-built table, so no sieve runs: smooth parts up to 2**32 would
+        # wrap in the uint32 blocks.
+        t = oracle.SieveTables(limit=2**33, primes=np.array([2, 3]))
+        with pytest.raises(ResourceError):
+            theta_exact(2**32, 3.0, 1.0, t)
+
     @pytest.mark.parametrize("call", [
         lambda t: t.primes_upto(math.nan),
         lambda t: smooth_part(12, math.nan, t),
@@ -239,6 +253,8 @@ class TestThetaRoutes:
     # A block of 1 puts every prime power above the block size; 7 and 64 mix
     # strided and single-hit prime powers.  Small blocks cap x at 400 blocks
     # so that an example stays cheap; the default block draws x up to 1e5.
+    # The same value patched into _CHUNK splits the decomposed route's
+    # batches of large-prime products.
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -250,10 +266,12 @@ class TestThetaRoutes:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "_BLOCK", block)
+                mp.setattr(oracle, "_CHUNK", block)
             direct = theta_exact(x, y, z, sieve_small)
+            decomposed = theta_exact_decomposed(x, y, z, sieve_small)
         want = reference_theta(math.floor(x), y, z, sieve_small) if x >= 1 else 0
         assert direct == want
-        assert theta_exact_decomposed(x, y, z, sieve_small) == want
+        assert decomposed == want
 
 
 class TestThetaAtScale:
@@ -262,14 +280,19 @@ class TestThetaAtScale:
     def test_pinned_count(self, sieve_10m):
         assert theta_exact(*self.ARGS, sieve_10m) == 918187
 
-    @pytest.mark.parametrize("route", [theta_exact, theta_exact_decomposed],
-                             ids=["direct", "decomposed"])
-    def test_peak_allocation_is_far_below_x(self, sieve_10m, route):
+    # At y = 1e4 the decomposed route walks 4.7M smooth d <= 1e7: 38 MB as
+    # one int64 array, 76 MB with the copy of those above z = 1e5.
+    @pytest.mark.parametrize("route, args", [
+        pytest.param(theta_exact, ARGS, id="direct"),
+        pytest.param(theta_exact_decomposed, ARGS, id="decomposed"),
+        pytest.param(theta_exact_decomposed, (1e7, 1e4, 1e5), id="decomposed-1e7-1e4-1e5"),
+    ])
+    def test_peak_allocation_is_far_below_x(self, sieve_10m, route, args):
         # numpy reports its buffers to tracemalloc; an int64 array over
         # 0..1e7 alone would be 80 MB.
         tracemalloc.start()
         try:
-            route(*self.ARGS, sieve_10m)
+            route(*args, sieve_10m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -396,10 +419,29 @@ class TestSmoothNumbers:
     @pytest.mark.parametrize("y", [1.5, 2.0, 5.0, 30.0, 97.0, 1000.0])
     @pytest.mark.parametrize("bound", [0.5, 1.0, 1.5, 30.7, 100.0, 1000.0, 5000.0])
     def test_matches_brute_force_filter(self, sieve_small, y, bound):
-        got = sorted(smooth_numbers(sieve_small.primes_upto(y), bound).tolist())
         want = [n for n in range(1, math.floor(bound) + 1)
                 if smooth_part(n, y, sieve_small) == n]
-        assert got == want
+        # Batches of 1 and 7 products split the large primes' products
+        # mid-list; the order must not depend on where the batches split.
+        runs = []
+        for chunk in (1, 7, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(oracle, "_CHUNK", chunk)
+                runs.append(smooth_numbers(sieve_small.primes_upto(y), bound).tolist())
+        assert sorted(runs[-1]) == want
+        assert runs[0] == runs[-1] and runs[1] == runs[-1]
+
+    # sha256 of the int64 bytes, order included: the array is the stream of
+    # ``live[:c] * p`` prime by prime, however the products are batched.
+    @pytest.mark.parametrize("y, bound, size, digest", [
+        (1e6, 1e7, 8704367, "5967ce3a4745d6f266618caa93a64cfc2771a3cfa2471bd32bc5ffc1431a5443"),
+        (200.0, 5e5, 89385, "57baa890027353d15abc9d3980ce3aa188a4bf6c5d2aa3545099764893c12990"),
+    ])
+    def test_recorded_array_order_included(self, sieve_10m, y, bound, size, digest):
+        got = smooth_numbers(sieve_10m.primes_upto(y), bound)
+        assert got.dtype == np.int64 and got.size == size
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
 
     def test_accepts_a_plain_list(self):
         assert sorted(smooth_numbers([2, 3], 10).tolist()) == [1, 2, 3, 4, 6, 8, 9]
