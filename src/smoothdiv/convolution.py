@@ -44,6 +44,10 @@ from .piecewise import PiecewiseFunction
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_REL_TOL = 1e-10
 
+#: Subintervals a rejected piece may be bisected into before its best value
+#: and error are returned as they stand.
+MAX_SUBDIVISIONS = 64
+
 #: Default epsilon in the estimators' lower-bound check
 #: y >= exp((log log x)**(5/3 + eps)).
 DEFAULT_EPSILON = 0.01
@@ -51,17 +55,14 @@ DEFAULT_EPSILON = 0.01
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and per-piece subdivision budget for the convolution quadrature."""
+    """Tolerances for the convolution quadrature."""
 
     abs_tol: float = DEFAULT_ABS_TOL
     rel_tol: float = DEFAULT_REL_TOL
-    max_subdivisions: int = 64
 
     def __post_init__(self):
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 16:
-            raise DomainError("max_subdivisions must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def _bisect(f, a, b, result, abserr, epsabs: float, spec: QuadratureSpec):
 
     One :func:`quad` pass per round covers the halves of every piece still
     refining.  A piece stops once its summed error is within
-    ``max(epsabs, rel_tol * |value|)`` or it holds ``max_subdivisions``
+    ``max(epsabs, rel_tol * |value|)`` or it holds ``MAX_SUBDIVISIONS``
     subintervals; either way its current value and error are returned.
     """
     # parts[i]: piece i's subintervals in order, as (lo, hi, value, error).
@@ -258,7 +259,7 @@ def _bisect(f, a, b, result, abserr, epsabs: float, spec: QuadratureSpec):
         still = []
         for i in active:
             value, err = _sum_parts(parts[i])
-            if err > max(epsabs, spec.rel_tol * abs(value)) and len(parts[i]) < spec.max_subdivisions:
+            if err > max(epsabs, spec.rel_tol * abs(value)) and len(parts[i]) < MAX_SUBDIVISIONS:
                 still.append(i)
         active = still
     values, errs = zip(*map(_sum_parts, parts))
@@ -274,6 +275,18 @@ def _sum_parts(parts) -> tuple[float, float]:
     return value, err
 
 
+def _integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+              support: tuple[float, float], shifts_from: float | None,
+              spec: QuadratureSpec) -> ConvolutionValue:
+    """Integral of ``f`` over ``[a, b]``, split at the knots (see
+    :func:`_knot_points`); 0 when ``b <= a``.  ``support`` is reported as the
+    result's effective support."""
+    if b <= a:
+        return ConvolutionValue(0.0, 0.0, support)
+    total, err = _integrate_pieces(f, _knot_points(a, b, shifts_from), spec)
+    return ConvolutionValue(total, err, support)
+
+
 def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Tail integral of the Dickman function, integral of rho over [v, inf).
 
@@ -285,11 +298,8 @@ def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     rho_t = num.rho
     lo = max(float(v), 0.0)
     hi = _tau_cutoff(lo, rho_t, num.spec)
-    if hi <= lo:
-        return 0.0
-    points = _knot_points(lo, hi, None)
-    total, _ = _integrate_pieces(lambda s: special.rho(s, table=rho_t), points, num.spec)
-    return total
+    return _integral(lambda s: special.rho(s, table=rho_t), lo, hi, (lo, hi), None,
+                     num.spec).value
 
 
 def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> float:
@@ -312,12 +322,8 @@ def conv_omega_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> Conv
     hi = u - 1.0
     lo = min(max(v, 0.0), hi)
     cut = min(hi, special.rho_support_hi(rho_t))
-    if cut <= lo:
-        return ConvolutionValue(0.0, 0.0, (lo, hi))
-    points = _knot_points(lo, cut, u)
-    total, err = _integrate_pieces(
-        lambda s: special.omega(u - s, table=omega_t) * special.rho(s, table=rho_t), points, num.spec)
-    return ConvolutionValue(total, err, (lo, hi))
+    return _integral(lambda s: special.omega(u - s, table=omega_t) * special.rho(s, table=rho_t),
+                     lo, cut, (lo, hi), u, num.spec)
 
 
 def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
@@ -332,13 +338,9 @@ def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -
     lo = min(max(v, 1.0), hi)
     # rho'(s) = -rho(s-1)/s dies once s - 1 passes the rho support.
     cut = min(hi, special.rho_support_hi(rho_t) + 1.0)
-    if cut <= lo:
-        return ConvolutionValue(0.0, 0.0, (lo, hi))
-    points = _knot_points(lo, cut, u)
-    total, err = _integrate_pieces(
+    return _integral(
         lambda s: special.omega(u - s, table=omega_t) * special._rho_prime_ext(s, table=rho_t),
-        points, num.spec)
-    return ConvolutionValue(total, err, (lo, hi))
+        lo, cut, (lo, hi), u, num.spec)
 
 
 def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
@@ -354,9 +356,5 @@ def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> Convol
     support = special.rho_support_hi(rho_t)
     cut_hi = min(hi, support)            # rho(s) dead beyond
     cut_lo = max(lo, u - support)        # rho(u-s) dead below
-    if cut_hi <= cut_lo:
-        return ConvolutionValue(0.0, 0.0, (lo, hi))
-    points = _knot_points(cut_lo, cut_hi, u)
-    total, err = _integrate_pieces(
-        lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t), points, num.spec)
-    return ConvolutionValue(total, err, (lo, hi))
+    return _integral(lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t),
+                     cut_lo, cut_hi, (lo, hi), u, num.spec)

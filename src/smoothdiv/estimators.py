@@ -139,6 +139,19 @@ def _require_theta_pre(p: ScaledParams):
         raise DomainError("theta estimate requires x >= 3, y >= 2, z >= 1")
 
 
+def _convolution_terms(u: float, v: float, num: Numerics) -> tuple[float, float]:
+    """C_or(u, v) and the second-order term -gamma C_or'(u, v) that theta,
+    lemma 6 and wp share.
+
+    This is the one place the term's sign is written.  It is an open
+    question: the exact weighted sums favour +gamma C_or', while only this
+    sign reproduces the paper's eta(863, 80, 160) = 0.09576 (README, note on
+    the sign of the second-order term).
+    """
+    c_or = convolution.conv_omega_rho(u, v, num).value
+    return c_or, -EULER_GAMMA * convolution.conv_omega_rho_prime(u, v, num).value
+
+
 def theta_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
     """Two-term estimate of theta(x, y, z) with its error envelope.
 
@@ -149,10 +162,9 @@ def theta_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> Estimat
     _require_theta_pre(p)
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or = convolution.conv_omega_rho(u, v, num)
-    c_orp = convolution.conv_omega_rho_prime(u, v, num)
-    main = (special.rho(u, table=num.rho) + c_or.value) * p.x
-    second = -EULER_GAMMA * c_orp.value * p.x / log_y
+    c_or, second_term = _convolution_terms(u, v, num)
+    main = (special.rho(u, table=num.rho) + c_or) * p.x
+    second = second_term * p.x / log_y
     envelope = p.x * theta_envelope_factor(u, v, p.y, num)
     ok_h, notes = _hildebrand_domain(p.x, p.y, num.epsilon)
     ok_z_lo = p.y * log_y <= p.z
@@ -286,10 +298,8 @@ def lemma6_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> Estima
         raise DomainError("requires 1 <= z <= x/y")
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or = convolution.conv_omega_rho(u, v, num)
-    c_orp = convolution.conv_omega_rho_prime(u, v, num)
-    main = c_or.value * log_y
-    second = -EULER_GAMMA * c_orp.value
+    c_or, second = _convolution_terms(u, v, num)
+    main = c_or * log_y
     envelope = s_error_bound(p.y, p.z, num)
     return EstimateResult(main, second, envelope, True, ())
 
@@ -319,13 +329,8 @@ def lemma4_bound(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> float:
 def _wp_scaled(k: float, l: int, m: float, num: Numerics) -> float:
     u = k / l
     v = m / l
-    c_or = convolution.conv_omega_rho(u, v, num)
-    c_orp = convolution.conv_omega_rho_prime(u, v, num)
-    return (
-        special.rho(u, table=num.rho)
-        + c_or.value
-        - EULER_GAMMA * c_orp.value / (l * math.log(2.0))
-    )
+    c_or, second = _convolution_terms(u, v, num)
+    return special.rho(u, table=num.rho) + c_or + second / (l * math.log(2.0))
 
 
 def wp(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:

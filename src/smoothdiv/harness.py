@@ -226,11 +226,7 @@ def _branch(y: float, z: float) -> str:
     return "z >= y log y" if z >= y * math.log(y) else "z < y log y"
 
 
-def run_theorem1_grid(
-    sieve: oracle.SieveTables | None = None,
-    xs=_THEOREM1_XS,
-    uv_pairs=_THEOREM1_UV,
-) -> ComparisonReport:
+def run_theorem1_grid(sieve: oracle.SieveTables | None = None, xs=_THEOREM1_XS) -> ComparisonReport:
     """Exact theta vs. the two-term estimate on the default convergence grid.
 
     Grid: x in {1e5, 1e6, 1e7}, (u, v) in {(4,2), (5,2), (6,3)}, with
@@ -244,7 +240,7 @@ def run_theorem1_grid(
     t = sieve if sieve is not None else oracle.build_sieve(int(max(xs)))
     rows = []
     for x in xs:
-        for (u, v) in uv_pairs:
+        for (u, v) in _THEOREM1_UV:
             y = x ** (1.0 / u)
             rows.append(compare_row("theta", {"x": x, "u": u, "v": v, "y": y, "z": y ** v}, t))
     report = ComparisonReport("theta-two-term-grid", tuple(rows), seed=0, version=__version__)

@@ -131,7 +131,10 @@ def sieve_primes(n: int) -> np.ndarray:
     for i in range(2, math.isqrt(n) + 1):
         if not is_comp[i]:
             is_comp[i * i :: i] = True
-    return np.flatnonzero(~is_comp).astype(np.int64)
+    # Inverting in place and a no-copy cast keep the peak at the flag array
+    # plus the primes.
+    np.logical_not(is_comp, out=is_comp)
+    return np.flatnonzero(is_comp).astype(np.int64, copy=False)
 
 
 def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:

@@ -45,6 +45,14 @@ def _horner(cols: np.ndarray, t) -> np.ndarray:
     return acc
 
 
+def _horner_row(row, t):
+    """One polynomial at one point: ``row[j]`` is the coefficient of ``t**j``."""
+    acc = 0.0
+    for c in reversed(row):
+        acc = acc * t + c
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseFunction:
     """Piecewise-polynomial representation of rho, omega, or a derived function.
@@ -115,10 +123,6 @@ class PiecewiseFunction:
         return self.coeffs.shape[0]
 
     @property
-    def degree(self) -> int:
-        return self.coeffs.shape[1] - 1
-
-    @property
     def lo(self) -> float:
         return float(self.knots[0])
 
@@ -150,7 +154,7 @@ class PiecewiseFunction:
         if np.isscalar(u) or np.ndim(u) == 0:
             return self._value_scalar(float(u))
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < self.lo) or np.any(arr > self.hi):
+        if not np.all((arr >= self.lo) & (arr <= self.hi)):
             raise DomainError(f"argument outside table range [{self.lo}, {self.hi}]")
         idx = np.minimum((arr - self.lo).astype(np.int64), self.n_segments - 1)
         t = arr - (self.knots[idx] + 0.5)
@@ -162,19 +166,12 @@ class PiecewiseFunction:
 
     def _value_scalar(self, u: float) -> float:
         k = self.segment_index(u)
-        t = u - (float(self.knots[k]) + 0.5)
-        acc = 0.0
-        for c in reversed(self._rows[k]):
-            acc = acc * t + c
-        return acc
+        return _horner_row(self._rows[k], u - (float(self.knots[k]) + 0.5))
 
     def _segment_right_value(self, k: int) -> float:
         """Value of segment ``k`` at its right endpoint (left limit at the
         next knot); used by continuity checks."""
-        acc = 0.0
-        for c in reversed(self._rows[k]):
-            acc = acc * 0.5 + c
-        return acc
+        return _horner_row(self._rows[k], 0.5)
 
     def derivative_value(self, u: float) -> float:
         """Analytic derivative of the stored segment polynomial at ``u``.
@@ -183,12 +180,9 @@ class PiecewiseFunction:
         recurrences are the canonical derivative path.
         """
         k = self.segment_index(u)
-        t = u - (float(self.knots[k]) + 0.5)
         row = self._rows[k]
-        acc = 0.0
-        for j in range(len(row) - 1, 0, -1):
-            acc = acc * t + j * row[j]
-        return acc
+        return _horner_row([j * row[j] for j in range(1, len(row))],
+                           u - (float(self.knots[k]) + 0.5))
 
     # -- exact integration ---------------------------------------------------
 
@@ -217,15 +211,8 @@ class PiecewiseFunction:
 
     def _segment_integral(self, k: int, a: float, b: float) -> float:
         mid = float(self.knots[k]) + 0.5
-        anti = self._anti[k]
-
-        def prim(t):
-            acc = 0.0
-            for c in anti[::-1]:
-                acc = acc * t + c
-            return acc
-
-        return prim(b - mid) - prim(a - mid)
+        anti = self._anti[k].tolist()
+        return _horner_row(anti, b - mid) - _horner_row(anti, a - mid)
 
 
 # -- export / import ---------------------------------------------------------
@@ -256,6 +243,9 @@ def load_piecewise(path) -> PiecewiseFunction:
     schema = payload.get("schema")
     if schema != SCHEMA_TAG:
         raise DomainError(f"unsupported table schema {schema!r} (expected {SCHEMA_TAG!r})")
+    for key in ("kind", "knots", "coefficients", "target_rel_err", "certificate", "u_max"):
+        if key not in payload:
+            raise DomainError(f"table file lacks the key {key!r}")
     table = PiecewiseFunction(
         kind=payload["kind"],
         knots=np.asarray(payload["knots"], dtype=float),

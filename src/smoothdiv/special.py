@@ -228,19 +228,18 @@ def _certified(kind: str, knots: np.ndarray, segs, target_rel_err: float,
 
 def build_dickman_table(
     u_max: int = DEFAULT_RHO_U_MAX,
-    degree: int | None = None,
     target_rel_err: float = DEFAULT_TARGET_REL_ERR,
 ) -> PiecewiseFunction:
     """Build a certified piecewise table of rho on [0, u_max].
 
-    The default degree grows with ``u_max`` (see :func:`dickman_degree_for`)
-    so the series-truncation floor stays far below the smallest table values.
+    The degree grows with ``u_max`` (see :func:`dickman_degree_for`) so the
+    series-truncation floor stays far below the smallest table values.
     Raises :class:`ConstructionError` if the resulting table's delay-ODE
     defect certificate exceeds ``target_rel_err`` on any segment.
     """
-    degree = dickman_degree_for(u_max) if degree is None else int(degree)
-    if u_max < 2 or degree < 8:
-        raise DomainError("need u_max >= 2 and degree >= 8")
+    if u_max < 2:
+        raise DomainError("need u_max >= 2")
+    degree = dickman_degree_for(u_max)
     segs = _dickman_segments(int(u_max), degree, _construction_precision(degree))
     return _certified(KIND_DICKMAN, np.arange(0, int(u_max) + 1, dtype=float), segs,
                       target_rel_err, _certify_dickman)
@@ -248,13 +247,14 @@ def build_dickman_table(
 
 def build_buchstab_table(
     u_cut: int = DEFAULT_OMEGA_U_CUT,
-    degree: int = BUCHSTAB_DEGREE,
     target_rel_err: float = DEFAULT_TARGET_REL_ERR,
 ) -> PiecewiseFunction:
-    """Build a certified piecewise table of omega on [1, u_cut]."""
-    if u_cut < 3 or degree < 8:
-        raise DomainError("need u_cut >= 3 and degree >= 8")
-    segs = _buchstab_segments(int(u_cut), int(degree), _construction_precision(degree))
+    """Build a certified piecewise table of omega on [1, u_cut], of degree
+    ``BUCHSTAB_DEGREE``."""
+    if u_cut < 3:
+        raise DomainError("need u_cut >= 3")
+    segs = _buchstab_segments(int(u_cut), BUCHSTAB_DEGREE,
+                              _construction_precision(BUCHSTAB_DEGREE))
     return _certified(KIND_BUCHSTAB, np.arange(1, int(u_cut) + 1, dtype=float), segs,
                       target_rel_err, _certify_buchstab)
 
@@ -293,13 +293,13 @@ def _as_float_array(u):
     return arr
 
 
-def rho(u, table: PiecewiseFunction | None = None, value_floor: float = DEFAULT_VALUE_FLOOR):
+def rho(u, table: PiecewiseFunction | None = None):
     """Dickman function rho(u); accepts scalars or arrays.
 
     Returns 0 exactly for u < 0 and for arguments whose true value lies below
-    ``value_floor`` (documented underflow).  Arguments above the table ceiling
-    raise unless the table has already underflowed there, in which case the
-    monotone decay of rho justifies returning 0.
+    ``DEFAULT_VALUE_FLOOR`` (documented underflow).  Arguments above the table
+    ceiling raise unless the table has already underflowed there, in which
+    case the monotone decay of rho justifies returning 0.
     """
     table = table if table is not None else default_dickman()
     if np.ndim(u) == 0:
@@ -310,29 +310,38 @@ def rho(u, table: PiecewiseFunction | None = None, value_floor: float = DEFAULT_
             return 0.0
         if x <= table.hi:
             val = table._value_scalar(x)
-            return 0.0 if val < value_floor else val
-        _require_rho_underflow(x, table, value_floor)
+            return 0.0 if val < DEFAULT_VALUE_FLOOR else val
+        _require_rho_underflow(x, table)
         return 0.0
     arr = _as_float_array(u)
     out = np.zeros_like(arr)
     inside = (arr >= 0.0) & (arr <= table.hi)
     if np.any(inside):
         vals = table.value(arr[inside])
-        vals = np.where(vals < value_floor, 0.0, vals)
+        vals = np.where(vals < DEFAULT_VALUE_FLOOR, 0.0, vals)
         out[inside] = vals
     above = arr > table.hi
     if np.any(above):
-        _require_rho_underflow(float(arr[above][0]), table, value_floor)
+        _require_rho_underflow(float(arr[above][0]), table)
         out[above] = 0.0
     return out
 
 
-def _require_rho_underflow(x: float, table: PiecewiseFunction, value_floor: float):
-    if table._value_scalar(table.hi) >= value_floor:
+def _require_rho_underflow(x: float, table: PiecewiseFunction):
+    if table._value_scalar(table.hi) >= DEFAULT_VALUE_FLOOR:
         raise DomainError(
             f"u={x} exceeds the rho table ceiling u_max={table.hi} and the "
             f"value there has not underflowed; build a larger table"
         )
+
+
+def _checked(u, lo: float, strict: bool, name: str):
+    """``u`` as a float (scalar input) or a float array, once every value is
+    finite and above ``lo`` (or equal to it, when not ``strict``)."""
+    x = float(u) if np.ndim(u) == 0 else np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(x) & ((x > lo) if strict else (x >= lo))):
+        raise DomainError(f"{name} requires finite u {'>' if strict else '>='} {lo:g}")
+    return x
 
 
 def rho_prime(u, table: PiecewiseFunction | None = None):
@@ -340,15 +349,7 @@ def rho_prime(u, table: PiecewiseFunction | None = None):
 
     rho' is defined by right-continuity only down to 0; arguments <= 0 raise.
     """
-    if np.ndim(u) == 0:
-        x = float(u)
-        if not math.isfinite(x) or x <= 0.0:
-            raise DomainError("rho_prime requires finite u > 0")
-        return _rho_prime_ext(x, table=table)
-    arr = _as_float_array(u)
-    if np.any(arr <= 0.0):
-        raise DomainError("rho_prime requires u > 0")
-    return _rho_prime_ext(arr, table=table)
+    return _rho_prime_ext(_checked(u, 0.0, True, "rho_prime"), table=table)
 
 
 def _rho_prime_ext(u, table: PiecewiseFunction | None = None):
@@ -366,15 +367,8 @@ def _rho_prime_ext(u, table: PiecewiseFunction | None = None):
 
 def rho_double_prime(u, table: PiecewiseFunction | None = None):
     """rho''(u) = (rho(u-1) - u*rho'(u-1)) / u**2 for u > 1, right-continuous."""
-    if np.ndim(u) == 0:
-        x = float(u)
-        if not math.isfinite(x) or x <= 1.0:
-            raise DomainError("rho_double_prime requires finite u > 1")
-        return (rho(x - 1.0, table=table) - x * _rho_prime_ext(x - 1.0, table=table)) / (x * x)
-    arr = _as_float_array(u)
-    if np.any(arr <= 1.0):
-        raise DomainError("rho_double_prime requires u > 1")
-    return (rho(arr - 1.0, table=table) - arr * _rho_prime_ext(arr - 1.0, table=table)) / (arr * arr)
+    x = _checked(u, 1.0, True, "rho_double_prime")
+    return (rho(x - 1.0, table=table) - x * _rho_prime_ext(x - 1.0, table=table)) / (x * x)
 
 
 def _rho_double_prime_ext(u, table: PiecewiseFunction | None = None):
@@ -423,29 +417,22 @@ def omega_prime(u, table: PiecewiseFunction | None = None):
 
     At u = 1 this gives (0 - 1)/1 = -1; below 1 the derivative is undefined.
     """
-    if np.ndim(u) == 0:
-        x = float(u)
-        if not math.isfinite(x) or x < 1.0:
-            raise DomainError("omega_prime requires finite u >= 1")
-        return (omega(x - 1.0, table=table) - omega(x, table=table)) / x
-    arr = _as_float_array(u)
-    if np.any(arr < 1.0):
-        raise DomainError("omega_prime requires u >= 1")
-    return (omega(arr - 1.0, table=table) - omega(arr, table=table)) / arr
+    x = _checked(u, 1.0, False, "omega_prime")
+    return (omega(x - 1.0, table=table) - omega(x, table=table)) / x
 
 
 # -- high-precision spot values (validation helpers) --------------------------
 
 
-def omega_deviations_decimal(u_cut: int = DEFAULT_OMEGA_U_CUT, upto: int = 15) -> list[float]:
-    """|omega(k) - e**-gamma| for k = 3..upto, computed in decimal arithmetic.
+def omega_deviations_decimal() -> list[float]:
+    """|omega(k) - e**-gamma| for k = 3..15, computed in decimal arithmetic.
 
     The deviations decay below double resolution around k = 13, so the
     monotonicity of their magnitudes is checked here at high precision rather
     than from the rounded table.
     """
     prec = 60
-    segs = _buchstab_segments(int(u_cut), BUCHSTAB_DEGREE, prec)
+    segs = _buchstab_segments(DEFAULT_OMEGA_U_CUT, BUCHSTAB_DEGREE, prec)
     out = []
     with localcontext() as ctx:
         ctx.prec = prec
@@ -453,7 +440,7 @@ def omega_deviations_decimal(u_cut: int = DEFAULT_OMEGA_U_CUT, upto: int = 15) -
         gamma = Decimal("0.57721566490153286060651209008240243104215933593992")
         exp_neg_gamma = (-gamma).exp()
         half = Decimal(1) / 2
-        for k in range(3, upto + 1):
+        for k in range(3, 16):
             seg = segs[k - 2]  # segment [k-1, k]; right edge is u = k
             val = _horner_dec(seg, half)
             out.append(float(abs(val - exp_neg_gamma)))

@@ -139,7 +139,7 @@ def validate_special(
     # omega - e^-gamma oscillates; omega(4) sits within ~1e-6 of a node, so
     # the deviation magnitudes dip at 4 before resuming their decay.  Assert
     # the true shape: strict decrease from 5 onward and overall decay from 3.
-    devs = special.omega_deviations_decimal(upto=15)
+    devs = special.omega_deviations_decimal()
     tail_ok = bool(np.all(np.diff(devs[2:]) < 0.0))
     add("omega_deviation_decreasing",
         tail_ok and devs[0] > devs[1] and devs[0] > devs[2],
@@ -171,7 +171,7 @@ def validate_special(
     worst_c = 0.0
     for k in range(1, rt.n_segments):
         left = rt._segment_right_value(k - 1)
-        right = special.rho(float(rt.knots[k]), table=rt, value_floor=0.0)
+        right = rt.value(float(rt.knots[k]))
         worst_c = max(worst_c, abs(left - right) / max(abs(left), 1e-300))
     add("rho_knot_continuity", worst_c <= 10.0 * rt.target_rel_err,
         f"max relative jump {_fmt(worst_c)} (tol {_fmt(10.0 * rt.target_rel_err)})")

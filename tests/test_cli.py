@@ -539,6 +539,19 @@ PINNED_STDOUT = [
      "3634c9643597bd01163b2611fa0c2ed25a443bc6cdece59bbab436493d633832"),
     (("exact", "psi", "--x", "1e4", "--y", "7", "--format", "table"),
      "cc072452632bdfa1b14706922c715f660090f05d6070568533b0ee0a2d78eaab"),
+    (("special", "--fn", "rho", "--u", "7.3"),
+     "d61dbf7dfe0a818537013c34e556182950c0a7862f4e0c9e40612fa29cef09d5"),
+    (("special", "--fn", "rho1", "--u", "3.7"),
+     "f6be66418330c439145f3504ee7799a9b3960112bafc0c1be04721f776959dac"),
+    (("special", "--fn", "rho2", "--u", "2.5"),
+     "347abd0b63f1afc687b173de7e3d84a181b30ec2f3576d00a73034b229a74fc2"),
+    (("special", "--fn", "omega", "--u", "4.25"),
+     "931cbef9fedbd8189c0366b2be817fbf9c318d8201c40bb1c58a836fe7a46fc5"),
+    (("special", "--fn", "omega1", "--u", "2.5"),
+     "129a6b3ef5f81d8e392ca34379851f26fb2888800dc40deb39c260952a3a9410"),
+    (("validate", "special"), "37e81ee9aff75a7c6888310bac26af4f9ac3c1541e656540e17c2c9d7d10d4e1"),
+    (("validate", "convolution"),
+     "c52202ac4ae7f3858f933c57d77ce4e7a0eafd1e132afac553a46fd6f9c1016a"),
     # Monte Carlo on the int64 path (k <= 62) and the big-int path.
     (("dsa-risk", "--k", "40", "--l", "10", "--m", "20", "--empirical", "20000", "--seed", "7"),
      "c86fea9db44920e6999ec202ed55328abec9de5b8a3c40a806127e141944dfd2"),

@@ -28,13 +28,10 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.abs_tol == 1e-12 and spec.rel_tol == 1e-10
-        assert spec.max_subdivisions >= 16
 
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=8)
 
 
 class TestTau:

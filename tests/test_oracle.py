@@ -115,6 +115,10 @@ class TestSievePins:
         assert hashlib.sha256(sieve_1m.primes.tobytes()).hexdigest() == (
             "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40")
 
+    def test_sieve_primes_peak(self):
+        # The 10 MB flag array plus 5 MB of int64 primes; no second copy of either.
+        assert _peak_allocation(lambda: oracle.sieve_primes(10**7)) < 18 * 2**20
+
     @pytest.mark.parametrize("y, expected", [
         (1, "1.0"), (2, "2.0"), (100, "8.31135737891573"),
         (1e4, "16.424489632190085"), (1e6, "24.6073829476294"),

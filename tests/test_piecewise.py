@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -37,6 +38,13 @@ def test_schema_tag_checked(tmp_path):
     path = tmp_path / "bogus.json"
     path.write_text(json.dumps({"schema": "something-else/9", "kind": "dickman"}))
     with pytest.raises(DomainError, match="schema"):
+        load_piecewise(path)
+
+
+def test_missing_key_is_named(tmp_path):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"schema": "smoothdiv/piecewise-function/1", "kind": "dickman"}))
+    with pytest.raises(DomainError, match="'knots'"):
         load_piecewise(path)
 
 
@@ -127,6 +135,8 @@ def test_evaluation_outside_range_rejected(dickman):
         dickman.value(np.array([5.0, 101.0]))
     with pytest.raises(DomainError):
         dickman.value(-0.5)
+    with pytest.raises(DomainError):
+        dickman.value(np.array([2.0, np.nan]))
 
 
 def test_buchstab_initial_segment_matches_reciprocal(buchstab):
@@ -138,3 +148,18 @@ def test_buchstab_initial_segment_matches_reciprocal(buchstab):
 def test_dickman_initial_segment_is_constant_one(dickman):
     assert list(dickman._rows[0]) == [1.0]
     assert dickman.value(0.123) == 1.0
+
+
+def test_scalar_paths_keep_their_bits(dickman, buchstab):
+    # Segment-end values, analytic derivatives and exact integrals at fixed
+    # offsets in every segment of both default tables.
+    vals = []
+    for table in (dickman, buchstab):
+        for k in range(table.n_segments):
+            lo = float(table.knots[k])
+            vals.append(table._segment_right_value(k))
+            for f in (0.0, 0.125, 0.3, 0.5, 0.77, 0.999):
+                vals += [table.derivative_value(lo + f), table.integral(lo, lo + f),
+                         table.integral(table.lo, lo + f)]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == (
+        "d4bd6c00114b6055a2c9375abae9dbadd1f74ed96c1e58305efce68e2860404c")

@@ -66,7 +66,7 @@ def test_qk21_matches_scipy_quad_bit_for_bit(monkeypatch, name):
                 warnings.simplefilter("ignore")
                 val, err, info = scipy_integrate.quad(
                     f, a[i], b[i], epsabs=spec.abs_tol / a.size, epsrel=spec.rel_tol,
-                    limit=spec.max_subdivisions, full_output=1)
+                    limit=convolution.MAX_SUBDIVISIONS, full_output=1)
             ref_total += val
             if info["last"] == 1:
                 first_pass += 1
@@ -117,15 +117,16 @@ def test_fallback_converges_across_underflow_cut(monkeypatch):
 
 
 def test_fallback_stops_at_subdivision_budget(monkeypatch):
-    # A jump inside the piece cannot meet 1e-15 within 16 subintervals: the
-    # best value and its error come back instead of an exception.
-    spec = QuadratureSpec(abs_tol=1e-15, max_subdivisions=16)
+    # No error estimate reaches 1e-300, so the piece is bisected until it
+    # holds MAX_SUBDIVISIONS subintervals: the best value and its error come
+    # back instead of an exception.
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300)
 
     def step(s):
         return np.where(s > 0.3, 1.0, 0.0)
 
     (value, err), calls = _passes(monkeypatch, _integrate_pieces, step, [0.0, 1.0], spec)
-    assert len(calls) == spec.max_subdivisions
+    assert len(calls) == convolution.MAX_SUBDIVISIONS
     assert err > spec.abs_tol
     assert abs(value - 0.7) <= err
 

@@ -150,6 +150,19 @@ class TestOmegaPrime:
             omega_prime(0.99, buchstab)
 
 
+@pytest.mark.parametrize("fn, bad, message", [
+    (rho_prime, 0.0, "rho_prime requires finite u > 0"),
+    (rho_double_prime, 1.0, "rho_double_prime requires finite u > 1"),
+    (omega_prime, 0.99, "omega_prime requires finite u >= 1"),
+])
+@pytest.mark.parametrize("wrap", [float, lambda u: np.array([2.5, u])], ids=["scalar", "array"])
+def test_derivative_domain_message(fn, bad, message, wrap):
+    for u in (bad, math.nan, math.inf):
+        with pytest.raises(DomainError) as exc:
+            fn(wrap(u))
+        assert str(exc.value) == message
+
+
 class TestDelayOdeIdentities:
     def test_rho_identity(self, dickman):
         rng = np.random.Generator(np.random.Philox(key=11))
@@ -192,7 +205,7 @@ class TestShapeInvariants:
         assert np.all(vals >= 0.5) and np.all(vals <= 1.0)
 
     def test_omega_deviations_shrink(self):
-        devs = omega_deviations_decimal(upto=15)
+        devs = omega_deviations_decimal()
         # Strict decay from 5 on; omega(4) sits within ~1e-6 of a node of the
         # oscillation, so 4 -> 5 is the one non-monotone step.
         assert all(a > b for a, b in zip(devs[2:-1], devs[3:]))
@@ -221,8 +234,9 @@ class TestShapeInvariants:
 
 class TestConstruction:
     def test_insufficient_degree_fails_loudly(self):
+        # No table of doubles meets 1e-30.
         with pytest.raises(ConstructionError, match="certificate"):
-            build_dickman_table(u_max=40, degree=48)
+            build_dickman_table(u_max=40, target_rel_err=1e-30)
 
     def test_certificate_stored_per_segment(self, dickman, buchstab):
         assert dickman.certificate.shape == (dickman.n_segments,)
