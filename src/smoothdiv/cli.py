@@ -15,8 +15,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failed (``validate`` only), 2 usage
 error (bad flags, or a config value of the wrong type or range), 3 resource
-limit (sieve ceiling, or a table that cannot be built to the requested
-accuracy), 4 domain error.
+limit (sieve ceiling, a table that cannot be built to the requested
+accuracy, or memory exhausted), 4 domain error, or any other error as one
+``internal error: <Type>: <message>`` line.
 Numbers in JSON/CSV output are decimal strings with 17 significant digits, so
 values round-trip exactly and identical invocations (including ``--seed``)
 produce byte-identical output.  A JSON config file (``--config`` or the
@@ -498,6 +499,13 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except Exception as exc:  # last resort: a traceback's exit 1 means "validation failed"
+        msg = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

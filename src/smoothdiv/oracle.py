@@ -20,7 +20,12 @@ Counting loops are vectorized:
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of integers at a
-  time with stride multiplications per prime power, in O(block) memory;
+  time, in O(block) memory.  Each block starts as a copy of a wheel: the
+  products of the prime powers dividing _WHEEL = 2**4 * 3**2 * 5 * 7 * 11,
+  written once per call and periodic with period _WHEEL.  The other prime
+  powers multiply in by strides, or once per block above the block size.
+  Smooth parts are integers, so n_y > z is tested as n_y > floor(z) in
+  uint32, and z < 1 or z >= x needs no blocks at all;
 * theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
   counts rough numbers only up to x/(floor(z) + 1);
 * phi_exact marks rough numbers with stride writes.
@@ -33,9 +38,13 @@ splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
 byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
 no division per prime: the 2-part is the lowest set bit, and an odd p is
 tested and divided out by multiplying with its inverse mod 2**64.  Larger
-samples take gcd(n, primorial) with Python ints, the primorial built by a
-balanced product tree.  The int64 samples are drawn in one call and reduced
-in blocks of _SAMPLE_BLOCK, so the working buffers span one block.
+samples take gcd(n, P) with Python ints, P the primorial.  Where P is larger
+than the product N of a group of _GCD_GROUP samples, P is never formed
+(Bernstein, "How to find smooth parts of integers", 2004): r = P mod N is
+reduced chunk by chunk, and each n in the group takes gcd(n, r mod n), which
+equals gcd(n, P) because n divides N.  A smaller P is built by a balanced
+product tree.  The int64 samples are drawn in one call and reduced in blocks
+of _SAMPLE_BLOCK, so the working buffers span one block.
 """
 
 from __future__ import annotations
@@ -62,8 +71,16 @@ _CHUNK = 1 << 16
 #: Integers per block of theta_exact (1 MB of uint32 smooth parts).
 _BLOCK = 1 << 18
 
+#: Period of theta_exact's wheel, 2**4 * 3**2 * 5 * 7 * 11: every block starts
+#: from a copy of these prime powers' products instead of one stride each.
+_WHEEL = 55440
+
 #: Samples per block of the int64 Monte Carlo (512 KB of uint64 each).
 _SAMPLE_BLOCK = 1 << 16
+
+#: Samples per group of the big-int Monte Carlo: the primorial is reduced
+#: modulo the product of each group, never formed in full.
+_GCD_GROUP = 64
 
 
 def _require_not_nan(**values) -> None:
@@ -303,18 +320,21 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
 
     A block holds the smooth parts of _BLOCK consecutive n as uint32, so x
     must lie below 2**32 whatever the sieve limit.  Each prime power
-    q = p**a <= x multiplies the entries of its multiples by p: a q below the
-    block size through the stride ``block[(-lo) % q :: q]``, and a larger q,
-    which hits a block at most once, together with the other large ones in
-    one ``np.multiply.at``.
-    Memory is O(_BLOCK + number of prime powers), independent of x.
+    q = p**a <= x multiplies the entries of its multiples by p: a q dividing
+    _WHEEL through the block's starting copy of the wheel pattern, another q
+    below the block size through the stride ``block[(-lo) % q :: q]``, and a
+    larger q, which hits a block at most once, together with the other large
+    ones in one ``np.multiply.at``.
+    Memory is O(_BLOCK + _WHEEL + number of prime powers), independent of x.
     """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
     if fx >= 2**32:
         raise ResourceError(f"x={x} needs smooth parts beyond the uint32 blocks")
-    if fx < 1:
+    if fx < 1 or z >= fx:  # n_y <= n <= x; also z = +inf
         return 0
+    if z < 1:  # n_y >= 1
+        return fx
     p = t.primes_upto(min(y, fx))
     qs, ps = [p], [p]  # every prime power q = p**a <= fx, beside its prime
     while p.size:
@@ -324,18 +344,27 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         ps.append(p)
     qs = np.concatenate(qs)
     ps = np.concatenate(ps).astype(np.uint32)
+    # pattern[i] is the product of the wheel's prime powers dividing i + 1,
+    # and repeats with period _WHEEL.
+    pattern = np.ones(min(_BLOCK + _WHEEL, fx), dtype=np.uint32)
+    wheel = _WHEEL % qs == 0
+    for q, p in zip(qs[wheel].tolist(), ps[wheel].tolist()):
+        pattern[q - 1 :: q] *= p
+    qs, ps = qs[~wheel], ps[~wheel]
     small = qs < _BLOCK
     strided = list(zip(qs[small].tolist(), ps[small].tolist()))
     big_q, big_p = qs[~small], ps[~small]
+    threshold = np.uint32(math.floor(z))  # n_y > z exactly when n_y > floor(z)
     count = 0
     for lo in range(1, fx + 1, _BLOCK):
-        block = np.ones(min(_BLOCK, fx + 1 - lo), dtype=np.uint32)
+        start = (lo - 1) % _WHEEL
+        block = pattern[start : start + min(_BLOCK, fx + 1 - lo)].copy()
         for q, p in strided:
             block[(-lo) % q :: q] *= p
         at = (-lo) % big_q
         hit = at < block.size
         np.multiply.at(block, at[hit], big_p[hit])
-        count += int(np.count_nonzero(block > z))
+        count += int(np.count_nonzero(block > threshold))
     return count
 
 
@@ -353,7 +382,9 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     fx = _floor_x(x, t)
     if fx < 1 or z >= fx:  # no smooth d <= x exceeds z; also z = +inf
         return 0
-    hi = fx // (math.floor(z) + 1) if z >= 1 else fx
+    if z < 1:  # every n has a smooth divisor d = n_y >= 1 > z
+        return fx
+    hi = fx // (math.floor(z) + 1)
     rough_cum = np.cumsum(_rough_indicator(hi, y, t), dtype=np.int64)
     return sum(int(rough_cum[fx // d[d > z]].sum())
                for d in _smooth_pieces(t.primes_upto(min(y, fx)), fx))
@@ -502,6 +533,25 @@ def _smooth_part_bigint(n: int, primorial: int) -> int:
     return s
 
 
+def _smooth_parts_grouped(ns: list[int], primes: list[int]) -> list[int]:
+    """Smooth parts over ``primes`` of the positive ``ns``, without forming the
+    primorial P (Bernstein 2004).  For each group of _GCD_GROUP samples with
+    product N, r = P mod N is reduced chunk by chunk, each chunk a product of
+    primes about the size of a full group's product; then gcd(n, r mod n) =
+    gcd(n, P) for every n in the group, since n divides N."""
+    per_chunk = max(1, _GCD_GROUP * max(ns).bit_length() // primes[-1].bit_length())
+    chunks = [math.prod(primes[i : i + per_chunk]) for i in range(0, len(primes), per_chunk)]
+    parts = []
+    for i in range(0, len(ns), _GCD_GROUP):
+        group = ns[i : i + _GCD_GROUP]
+        modulus = _product_tree(group)
+        r = 1
+        for c in chunks:
+            r = r * c % modulus
+        parts += [_smooth_part_bigint(n, r % n) for n in group]
+    return parts
+
+
 def eta_empirical(
     d: DsaParams, samples: int, seed: int, t: SieveTables
 ) -> tuple[float, float]:
@@ -513,8 +563,10 @@ def eta_empirical(
     blocks of _SAMPLE_BLOCK: each prime is tested and divided out by a
     multiply with its inverse mod 2**64 (the 2-part is n & -n), and the hits
     are summed over the blocks.  Above that, the smooth part is the repeated
-    gcd of n with the primorial of those primes.  Returns (sample proportion,
-    binomial standard error).
+    gcd of n with the primorial of those primes, taken through the
+    primorial's remainder modulo each group of _GCD_GROUP samples where the
+    primorial is the larger.  Returns (sample proportion, binomial standard
+    error).
     Deterministic for a fixed seed (Philox counter-based PRNG keyed by the
     seed).
     """
@@ -538,8 +590,14 @@ def eta_empirical(
                                      > threshold))
                 for i in range(0, samples, _SAMPLE_BLOCK))
         else:
-            primorial = _product_tree(primes.tolist())
-            hits = sum(1 for n in ns if _smooth_part_bigint(n, primorial) > threshold)
+            # Σ log2 p is the primorial's size; below a group product's, the
+            # primorial is small enough to take gcds with directly.
+            if np.log2(primes).sum() > _GCD_GROUP * d.k:
+                parts = _smooth_parts_grouped(ns, primes.tolist())
+            else:
+                primorial = _product_tree(primes.tolist())
+                parts = (_smooth_part_bigint(n, primorial) for n in ns)
+            hits = sum(1 for s in parts if s > threshold)
     est = hits / samples
     std_err = math.sqrt(est * (1.0 - est) / samples)
     return est, std_err

@@ -15,6 +15,7 @@ not here: this module evaluates strictly inside ``[knots[0], knots[-1]]``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -237,15 +238,51 @@ def save_piecewise(table: PiecewiseFunction, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+def _is_number(v) -> bool:
+    """A JSON number that converts to a float (an integer beyond the float
+    range does not)."""
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max)
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+def _is_matrix(v) -> bool:
+    """A non-empty list of number lists, all of one length."""
+    return (isinstance(v, list) and len(v) > 0 and all(map(_is_numbers, v))
+            and len({len(row) for row in v}) == 1)
+
+
+#: The JSON type each key of a table file must have.
+_FIELD_TYPES = {
+    "kind": lambda v: isinstance(v, str),
+    "knots": _is_numbers,
+    "coefficients": _is_matrix,
+    "target_rel_err": _is_number,
+    "certificate": _is_numbers,
+    "u_max": _is_number,
+}
+
+
 def load_piecewise(path) -> PiecewiseFunction:
-    """Load a table previously written by :func:`save_piecewise`."""
-    payload = json.loads(Path(path).read_text())
+    """Load a table previously written by :func:`save_piecewise`; a file of
+    another shape raises :class:`DomainError`."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"table file is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DomainError(f"table file holds a JSON {type(payload).__name__}, not an object")
     schema = payload.get("schema")
     if schema != SCHEMA_TAG:
         raise DomainError(f"unsupported table schema {schema!r} (expected {SCHEMA_TAG!r})")
-    for key in ("kind", "knots", "coefficients", "target_rel_err", "certificate", "u_max"):
+    for key, is_valid in _FIELD_TYPES.items():
         if key not in payload:
             raise DomainError(f"table file lacks the key {key!r}")
+        if not is_valid(payload[key]):
+            raise DomainError(f"table key {key!r} has the wrong type: {payload[key]!r:.60}")
     table = PiecewiseFunction(
         kind=payload["kind"],
         knots=np.asarray(payload["knots"], dtype=float),

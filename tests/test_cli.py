@@ -354,6 +354,27 @@ class TestDeterminism:
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+class TestLastResortHandler:
+    # An exception no command maps still ends in one stderr line and an exit
+    # code other than 1, which belongs to failed validation alone.
+    @pytest.mark.parametrize("exc, code, line", [
+        (MemoryError(), EXIT_RESOURCE, "resource error: out of memory"),
+        (MemoryError("cannot allocate 8 GiB"), EXIT_RESOURCE,
+         "resource error: cannot allocate 8 GiB"),
+        (RuntimeError("boom\nsecond line"), EXIT_DOMAIN, "internal error: RuntimeError: boom second line"),
+        (KeyError("u"), EXIT_DOMAIN, "internal error: KeyError: 'u'"),
+    ])
+    def test_unmapped_exception(self, monkeypatch, capsys, exc, code, line):
+        def raise_(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_special", raise_)
+        assert cli.main(["special", "--fn", "rho", "--u", "2"]) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == line + "\n"
+
+
 class TestOutputRecord:
     def test_json_round_trip_lossless(self):
         rec = OutputRecord("demo", {"x": 1.0 / 3.0}, {"value": 2.0 / 7.0}, ["flag=true"])

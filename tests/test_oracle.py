@@ -258,22 +258,33 @@ class TestThetaRoutes:
     # strided and single-hit prime powers.  Small blocks cap x at 400 blocks
     # so that an example stays cheap; the default block draws x up to 1e5.
     # The same value patched into _CHUNK splits the decomposed route's
-    # batches of large-prime products.
+    # batches of large-prime products.  Each example also draws the wheel:
+    # 1 is no wheel, 6 and 30 repeat within and across small blocks, and the
+    # default 55440 lies beyond a small block's x.  Beside the bounds, z takes
+    # values below 1, floor(x) and a half-integer, where an integer threshold
+    # floor(z) must count the same n_y as z.
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_routes_agree_with_full_array(self, sieve_small, block, data):
         x_max = 10**5 if block is None else min(10**5, 400 * block)
         x = data.draw(st.one_of(st.integers(0, x_max), st.floats(0.0, float(x_max))), "x")
+        fx = math.floor(x)
         y = data.draw(st.one_of(_BOUNDS, st.just(float(x))), "y")
-        z = data.draw(st.one_of(_BOUNDS, st.just(float(x))), "z")
+        z = data.draw(st.one_of(
+            _BOUNDS, st.just(float(x)), st.just(float(fx)),
+            st.floats(max_value=1.0, exclude_max=True, allow_nan=False),
+            st.integers(1, max(fx, 1)).map(lambda n: n - 0.5)), "z")
+        wheel = data.draw(st.sampled_from([1, 6, 30, None]), "wheel")
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "_BLOCK", block)
                 mp.setattr(oracle, "_CHUNK", block)
+            if wheel is not None:
+                mp.setattr(oracle, "_WHEEL", wheel)
             direct = theta_exact(x, y, z, sieve_small)
             decomposed = theta_exact_decomposed(x, y, z, sieve_small)
-        want = reference_theta(math.floor(x), y, z, sieve_small) if x >= 1 else 0
+        want = reference_theta(fx, y, z, sieve_small) if x >= 1 else 0
         assert direct == want
         assert decomposed == want
 
@@ -301,6 +312,14 @@ class TestThetaAtScale:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_z_below_one_counts_without_arrays(self, sieve_10m):
+        # Every n <= x has n_y >= 1 > z; the decomposed route's running count
+        # of rough numbers up to x alone would be 80 MB.
+        for route in (theta_exact, theta_exact_decomposed):
+            got = []
+            assert _peak_allocation(lambda: got.append(route(1e7, 25.0, 0.5, sieve_10m))) < 2 * 2**20
+            assert got == [10**7]
 
 
 def _peak_allocation(call) -> int:
@@ -543,6 +562,38 @@ class TestEtaEmpirical:
             warnings.simplefilter("ignore")  # some rows lie outside the paper's regime
             d = DsaParams(k, l, m)
         assert repr(eta_empirical(d, samples, seed, sieve_small)) == expected
+
+    # Rows whose primorial outgrows a group product take the grouped
+    # remainder; 67 and 65 samples end in a short group.  Recorded while
+    # every big-int sample took its gcd with the full primorial.
+    @pytest.mark.parametrize("k, l, m, samples, seed, expected", [
+        (100, 19, 40, 67, 21, "(0.05970149253731343, 0.028945967245766605)"),
+        (128, 20, 45, 65, 22, "(0.12307692307692308, 0.04074857129781272)"),
+    ])
+    def test_pinned_grouped_results(self, sieve_10m, k, l, m, samples, seed, expected):
+        assert oracle._GCD_GROUP == 64
+        got = eta_empirical(DsaParams(k, l, m), samples, seed, sieve_10m)
+        assert repr(got) == expected
+
+    @pytest.mark.parametrize("l", [12, 14, 18])
+    def test_grouped_smooth_parts_match_the_primorial_gcd(self, sieve_1m, l):
+        # Random 100-bit samples, and samples with large smooth parts (prime
+        # powers times a cofactor) so that the repeated gcd takes powers out;
+        # 150 samples end in a short group.  For 100-bit samples
+        # eta_empirical switches from the full primorial to the grouped
+        # remainder between l = 12 and l = 14.
+        primes = sieve_1m.primes_upto(float(1 << l)).tolist()
+        rng = np.random.default_rng(l)
+        ns = [(1 << 99) | int(rng.integers(0, 2**62)) << 37 | int(rng.integers(0, 2**37))
+              for _ in range(100)]
+        for _ in range(50):
+            a, b = (primes[i] for i in rng.integers(0, len(primes), size=2))
+            ns.append(a**3 * b * 2**5 * ((1 << 70) + int(rng.integers(0, 2**40))))
+        assert (np.log2(primes).sum() > oracle._GCD_GROUP * 100) == (l > 12)
+        primorial = oracle._product_tree(primes)
+        want = [oracle._smooth_part_bigint(n, primorial) for n in ns]
+        assert oracle._smooth_parts_grouped(ns, primes) == want
+        assert max(want) > 2**(3 * l - 10)
 
     # 3 * 2**16 + 5 samples cross three int64 blocks into a short fourth;
     # recorded before the smooth parts were found block by block.

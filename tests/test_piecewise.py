@@ -83,6 +83,43 @@ def test_load_rejects_u_max_off_the_last_knot(tmp_path):
         load_piecewise(path)
 
 
+def test_load_rejects_a_top_level_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"schema": "smoothdiv/piecewise-function/1"}]))
+    with pytest.raises(DomainError, match="list"):
+        load_piecewise(path)
+
+
+def test_load_rejects_text_that_is_not_json(tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text('{"schema": "smoothdiv/piecewise-function/1", "kn')
+    with pytest.raises(DomainError, match="not JSON"):
+        load_piecewise(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("u_max", "abc"),
+    ("u_max", None),
+    ("u_max", 10**400),
+    ("target_rel_err", True),
+    ("kind", 3),
+    ("knots", "0,1,2,3,4"),
+    ("knots", [1.0, "2"]),
+    ("coefficients", [[1.0, 2.0], [3.0]]),
+    ("coefficients", [1.0, 2.0]),
+    ("coefficients", []),
+    ("certificate", {"0": 1e-17}),
+])
+def test_load_rejects_a_field_of_the_wrong_type(tmp_path, key, value):
+    path = tmp_path / "typed.json"
+    save_piecewise(build_buchstab_table(u_cut=4), path)
+    payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError, match=repr(key)):
+        load_piecewise(path)
+
+
 def test_one_segment_per_knot_pair():
     with pytest.raises(DomainError, match="segment"):
         PiecewiseFunction(
