@@ -13,21 +13,26 @@ truncated once the table certifies the remainder is negligible.
 
 Every integral is pre-split at each point where either factor's piecewise
 definition changes (integer s, s = u - j, and s = 1 for the rho' jump), so
-each knot-free piece is analytic.  All pieces of one integral then go through
-one vectorized pass of QUADPACK's 21-point Gauss-Kronrod rule ``dqk21``
-(Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, *QUADPACK*, 1983): the
-integrand is evaluated once on the flat array of every node of every piece,
-and each piece gets the rule's value and error estimate, computed with the
-Fortran routine's nodes, weights and order of operations.  A piece is
-accepted by the first-pass test of QUADPACK's adaptive routine ``dqagse``.
-The few it rejects (in practice, pieces straddling the point where rho
-underflows to 0) are refined by repeatedly bisecting each one's worst
-subinterval until its summed error meets the tolerance or the subdivision
-budget is spent.
+each knot-free piece is analytic.  All pieces of every integral an estimate
+needs then go through one vectorized pass of QUADPACK's 21-point
+Gauss-Kronrod rule ``dqk21`` (Piessens, de Doncker-Kapenga, Ueberhuber &
+Kahaner, *QUADPACK*, 1983): ``eta`` hands :func:`omega_convolutions` C_or and
+C_or' at two u, four integrals, and the tables are evaluated once on the flat
+array of every node of every piece, each node with its own integral's
+integrand.  Each piece gets the rule's value and error estimate, computed
+with the Fortran routine's nodes, weights and order of operations, so a piece
+has the same bits in a batch as alone.  A piece is accepted by the first-pass
+test of QUADPACK's adaptive routine ``dqagse``, with its own integral's
+tolerance.  The few it rejects (in practice, pieces straddling the point
+where rho underflows to 0) are refined by repeatedly bisecting each one's
+worst subinterval until its summed error meets the tolerance or the
+subdivision budget is spent.  The single-integral functions are batches of
+one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -128,7 +133,8 @@ def quad(f: Callable[[np.ndarray], np.ndarray], a, b):
     """QUADPACK ``dqk21`` on every piece ``[a[i], b[i]]`` in one pass.
 
     ``f`` takes a 1-D array of nodes and returns the integrand there; it is
-    called once, on all 21 nodes of all pieces.  Returns per-piece arrays
+    called once, on all 21 nodes of all pieces, piece ``i``'s at flat indices
+    ``21 i`` to ``21 i + 20``.  Returns per-piece arrays
     ``(result, abserr, resabs, resasc)`` as ``dqk21`` defines them: the
     Kronrod value, its error estimate, the rule applied to ``|f|`` and to
     ``|f - mean|``.  Every sum runs in ``dqk21``'s order, elementwise across
@@ -201,90 +207,132 @@ def _knot_points(lo: float, hi: float, shifts_from: float | None) -> list[float]
     return merged
 
 
-def _integrate_pieces(
-    f: Callable[[np.ndarray], np.ndarray], points: list[float], spec: QuadratureSpec
-) -> tuple[float, float]:
-    """Integral of ``f`` over ``[points[0], points[-1]]`` and its error estimate.
+#: The integrands of a batch: one node array per integral in, each
+#: integral's integrand values on its own nodes out.
+Evaluate = Callable[[list[np.ndarray]], list[np.ndarray]]
 
-    ``f`` takes a 1-D array of nodes and returns the integrand at each.  Each
-    piece between consecutive points gets tolerance ``abs_tol / npieces`` and
-    ``rel_tol``, as ``dqagse`` would with ``epsabs`` and ``epsrel``; piece
-    values and errors are summed in piece order.
+
+def _pass(evaluate: Evaluate, counts: list[int], a, b):
+    """One :func:`quad` pass over the pieces ``[a[i], b[i]]``: the first
+    ``counts[0]`` belong to integral 0, the next ``counts[1]`` to integral 1,
+    and so on.
+
+    ``evaluate`` gets one node array per integral, empty where an integral
+    has no piece in the pass, and returns each integral's integrand on them.
     """
-    n = max(len(points) - 1, 1)
-    epsabs = spec.abs_tol / n
-    pts = np.asarray(points, dtype=float)
-    a, b = pts[:-1], pts[1:]
-    result, abserr, resabs, resasc = quad(f, a, b)
-    # dqagse's first-pass exit: converged with an unsaturated error estimate,
-    # an exact zero error, or round-off already dominating the error.
-    errbnd = np.maximum(epsabs, spec.rel_tol * np.abs(result))
-    accept = (abserr == 0.0) | np.where(
-        abserr <= errbnd, abserr != resasc, abserr <= 100.0 * _EPMACH * resabs)
-    rejected = np.flatnonzero(~accept)
-    if rejected.size:
-        result[rejected], abserr[rejected] = _bisect(
-            f, a[rejected], b[rejected], result[rejected], abserr[rejected], epsabs, spec)
-    total = 0.0
-    err = 0.0
-    for val, e in zip(result.tolist(), abserr.tolist()):
-        total += val
-        err += e
-    return total, err
+    ends = list(itertools.accumulate(21 * c for c in counts))  # quad's 21 nodes a piece
+
+    def f(s):
+        # A scalar s is one node of a one-integral batch (scipy's quad calls
+        # the integrand that way).
+        flat = np.reshape(s, -1)
+        parts = [flat[i:j] for i, j in zip([0] + ends, ends)]
+        return np.concatenate(evaluate(parts)).reshape(np.shape(s))
+
+    return quad(f, a, b)
 
 
-def _bisect(f, a, b, result, abserr, epsabs: float, spec: QuadratureSpec):
+def _integrate_pieces(evaluate: Evaluate, points: list[list[float]], spec: QuadratureSpec
+                      ) -> list[tuple[float, float]]:
+    """Integral over ``[points[i][0], points[i][-1]]`` and its error estimate
+    for each integral ``i``; an integral with fewer than two points is 0.
+
+    ``evaluate`` is as in :func:`_pass`: every piece of every integral goes
+    through one pass, each node with its own integral's integrand.  Each
+    piece between consecutive points of integral ``i`` gets tolerance
+    ``abs_tol / npieces_i`` and ``rel_tol``, as ``dqagse`` would with
+    ``epsabs`` and ``epsrel``; each integral's piece values and errors are
+    summed in piece order.
+    """
+    counts = [max(len(p) - 1, 0) for p in points]
+    a = np.array([x for p in points for x in p[:-1]], dtype=float)
+    b = np.array([x for p in points for x in p[1:]], dtype=float)
+    epsabs = np.repeat([spec.abs_tol / max(c, 1) for c in counts], counts)
+    result = abserr = np.zeros(0)
+    if a.size:
+        result, abserr, resabs, resasc = _pass(evaluate, counts, a, b)
+        # dqagse's first-pass exit: converged with an unsaturated error
+        # estimate, an exact zero error, or round-off already dominating it.
+        errbnd = np.maximum(epsabs, spec.rel_tol * np.abs(result))
+        accept = (abserr == 0.0) | np.where(
+            abserr <= errbnd, abserr != resasc, abserr <= 100.0 * _EPMACH * resabs)
+        rejected = np.flatnonzero(~accept)
+        if rejected.size:
+            owner = np.repeat(np.arange(len(points)), counts)[rejected]
+            result[rejected], abserr[rejected] = _bisect(
+                evaluate, owner.tolist(), len(points), a[rejected], b[rejected],
+                result[rejected], abserr[rejected], epsabs[rejected], spec)
+    vals, errs = result.tolist(), abserr.tolist()
+    sums = []
+    start = 0
+    for c in counts:
+        sums.append(_sum_parts(zip(vals[start:start + c], errs[start:start + c])))
+        start += c
+    return sums
+
+
+def _bisect(evaluate: Evaluate, owner: list[int], n: int, a, b, result, abserr, epsabs,
+            spec: QuadratureSpec):
     """Refine rejected pieces by bisecting each one's largest-error subinterval.
 
-    One :func:`quad` pass per round covers the halves of every piece still
-    refining.  A piece stops once its summed error is within
-    ``max(epsabs, rel_tol * |value|)`` or it holds ``MAX_SUBDIVISIONS``
-    subintervals; either way its current value and error are returned.
+    Piece ``i`` belongs to integral ``owner[i]`` of ``n`` (``owner`` is
+    non-decreasing).  One :func:`_pass` per round covers the halves of every
+    piece still refining, whichever integral it belongs to.  A piece stops
+    once its summed error is within ``max(epsabs[i], rel_tol * |value|)`` or
+    it holds ``MAX_SUBDIVISIONS`` subintervals; either way its current value
+    and error are returned.
     """
     # parts[i]: piece i's subintervals in order, as (lo, hi, value, error).
     parts = [[p] for p in zip(a.tolist(), b.tolist(), result.tolist(), abserr.tolist())]
+    epsabs = epsabs.tolist()
     active = list(range(len(parts)))
     while active:
         worst = [max(range(len(parts[i])), key=lambda j: parts[i][j][3]) for i in active]
         lo, hi = [], []
+        counts = [0] * n
         for i, j in zip(active, worst):
             left, right = parts[i][j][:2]
             mid = 0.5 * (left + right)
             lo += [left, mid]
             hi += [mid, right]
-        vals, errs, _, _ = quad(f, lo, hi)
+            counts[owner[i]] += 2
+        vals, errs, _, _ = _pass(evaluate, counts, lo, hi)
         halves = list(zip(lo, hi, vals.tolist(), errs.tolist()))
         for k, (i, j) in enumerate(zip(active, worst)):
             parts[i][j:j + 1] = halves[2 * k:2 * k + 2]
         still = []
         for i in active:
-            value, err = _sum_parts(parts[i])
-            if err > max(epsabs, spec.rel_tol * abs(value)) and len(parts[i]) < MAX_SUBDIVISIONS:
+            value, err = _sum_parts(p[2:] for p in parts[i])
+            if err > max(epsabs[i], spec.rel_tol * abs(value)) and len(parts[i]) < MAX_SUBDIVISIONS:
                 still.append(i)
         active = still
-    values, errs = zip(*map(_sum_parts, parts))
+    values, errs = zip(*(_sum_parts(p[2:] for p in piece) for piece in parts))
     return values, errs
 
 
 def _sum_parts(parts) -> tuple[float, float]:
+    """The sums, in order, of the values and of the errors of ``(value, error)`` pairs."""
     value = 0.0
     err = 0.0
-    for _, _, v, e in parts:
+    for v, e in parts:
         value += v
         err += e
     return value, err
 
 
-def _integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-              support: tuple[float, float], shifts_from: float | None,
-              spec: QuadratureSpec) -> ConvolutionValue:
-    """Integral of ``f`` over ``[a, b]``, split at the knots (see
-    :func:`_knot_points`); 0 when ``b <= a``.  ``support`` is reported as the
-    result's effective support."""
-    if b <= a:
-        return ConvolutionValue(0.0, 0.0, support)
-    total, err = _integrate_pieces(f, _knot_points(a, b, shifts_from), spec)
-    return ConvolutionValue(total, err, support)
+def _single(f: Callable[[np.ndarray], np.ndarray]) -> Evaluate:
+    """``f`` as the ``evaluate`` of a batch holding one integral."""
+    return lambda parts: [f(parts[0])]
+
+
+def _integrals(evaluate: Evaluate, spans, spec: QuadratureSpec) -> list[ConvolutionValue]:
+    """Integral ``i`` over ``[a, b]`` for each span ``(a, b, support,
+    shifts_from)``, split at the knots (see :func:`_knot_points`), all in one
+    pass of :func:`_integrate_pieces`; 0 when ``b <= a``.  ``support`` is
+    reported as the result's effective support."""
+    points = [_knot_points(a, b, shifts) if b > a else [] for a, b, _, shifts in spans]
+    return [ConvolutionValue(total, err, span[2])
+            for (total, err), span in zip(_integrate_pieces(evaluate, points, spec), spans)]
 
 
 def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
@@ -298,8 +346,9 @@ def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     rho_t = num.rho
     lo = max(float(v), 0.0)
     hi = _tau_cutoff(lo, rho_t, num.spec)
-    return _integral(lambda s: special.rho(s, table=rho_t), lo, hi, (lo, hi), None,
-                     num.spec).value
+    [value] = _integrals(_single(lambda s: special.rho(s, table=rho_t)),
+                         [(lo, hi, (lo, hi), None)], num.spec)
+    return value.value
 
 
 def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> float:
@@ -315,15 +364,72 @@ def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> fl
     return support_hi
 
 
+def _omega_products(terms: list[tuple[float, bool]], num: Numerics) -> Evaluate:
+    """The ``evaluate`` of the batch whose integral ``i`` has the integrand
+    omega(u - s) rho(s), or omega(u - s) rho'(s) when ``terms[i]`` is
+    ``(u, True)``.
+
+    omega is evaluated once on u - s over every node of every integral, and
+    rho once: on s for the rho integrals and on s - 1 for the rho' ones,
+    where rho'(s) = -rho(s - 1)/s for s >= 1 and 0 below
+    (``special._rho_prime_ext``).
+    """
+    rho_t, omega_t = num.rho, num.omega
+
+    def evaluate(parts):
+        w = special.omega(np.concatenate([u - s for (u, _), s in zip(terms, parts)]),
+                          table=omega_t)
+        live = [s >= 1.0 if prime else None for (_, prime), s in zip(terms, parts)]
+        r = special.rho(np.concatenate([s if m is None else s[m] - 1.0
+                                        for s, m in zip(parts, live)]), table=rho_t)
+        out = []
+        i = j = 0
+        for s, m in zip(parts, live):
+            w_s = w[i:i + s.size]
+            i += s.size
+            if m is None:
+                out.append(w_s * r[j:j + s.size])
+                j += s.size
+            else:
+                k = j + np.count_nonzero(m)
+                factor = np.zeros_like(s)
+                factor[m] = -r[j:k] / s[m]
+                out.append(w_s * factor)
+                j = k
+        return out
+
+    return evaluate
+
+
+def omega_convolutions(terms: list[tuple[float, float, bool]],
+                       num: Numerics = DEFAULT_NUMERICS) -> list[ConvolutionValue]:
+    """:func:`conv_omega_rho` (``prime`` false) or :func:`conv_omega_rho_prime`
+    (``prime`` true) at each ``(u, v, prime)`` of ``terms``, every piece of
+    every integral in one quadrature pass.
+
+    Each value is the one the single-integral function returns, to the bit.
+    """
+    support = special.rho_support_hi(num.rho)
+    spans = []
+    for u, v, prime in terms:
+        _check_finite(u, v)
+        hi = u - 1.0
+        if prime:
+            # rho' is 0 below s = 1 and dies once s - 1 passes the support.
+            lo = min(max(v, 1.0), hi)
+            cut = min(hi, support + 1.0)
+        else:
+            lo = min(max(v, 0.0), hi)
+            cut = min(hi, support)
+        spans.append((lo, cut, (lo, hi), u))
+    evaluate = _omega_products([(u, prime) for u, _, prime in terms], num)
+    return _integrals(evaluate, spans, num.spec)
+
+
 def conv_omega_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
     """integral of omega(u-s) rho(s) ds over [v, u-1] (support-clipped)."""
-    _check_finite(u, v)
-    rho_t, omega_t = num.rho, num.omega
-    hi = u - 1.0
-    lo = min(max(v, 0.0), hi)
-    cut = min(hi, special.rho_support_hi(rho_t))
-    return _integral(lambda s: special.omega(u - s, table=omega_t) * special.rho(s, table=rho_t),
-                     lo, cut, (lo, hi), u, num.spec)
+    [value] = omega_convolutions([(u, v, False)], num)
+    return value
 
 
 def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
@@ -332,15 +438,8 @@ def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -
     rho' vanishes identically on (-inf, 1) and jumps to -1 at s = 1, so the
     lower limit is advanced to 1 analytically rather than sampling the jump.
     """
-    _check_finite(u, v)
-    rho_t, omega_t = num.rho, num.omega
-    hi = u - 1.0
-    lo = min(max(v, 1.0), hi)
-    # rho'(s) = -rho(s-1)/s dies once s - 1 passes the rho support.
-    cut = min(hi, special.rho_support_hi(rho_t) + 1.0)
-    return _integral(
-        lambda s: special.omega(u - s, table=omega_t) * special._rho_prime_ext(s, table=rho_t),
-        lo, cut, (lo, hi), u, num.spec)
+    [value] = omega_convolutions([(u, v, True)], num)
+    return value
 
 
 def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
@@ -356,5 +455,7 @@ def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> Convol
     support = special.rho_support_hi(rho_t)
     cut_hi = min(hi, support)            # rho(s) dead beyond
     cut_lo = max(lo, u - support)        # rho(u-s) dead below
-    return _integral(lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t),
-                     cut_lo, cut_hi, (lo, hi), u, num.spec)
+    [value] = _integrals(
+        _single(lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t)),
+        [(cut_lo, cut_hi, (lo, hi), u)], num.spec)
+    return value

@@ -139,17 +139,21 @@ def _require_theta_pre(p: ScaledParams):
         raise DomainError("theta estimate requires x >= 3, y >= 2, z >= 1")
 
 
-def _convolution_terms(u: float, v: float, num: Numerics) -> tuple[float, float]:
+def _convolution_terms(points: list[tuple[float, float]], num: Numerics
+                       ) -> list[tuple[float, float]]:
     """C_or(u, v) and the second-order term -gamma C_or'(u, v) that theta,
-    lemma 6 and wp share.
+    lemma 6 and wp share, at each ``(u, v)`` of ``points``, every integral in
+    one quadrature pass.
 
     This is the one place the term's sign is written.  It is an open
     question: the exact weighted sums favour +gamma C_or', while only this
     sign reproduces the paper's eta(863, 80, 160) = 0.09576 (README, note on
     the sign of the second-order term).
     """
-    c_or = convolution.conv_omega_rho(u, v, num).value
-    return c_or, -EULER_GAMMA * convolution.conv_omega_rho_prime(u, v, num).value
+    values = convolution.omega_convolutions(
+        [(u, v, prime) for u, v in points for prime in (False, True)], num)
+    return [(c_or.value, -EULER_GAMMA * c_or_prime.value)
+            for c_or, c_or_prime in zip(values[::2], values[1::2])]
 
 
 def theta_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> EstimateResult:
@@ -162,7 +166,7 @@ def theta_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> Estimat
     _require_theta_pre(p)
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or, second_term = _convolution_terms(u, v, num)
+    [(c_or, second_term)] = _convolution_terms([(u, v)], num)
     main = (special.rho(u, table=num.rho) + c_or) * p.x
     second = second_term * p.x / log_y
     envelope = p.x * theta_envelope_factor(u, v, p.y, num)
@@ -298,7 +302,7 @@ def lemma6_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> Estima
         raise DomainError("requires 1 <= z <= x/y")
     u, v = p.u, p.v
     log_y = math.log(p.y)
-    c_or, second = _convolution_terms(u, v, num)
+    [(c_or, second)] = _convolution_terms([(u, v)], num)
     main = c_or * log_y
     envelope = s_error_bound(p.y, p.z, num)
     return EstimateResult(main, second, envelope, True, ())
@@ -326,11 +330,11 @@ def lemma4_bound(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> float:
 # -- DSA risk ---------------------------------------------------------------------
 
 
-def _wp_scaled(k: float, l: int, m: float, num: Numerics) -> float:
-    u = k / l
-    v = m / l
-    c_or, second = _convolution_terms(u, v, num)
-    return special.rho(u, table=num.rho) + c_or + second / (l * math.log(2.0))
+def _wp_scaled(ks: list[int], l: int, m: int, num: Numerics) -> list[float]:
+    """wp(k, l, m) at each k of ``ks``, every convolution in one quadrature pass."""
+    terms = _convolution_terms([(k / l, m / l) for k in ks], num)
+    return [special.rho(k / l, table=num.rho) + c_or + second / (l * math.log(2.0))
+            for k, (c_or, second) in zip(ks, terms)]
 
 
 def wp(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
@@ -340,17 +344,17 @@ def wp(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """
     if d.l == 0:
         raise DomainError("smoothness exponent l must be positive")
-    return _wp_scaled(d.k, d.l, d.m, num)
+    [w] = _wp_scaled([d.k], d.l, d.m, num)
+    return w
 
 
 def eta(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """DSA large-subgroup exposure probability, eta = 2 wp(k) - wp(k-1).
 
     The difference accounts for sampling n uniformly from [2**(k-1), 2**k)
-    rather than [1, 2**k).
+    rather than [1, 2**k).  Both wp share one quadrature pass.
     """
     if d.k <= 1:
         raise DomainError("eta requires k >= 2")
-    w_k = _wp_scaled(d.k, d.l, d.m, num)
-    w_km1 = _wp_scaled(d.k - 1, d.l, d.m, num)
+    w_k, w_km1 = _wp_scaled([d.k, d.k - 1], d.l, d.m, num)
     return 2.0 * w_k - w_km1

@@ -577,27 +577,26 @@ def eta_empirical(
     if d.l >= t.limit.bit_length():
         raise ResourceError(
             f"trial division needs primes up to 2^{d.l}, beyond the sieve limit {t.limit}")
+    if d.m >= d.k:
+        return 0.0, 0.0  # smooth part <= n < 2**k <= 2**m: no sample can exceed 2**m
     primes = t.primes_upto(float(1 << d.l))
     rng = np.random.Generator(np.random.Philox(key=seed))
     ns = _sample_kbit(rng, d.k, samples)
-    if d.m >= d.k:
-        hits = 0  # smooth part <= n < 2**k <= 2**m: can never exceed the threshold
+    threshold = 1 << d.m  # below 2**k, so never larger than a sample
+    if isinstance(ns, np.ndarray):
+        hits = sum(
+            int(np.count_nonzero(_smooth_parts_int64(ns[i : i + _SAMPLE_BLOCK], primes)
+                                 > threshold))
+            for i in range(0, samples, _SAMPLE_BLOCK))
     else:
-        threshold = 1 << d.m  # below 2**k, so never larger than a sample
-        if isinstance(ns, np.ndarray):
-            hits = sum(
-                int(np.count_nonzero(_smooth_parts_int64(ns[i : i + _SAMPLE_BLOCK], primes)
-                                     > threshold))
-                for i in range(0, samples, _SAMPLE_BLOCK))
+        # Σ log2 p is the primorial's size; below a group product's, the
+        # primorial is small enough to take gcds with directly.
+        if np.log2(primes).sum() > _GCD_GROUP * d.k:
+            parts = _smooth_parts_grouped(ns, primes.tolist())
         else:
-            # Σ log2 p is the primorial's size; below a group product's, the
-            # primorial is small enough to take gcds with directly.
-            if np.log2(primes).sum() > _GCD_GROUP * d.k:
-                parts = _smooth_parts_grouped(ns, primes.tolist())
-            else:
-                primorial = _product_tree(primes.tolist())
-                parts = (_smooth_part_bigint(n, primorial) for n in ns)
-            hits = sum(1 for s in parts if s > threshold)
+            primorial = _product_tree(primes.tolist())
+            parts = (_smooth_part_bigint(n, primorial) for n in ns)
+        hits = sum(1 for s in parts if s > threshold)
     est = hits / samples
     std_err = math.sqrt(est * (1.0 - est) / samples)
     return est, std_err

@@ -267,7 +267,8 @@ def validate_convolution(
             return special.omega_prime(u - s, table=ot) * special.rho(s, table=rt)
 
         pieces = convolution._knot_points(v, u - 1.0, u)
-        integral, _err = convolution._integrate_pieces(f, pieces, num.spec)
+        [(integral, _err)] = convolution._integrate_pieces(
+            convolution._single(f), [pieces], num.spec)
         worst = max(worst, abs(lhs - (boundary + integral)))
     add("integration_by_parts", worst <= 1e-8,
         f"max defect {_fmt(worst)} across 4 (u, v) pairs (tol 1e-8)")

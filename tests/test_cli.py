@@ -578,6 +578,16 @@ PINNED_STDOUT = [
      "c86fea9db44920e6999ec202ed55328abec9de5b8a3c40a806127e141944dfd2"),
     (("dsa-risk", "--k", "100", "--l", "14", "--m", "30", "--empirical", "2000", "--seed", "7"),
      "43af5f4f2c48e32618261d0aaba436c534b30d525dcee5d6bb775220da993f16"),
+    # eta alone: the headline; u = 100, where C_or and C_or' are cut at
+    # different knots and pieces are bisected; m < l, so v < 1.
+    (("dsa-risk", "--k", "863", "--l", "80", "--m", "160"),
+     "8de7d50b897f0531d5386474be471c1b5179e8537ab23cda775900517afda48e"),
+    (("dsa-risk", "--k", "4000", "--l", "40", "--m", "60"),
+     "554773c470be1cb5cb0412e43ecdb448b259d2bd685ed846b5af205b55370ab3"),
+    (("dsa-risk", "--k", "100", "--l", "20", "--m", "10"),
+     "8dacd5c8be56fa21c435a153931f6c0ee66e87c0b7ca38469f6e25e801413bfa"),
+    (("validate", "estimators"),
+     "ab666b701c4fbabbc6b0d30fce3711a6c7e4ee669e526a1fd276f80cb99c5801"),
 ]
 
 

@@ -140,16 +140,16 @@ class TestConvolutionProperties:
 
     def test_integration_by_parts(self, dickman, buchstab):
         from smoothdiv import omega, omega_prime
-        from smoothdiv.convolution import _integrate_pieces, _knot_points
+        from smoothdiv.convolution import _integrate_pieces, _knot_points, _single
 
         for (u, v) in [(4.0, 1.2), (6.5, 1.0), (9.25, 2.5)]:
             lhs = conv_omega_rho_prime(u, v).value
             boundary = (omega(1.0, buchstab) * rho(u - 1.0, dickman)
                         - omega(u - v, buchstab) * rho(v, dickman))
             pieces = _knot_points(v, u - 1.0, u)
-            integral, _ = _integrate_pieces(
-                lambda s: omega_prime(u - s, buchstab) * rho(s, dickman),
-                pieces, QuadratureSpec())
+            [(integral, _)] = _integrate_pieces(
+                _single(lambda s: omega_prime(u - s, buchstab) * rho(s, dickman)),
+                [pieces], QuadratureSpec())
             assert abs(lhs - (boundary + integral)) <= 1e-8
 
 

@@ -524,6 +524,20 @@ class TestEtaEmpirical:
         est, se = eta_empirical(d, 10**4, 1, sieve_small)
         assert est == 0.0 and se == 0.0
 
+    @pytest.mark.parametrize("k, l, m", [(100, 10, 100), (40, 10, 40)])
+    def test_impossible_threshold_draws_no_samples(self, sieve_small, k, l, m):
+        # m >= k is answered before a sample is drawn, on either path.
+        with pytest.warns(UserWarning):
+            d = DsaParams(k, l, m)
+        tracemalloc.start()
+        try:
+            got = eta_empirical(d, 10**6, 1, sieve_small)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (0.0, 0.0)
+        assert peak < 1 << 20
+
     def test_certain_hit(self, sieve_small):
         # l >= k makes every n its own smooth part; m < k-1 then guarantees
         # smooth part >= 2**(k-1) > 2**m.

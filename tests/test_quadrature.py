@@ -11,8 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from smoothdiv import DsaParams, cli, convolution, eta, rho, special
-from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points
+from smoothdiv import (DsaParams, ScaledParams, cli, convolution, eta, rho, special,
+                       theta_estimate, wp)
+from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points, _single
 from smoothdiv.validation import simpson_adaptive
 
 
@@ -125,10 +126,75 @@ def test_fallback_stops_at_subdivision_budget(monkeypatch):
     def step(s):
         return np.where(s > 0.3, 1.0, 0.0)
 
-    (value, err), calls = _passes(monkeypatch, _integrate_pieces, step, [0.0, 1.0], spec)
+    [(value, err)], calls = _passes(
+        monkeypatch, _integrate_pieces, _single(step), [[0.0, 1.0]], spec)
     assert len(calls) == convolution.MAX_SUBDIVISIONS
     assert err > spec.abs_tol
     assert abs(value - 0.7) <= err
+
+
+# v < 1, where C_or starts below C_or'; v >= u - 1, where both are empty;
+# u - 1 beyond the rho support, where C_or is cut at 83 and C_or' at 84 and
+# pieces straddling the underflow are bisected.
+_BATCH_GRID = _grid() + [(5.0, 0.4), (2.2, 0.05), (3.0, 2.5), (1.5, 0.7), (100.0, 1.5),
+                         (99.975, 60.0), (93.4, 6.98)]
+
+
+def test_batch_matches_single_integrals_bit_for_bit(monkeypatch):
+    terms = [(u, v, prime) for u, v in _BATCH_GRID for prime in (False, True)]
+    batch, calls = _passes(monkeypatch, convolution.omega_convolutions, terms)
+    assert len(calls) > 1  # some pieces were bisected
+    for (u, v, prime), got in zip(terms, batch):
+        single = (convolution.conv_omega_rho_prime if prime else convolution.conv_omega_rho)(u, v)
+        assert _bits(got.value) == _bits(single.value), (u, v, prime)
+        assert _bits(got.est_abs_err) == _bits(single.est_abs_err), (u, v, prime)
+        assert got.effective_support == single.effective_support
+    empty = [got for (u, v, _), got in zip(terms, batch) if v >= u - 1.0]
+    assert len(empty) == 4 and all(c.value == 0.0 and c.est_abs_err == 0.0 for c in empty)
+
+
+def test_eta_is_two_wp_bit_for_bit():
+    grid = [(863, 80, 160), (4000, 40, 60), (100, 20, 10), (1024, 160, 200), (2048, 256, 512),
+            (300, 30, 31), (64, 16, 40), (160, 80, 100), (4096, 41, 900)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some triples lie outside k > m >= l
+        for k, l, m in grid:
+            expect = 2.0 * wp(DsaParams(k, l, m)) - wp(DsaParams(k - 1, l, m))
+            assert _bits(eta(DsaParams(k, l, m))) == _bits(expect), (k, l, m)
+
+
+def _array_calls(monkeypatch, fn, *args):
+    """Run ``fn(*args)``; return how many times ``quad`` ran and how many
+    times ``special.omega`` and ``special.rho`` were called on arrays."""
+    counts = {"quad": 0, "omega": 0, "rho": 0}
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*a, **kw):
+            if name == "quad" or np.ndim(a[0]):
+                counts[name] += 1
+            return original(*a, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(convolution, "quad")
+    recording(special, "omega")
+    recording(special, "rho")
+    fn(*args)
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("fn, args", [
+    (eta, (DsaParams(863, 80, 160),)),
+    (theta_estimate, (ScaledParams(1e12, 1e4, 1e6),)),
+])
+def test_estimate_is_one_quadrature_pass(monkeypatch, fn, args):
+    # eta needs C_or and C_or' at two u, theta both at one: all in one pass.
+    if fn is theta_estimate:
+        assert theta_estimate(*args).in_theorem_domain
+    assert _array_calls(monkeypatch, fn, *args) == {"quad": 1, "omega": 1, "rho": 1}
 
 
 @pytest.mark.parametrize("table_fn", [special.default_dickman, special.default_buchstab])
