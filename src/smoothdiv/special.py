@@ -10,15 +10,18 @@ represented by one polynomial per unit interval, expanded around the interval
 midpoint and produced by integrating the previous segment's series term by
 term; continuity at the left knot fixes the constant term.
 
-Construction runs in decimal arithmetic well above double precision and the
-result is rounded to doubles.  That matters for rho, which decays below
-1e-220 across the default table while construction errors persist instead of
+Construction runs in binary fixed point: every coefficient is a Python
+integer in units of 2**-P, with 2**-P far below double resolution, and the
+result is rounded to doubles.  That matters for rho, which decays below 1e-220
+across the default table while construction errors persist instead of
 decaying (a perturbation of the solution obeys the same delay ODE and shrinks
-only logarithmically).  Two knobs keep the persistent error floor far below
-the smallest table values: the segment degree grows with the range (series
-truncation injects ~3**-degree; see :func:`dickman_degree_for`) and the
-working precision grows with the degree.  Rounding the finished coefficients
-to doubles then costs only evaluation-level roundoff.
+only logarithmically).  Two derived sizes keep the persistent error floor far
+below the smallest table values: the segment degree grows with the range
+(series truncation injects ~3**-degree; see :func:`dickman_degree_for`) and
+the scale P grows with the range and the degree (see :func:`_scale_bits`).
+Rounding the finished coefficients to doubles then costs only
+evaluation-level roundoff.  A rho table whose values would leave the double
+range is refused before any arithmetic.
 
 Each table carries a certificate: the maximum observed relative defect of the
 integrated delay-ODE identity per segment,
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from decimal import Decimal, localcontext
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -55,9 +59,13 @@ DEFAULT_TARGET_REL_ERR = 1e-10
 BUCHSTAB_DEGREE = 80
 
 _CERT_SAMPLES = 17  # identity-defect sample points per segment
+_GUARD_BITS = 64  # significant bits every fixed-point coefficient must keep
+#: -log10 of the smallest positive double (4.9e-324): a rho table reaching
+#: further down cannot be certified in doubles.
+_LOG10_INV_DOUBLE_MIN = 323.0
 
 
-# -- high-precision segment construction -------------------------------------
+# -- fixed-point segment construction -----------------------------------------
 
 
 def _log10_inv_rho(u: float) -> float:
@@ -73,85 +81,111 @@ def dickman_degree_for(u_max: float) -> int:
     error ~3**-(N+1) (the [1, 2] segment has convergence ratio 1/3 at the
     segment edge, and perturbations of the delay ODE decay only
     logarithmically).  The degree is chosen so that floor is ~16 orders below
-    rho(u_max).
+    rho(u_max); the fixed-point scale resolves the same floor (see
+    :func:`_scale_bits`).
     """
     digits = _log10_inv_rho(u_max) + 26.0
     return max(64, int(math.ceil(digits * math.log(10.0) / math.log(3.0))))
 
 
-def _construction_precision(degree: int) -> int:
-    """Decimal digits so construction roundoff stays below the truncation floor."""
-    return 100 + int(math.ceil(0.48 * (degree + 1)))
+def _scale_bits(digits: float, degree: int) -> int:
+    """Binary scale P of the construction: coefficients are integers in units
+    of 2**-P.
+
+    P resolves ``digits`` decimal digits below 1, plus two bits per degree
+    for the series tails, whose last coefficients sit up to ~2**-(2 degree)
+    below the segment's leading ones, plus ``_GUARD_BITS``.  The smallest tail
+    coefficients may lie below the smallest double, and their signs survive
+    rounding to +-0 only if P resolves them too.
+    """
+    return math.ceil(digits * math.log2(10.0)) + 2 * degree + _GUARD_BITS
 
 
-def _horner_dec(coeffs, t: Decimal) -> Decimal:
-    acc = Decimal(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
+def _buchstab_bits(u_cut: float) -> int:
+    """Scale of the omega table.
+
+    Past c[0] = ~e**-gamma its coefficients follow omega - e**-gamma, which
+    decays somewhat faster than rho (2**-11656 against ~2**-11311 for the
+    rho estimate at u = 1000), so the estimate gets a quarter more room.
+    """
+    return _scale_bits(1.25 * _log10_inv_rho(u_cut) + 26.0, BUCHSTAB_DEGREE)
+
+
+def _at_half(coeffs, sign: int) -> int:
+    """The fixed-point polynomial ``coeffs`` at t = sign/2 (Horner by shifts)."""
+    acc = 0
+    if sign > 0:
+        for c in reversed(coeffs):
+            acc = c + (acc >> 1)
+    else:
+        for c in reversed(coeffs):
+            acc = c - (acc >> 1)
     return acc
 
 
-def _dickman_segments(u_max: int, degree: int, prec: int) -> list[list[Decimal]]:
-    """Midpoint-series coefficients of rho on [k, k+1] for k = 0..u_max-1."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        half = Decimal(1) / 2
-        segments = [[Decimal(1)] + [Decimal(0)] * degree]
-        for k in range(1, u_max):
-            prev = segments[-1]
-            a = Decimal(2 * k + 1) / 2  # midpoint of [k, k+1]
-            # Series of rho(u-1)/u around the midpoint: rho(u-1) has the
-            # previous segment's coefficients verbatim (same offset), and
-            # division by u = a + t is the stable first-order recurrence.
-            q = [Decimal(0)] * degree
-            q[0] = prev[0] / a
-            for j in range(1, degree):
-                q[j] = (prev[j] - q[j - 1]) / a
-            c = [Decimal(0)] * (degree + 1)
-            for j in range(1, degree + 1):
-                c[j] = -q[j - 1] / j
-            # Continuity at the left knot: value at t=-1/2 must equal the
-            # previous segment's value at t=+1/2.
-            rho_left = _horner_dec(prev, half)
-            tail = _horner_dec(c[1:], -half) * (-half)
-            c[0] = rho_left - tail
-            segments.append(c)
-    return segments
-
-
-def _buchstab_segments(u_cut: int, degree: int, prec: int) -> list[list[Decimal]]:
-    """Midpoint-series coefficients of omega on [k, k+1] for k = 1..u_cut-1."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        half = Decimal(1) / 2
-        # Segment [1, 2]: omega(u) = 1/u = 1/(3/2 + t), a plain geometric series.
-        a0 = Decimal(3) / 2
-        w = [Decimal(0)] * (degree + 1)
-        w[0] = 1 / a0
+def _dickman_segments(u_max: int, degree: int, bits: int) -> Iterator[list[int]]:
+    """Midpoint-series coefficients of rho on [k, k+1] for k = 0..u_max-1, in
+    units of 2**-bits, one segment at a time."""
+    c = [1 << bits] + [0] * degree
+    yield c
+    for k in range(1, u_max):
+        prev = c
+        d = 2 * k + 1  # the midpoint of [k, k+1] is d/2
+        # Series of rho(u-1)/u around the midpoint: rho(u-1) has the previous
+        # segment's coefficients verbatim (same offset), and division by
+        # u = d/2 + t is the stable first-order recurrence q[j] = (prev[j] -
+        # q[j-1]) / (d/2); integrating term by term gives c[j] = -q[j-1] / j.
+        c = [0] * (degree + 1)
+        q = 0
         for j in range(1, degree + 1):
-            w[j] = -w[j - 1] / a0
-        segments = [w]
-        for i in range(1, u_cut - 1):
-            prev = segments[-1]
-            a = Decimal(2 * i + 3) / 2  # midpoint of [i+1, i+2]
-            # Work with p(u) = u*omega(u), whose derivative is omega(u-1).
-            p = [Decimal(0)] * (degree + 1)
-            for j in range(1, degree + 1):
-                p[j] = prev[j - 1] / j
-            omega_left = _horner_dec(prev, half)
-            target = (i + 1) * omega_left  # p at the left knot
-            tail = _horner_dec(p[1:], -half) * (-half)
-            p[0] = target - tail
-            c = [Decimal(0)] * (degree + 1)
-            c[0] = p[0] / a
-            for j in range(1, degree + 1):
-                c[j] = (p[j] - c[j - 1]) / a
-            segments.append(c)
-    return segments
+            q = 2 * (prev[j - 1] - q) // d
+            c[j] = -q // j
+        # Continuity at the left knot: value at t=-1/2 must equal the
+        # previous segment's value at t=+1/2.
+        c[0] = _at_half(prev, 1) - _at_half(c, -1)
+        yield c
 
 
-def _to_float_array(segments) -> np.ndarray:
-    return np.array([[float(c) for c in seg] for seg in segments], dtype=float)
+def _buchstab_segments(u_cut: int, degree: int, bits: int) -> Iterator[list[int]]:
+    """Midpoint-series coefficients of omega on [k, k+1] for k = 1..u_cut-1,
+    in units of 2**-bits, one segment at a time."""
+    # Segment [1, 2]: omega(u) = 1/u = 1/(3/2 + t), a plain geometric series.
+    c = [(2 << bits) // 3]
+    for _ in range(degree):
+        c.append(-2 * c[-1] // 3)
+    yield c
+    for i in range(1, u_cut - 1):
+        prev = c
+        d = 2 * i + 3  # the midpoint of [i+1, i+2] is d/2
+        # Work with p(u) = u*omega(u), whose derivative is omega(u-1).
+        p = [0] + [prev[j - 1] // j for j in range(1, degree + 1)]
+        # p at the left knot is (i+1) times omega there.
+        p[0] = (i + 1) * _at_half(prev, 1) - _at_half(p, -1)
+        c = [2 * p[0] // d]
+        for j in range(1, degree + 1):
+            c.append(2 * (p[j] - c[-1]) // d)
+        yield c
+
+
+def _to_doubles(kind: str, segs: Iterator[list[int]], bits: int) -> np.ndarray:
+    """The fixed-point coefficients rounded to doubles, one row per segment.
+
+    Int true division rounds correctly, subnormals and the sign of zero
+    included.  Raises :class:`ConstructionError` if a coefficient of a
+    segment past the first keeps fewer than ``_GUARD_BITS`` significant bits,
+    since its rounding (or the sign of its underflow) would then be noise.
+    """
+    scale = 1 << bits
+    rows = [np.array([c / scale for c in next(segs)])]
+    for seg in segs:
+        kept = min(abs(c).bit_length() for c in seg)
+        if kept < _GUARD_BITS:
+            raise ConstructionError(
+                f"{kind} table fixed-point scale 2**-{bits} keeps only {kept} significant "
+                f"bits of a coefficient (need {_GUARD_BITS})"
+            )
+        rows.append(np.array([c / scale for c in seg]))
+    return np.array(rows)
 
 
 # -- certificates -------------------------------------------------------------
@@ -199,9 +233,9 @@ def _certify_buchstab(table: PiecewiseFunction) -> np.ndarray:
 # -- table builders -----------------------------------------------------------
 
 
-def _certified(kind: str, knots: np.ndarray, segs, target_rel_err: float,
+def _certified(kind: str, knots: np.ndarray, coeffs: np.ndarray, target_rel_err: float,
                certify) -> PiecewiseFunction:
-    """The table of ``segs`` on ``knots`` carrying the per-segment defect that
+    """The table of ``coeffs`` on ``knots`` carrying the per-segment defect that
     ``certify`` measures on it.
 
     Raises :class:`ConstructionError` if the defect exceeds ``target_rel_err``
@@ -210,7 +244,7 @@ def _certified(kind: str, knots: np.ndarray, segs, target_rel_err: float,
     table = PiecewiseFunction(
         kind=kind,
         knots=knots,
-        coeffs=_to_float_array(segs),
+        coeffs=coeffs,
         target_rel_err=float(target_rel_err),
         certificate=np.zeros(knots.size - 1),
     )
@@ -234,14 +268,23 @@ def build_dickman_table(
 
     The degree grows with ``u_max`` (see :func:`dickman_degree_for`) so the
     series-truncation floor stays far below the smallest table values.
-    Raises :class:`ConstructionError` if the resulting table's delay-ODE
-    defect certificate exceeds ``target_rel_err`` on any segment.
+    Raises :class:`ConstructionError`, before any arithmetic, if rho(u_max)
+    lies below the smallest double (about u_max >= 136), and after the build
+    if the table's delay-ODE defect certificate exceeds ``target_rel_err`` on
+    any segment.
     """
     if u_max < 2:
         raise DomainError("need u_max >= 2")
+    depth = _log10_inv_rho(u_max)
+    if depth > _LOG10_INV_DOUBLE_MIN:
+        raise ConstructionError(
+            f"dickman table u_max={u_max} cannot be certified: rho(u_max) ~ 1e-{depth:.0f} "
+            f"lies below the smallest double"
+        )
     degree = dickman_degree_for(u_max)
-    segs = _dickman_segments(int(u_max), degree, _construction_precision(degree))
-    return _certified(KIND_DICKMAN, np.arange(0, int(u_max) + 1, dtype=float), segs,
+    bits = _scale_bits(_log10_inv_rho(u_max) + 26.0, degree)
+    coeffs = _to_doubles(KIND_DICKMAN, _dickman_segments(int(u_max), degree, bits), bits)
+    return _certified(KIND_DICKMAN, np.arange(0, int(u_max) + 1, dtype=float), coeffs,
                       target_rel_err, _certify_dickman)
 
 
@@ -253,9 +296,10 @@ def build_buchstab_table(
     ``BUCHSTAB_DEGREE``."""
     if u_cut < 3:
         raise DomainError("need u_cut >= 3")
-    segs = _buchstab_segments(int(u_cut), BUCHSTAB_DEGREE,
-                              _construction_precision(BUCHSTAB_DEGREE))
-    return _certified(KIND_BUCHSTAB, np.arange(1, int(u_cut) + 1, dtype=float), segs,
+    bits = _buchstab_bits(u_cut)
+    coeffs = _to_doubles(KIND_BUCHSTAB, _buchstab_segments(int(u_cut), BUCHSTAB_DEGREE, bits),
+                         bits)
+    return _certified(KIND_BUCHSTAB, np.arange(1, int(u_cut) + 1, dtype=float), coeffs,
                       target_rel_err, _certify_buchstab)
 
 
@@ -425,23 +469,21 @@ def omega_prime(u, table: PiecewiseFunction | None = None):
 
 
 def omega_deviations_decimal() -> list[float]:
-    """|omega(k) - e**-gamma| for k = 3..15, computed in decimal arithmetic.
+    """|omega(k) - e**-gamma| for k = 3..15, computed far above double precision.
 
     The deviations decay below double resolution around k = 13, so the
-    monotonicity of their magnitudes is checked here at high precision rather
-    than from the rounded table.
+    monotonicity of their magnitudes is checked here on the fixed-point
+    construction rather than on the rounded table, against e**-gamma to 60
+    digits scaled exactly to the same fixed point.
     """
-    prec = 60
-    segs = _buchstab_segments(DEFAULT_OMEGA_U_CUT, BUCHSTAB_DEGREE, prec)
-    out = []
+    bits = _buchstab_bits(DEFAULT_OMEGA_U_CUT)
+    segs = list(_buchstab_segments(DEFAULT_OMEGA_U_CUT, BUCHSTAB_DEGREE, bits))
     with localcontext() as ctx:
-        ctx.prec = prec
-        # gamma to 50 digits, well beyond the 60-digit working precision needs.
+        ctx.prec = 60
+        # gamma to 50 digits; e**-gamma at 60-digit working precision.
         gamma = Decimal("0.57721566490153286060651209008240243104215933593992")
-        exp_neg_gamma = (-gamma).exp()
-        half = Decimal(1) / 2
-        for k in range(3, 16):
-            seg = segs[k - 2]  # segment [k-1, k]; right edge is u = k
-            val = _horner_dec(seg, half)
-            out.append(float(abs(val - exp_neg_gamma)))
-    return out
+        num, den = (-gamma).exp().as_integer_ratio()
+    exp_neg_gamma = (num << bits) // den
+    scale = 1 << bits
+    # segs[k - 2] is the segment [k-1, k]; its right edge is u = k.
+    return [abs(_at_half(segs[k - 2], 1) - exp_neg_gamma) / scale for k in range(3, 16)]

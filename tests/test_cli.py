@@ -451,6 +451,19 @@ class TestConfig:
         assert code == EXIT_RESOURCE
         assert err.startswith("resource error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw", [{"rho_u_max": 100000},
+                                     {"rho_u_max": 136, "target_rel_err": 1.0}])
+    def test_uncertifiable_rho_ceiling_is_resource_error(self, tmp_path, capsys, raw):
+        # rho(u_max) below the smallest double: refused at once, not after a
+        # build that cannot succeed (at u_max = 100000, one of degree 1.18M).
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli.main(["--config", str(cfg), "special", "--fn", "rho", "--u", "3"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_RESOURCE and out == ""
+        assert err.startswith("resource error: dickman table u_max=") and err.count("\n") == 1
+        assert "cannot be certified" in err
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -591,12 +604,31 @@ PINNED_STDOUT = [
 ]
 
 
+# The same, on tables built to a non-default size.  Recorded before the table
+# construction moved from Decimal to binary fixed point.
+SMALL_TABLES = {"rho_u_max": 30, "omega_u_cut": 20}
+PINNED_STDOUT_SMALL_TABLES = [
+    (("special", "--fn", "rho", "--u", "7.3"),
+     "be4faa839969f5c9640d7b279ea9b4e0e564474e5558b3fde81bda7774bccdc0"),
+    (("validate", "special"), "05a2e4b7221e64b7663aa9e18351470773e4ab17f676c4f05cc4ce74fb2c7547"),
+]
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv, digest", PINNED_STDOUT,
                              ids=[" ".join(argv) for argv, _ in PINNED_STDOUT])
     def test_stdout_bytes(self, argv, digest, capsys, monkeypatch):
         monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
         assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", PINNED_STDOUT_SMALL_TABLES,
+                             ids=[" ".join(argv) for argv, _ in PINNED_STDOUT_SMALL_TABLES])
+    def test_stdout_bytes_small_tables(self, argv, digest, capsys, tmp_path):
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(SMALL_TABLES))
+        assert cli.main(["--config", str(cfg), *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

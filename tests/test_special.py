@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from smoothdiv import (
     ConstructionError,
+    build_buchstab_table,
     DomainError,
     EULER_GAMMA,
     EXP_GAMMA,
@@ -17,10 +19,19 @@ from smoothdiv import (
     rho_double_prime,
     rho_prime,
 )
+from smoothdiv import special
 from smoothdiv.piecewise import save_piecewise
-from smoothdiv.special import omega_deviations_decimal
+from smoothdiv.special import dickman_degree_for, omega_deviations_decimal
 
-from oracles import RHO_3, rho_closed, rho_delay_grid, simpson_halving
+from oracles import (
+    RHO_3,
+    buchstab_coeffs_decimal,
+    dickman_coeffs_decimal,
+    omega_deviations_decimal_60,
+    rho_closed,
+    rho_delay_grid,
+    simpson_halving,
+)
 
 
 class TestConstants:
@@ -242,6 +253,56 @@ class TestConstruction:
         assert dickman.certificate.shape == (dickman.n_segments,)
         assert dickman.max_certificate <= dickman.target_rel_err
         assert buchstab.max_certificate <= buchstab.target_rel_err
+
+    @pytest.mark.parametrize("u_max", [136, 400, 100000])
+    def test_rho_below_the_doubles_is_refused_before_building(self, u_max):
+        # rho(136) ~ 1e-325 is below every double; no target, however loose,
+        # lets such a table through, and nothing is built to find that out.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstructionError, match=f"u_max={u_max} cannot be certified"):
+                build_dickman_table(u_max=u_max, target_rel_err=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_long_buchstab_table_resolves_its_tails(self):
+        # omega - e**-gamma decays faster than rho; the scale still keeps
+        # every coefficient, far past where they all round to +-0.
+        table = build_buchstab_table(u_cut=400)
+        assert table.max_certificate <= table.target_rel_err
+        assert np.all(table.coeffs[-1, 1:] == 0.0)
+
+    @pytest.mark.parametrize("build", [lambda: build_dickman_table(u_max=30),
+                                       lambda: build_buchstab_table(u_cut=20)],
+                             ids=["dickman", "buchstab"])
+    def test_too_coarse_scale_fails_loudly(self, build, monkeypatch):
+        # A scale that cannot resolve the series tails would round their
+        # signs at random; the build names the scale instead.
+        monkeypatch.setattr(special, "_scale_bits", lambda digits, degree: 200)
+        with pytest.raises(ConstructionError, match=r"scale 2\*\*-200 keeps only"):
+            build()
+
+
+class TestAgainstDecimalConstruction:
+    """The fixed-point tables against the same recurrences run in Decimal
+    (tests/oracles.py), bit for bit: the int64 views make signed zeros count."""
+
+    @pytest.mark.parametrize("u_max", [2, 3, 5, 12, 30, 64, 100])
+    def test_dickman_coefficients(self, u_max):
+        got = build_dickman_table(u_max=u_max).coeffs
+        want = dickman_coeffs_decimal(u_max, dickman_degree_for(u_max))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("u_cut", [3, 10, 20, 30])
+    def test_buchstab_coefficients(self, u_cut):
+        got = build_buchstab_table(u_cut=u_cut).coeffs
+        want = buchstab_coeffs_decimal(u_cut, special.BUCHSTAB_DEGREE)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_omega_deviations(self):
+        assert omega_deviations_decimal() == omega_deviations_decimal_60()
 
 
 def _sha256_of_saved(table, tmp_path):
