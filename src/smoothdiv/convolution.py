@@ -19,9 +19,12 @@ Gauss-Kronrod rule ``dqk21`` (Piessens, de Doncker-Kapenga, Ueberhuber &
 Kahaner, *QUADPACK*, 1983): ``eta`` hands :func:`omega_convolutions` C_or and
 C_or' at two u, four integrals, and the tables are evaluated once on the flat
 array of every node of every piece, each node with its own integral's
-integrand.  Each piece gets the rule's value and error estimate, computed
-with the Fortran routine's nodes, weights and order of operations, so a piece
-has the same bits in a batch as alone.  A piece is accepted by the first-pass
+integrand.  A batch's integrand is ``f(s, owner)``: ``s`` is that flat node
+array and ``owner[k]`` the index of the integral node ``s[k]`` belongs to, so
+the pieces of different integrals may sit in a pass in any order.  Each
+piece gets the rule's value and error estimate, computed with the Fortran
+routine's nodes, weights and order of operations, so a piece has the same
+bits in a batch as alone.  A piece is accepted by the first-pass
 test of QUADPACK's adaptive routine ``dqagse``, with its own integral's
 tolerance.  The few it rejects (in practice, pieces straddling the point
 where rho underflows to 0) are refined by repeatedly bisecting each one's
@@ -32,7 +35,6 @@ one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -207,50 +209,39 @@ def _knot_points(lo: float, hi: float, shifts_from: float | None) -> list[float]
     return merged
 
 
-#: The integrands of a batch: one node array per integral in, each
-#: integral's integrand values on its own nodes out.
-Evaluate = Callable[[list[np.ndarray]], list[np.ndarray]]
+#: The integrand of a batch: ``f(s, owner)`` takes the flat array of nodes
+#: and, for each node, the index of the integral it belongs to.
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _pass(evaluate: Evaluate, counts: list[int], a, b):
-    """One :func:`quad` pass over the pieces ``[a[i], b[i]]``: the first
-    ``counts[0]`` belong to integral 0, the next ``counts[1]`` to integral 1,
-    and so on.
-
-    ``evaluate`` gets one node array per integral, empty where an integral
-    has no piece in the pass, and returns each integral's integrand on them.
-    """
-    ends = list(itertools.accumulate(21 * c for c in counts))  # quad's 21 nodes a piece
-
-    def f(s):
-        # A scalar s is one node of a one-integral batch (scipy's quad calls
-        # the integrand that way).
-        flat = np.reshape(s, -1)
-        parts = [flat[i:j] for i, j in zip([0] + ends, ends)]
-        return np.concatenate(evaluate(parts)).reshape(np.shape(s))
-
-    return quad(f, a, b)
+def _pass(f: Integrand, owner: np.ndarray, a, b):
+    """One :func:`quad` pass over the pieces ``[a[i], b[i]]``, piece ``i``
+    belonging to integral ``owner[i]``."""
+    node_owner = np.repeat(owner, 21)  # quad's 21 nodes a piece, in piece order
+    # scipy's quad calls the integrand one scalar node at a time, on a batch
+    # of one integral.
+    return quad(lambda s: f(s, node_owner if np.ndim(s) else owner[0]), a, b)
 
 
-def _integrate_pieces(evaluate: Evaluate, points: list[list[float]], spec: QuadratureSpec
+def _integrate_pieces(f: Integrand, points: list[list[float]], spec: QuadratureSpec
                       ) -> list[tuple[float, float]]:
     """Integral over ``[points[i][0], points[i][-1]]`` and its error estimate
     for each integral ``i``; an integral with fewer than two points is 0.
 
-    ``evaluate`` is as in :func:`_pass`: every piece of every integral goes
-    through one pass, each node with its own integral's integrand.  Each
-    piece between consecutive points of integral ``i`` gets tolerance
-    ``abs_tol / npieces_i`` and ``rel_tol``, as ``dqagse`` would with
-    ``epsabs`` and ``epsrel``; each integral's piece values and errors are
-    summed in piece order.
+    Every piece of every integral goes through one pass of ``f`` (see
+    :func:`_pass`).  Each piece between consecutive points of integral ``i``
+    gets tolerance ``abs_tol / npieces_i`` and ``rel_tol``, as ``dqagse``
+    would with ``epsabs`` and ``epsrel``; each integral's piece values and
+    errors are summed in piece order.
     """
     counts = [max(len(p) - 1, 0) for p in points]
+    owner = np.repeat(np.arange(len(points)), counts)
     a = np.array([x for p in points for x in p[:-1]], dtype=float)
     b = np.array([x for p in points for x in p[1:]], dtype=float)
     epsabs = np.repeat([spec.abs_tol / max(c, 1) for c in counts], counts)
     result = abserr = np.zeros(0)
     if a.size:
-        result, abserr, resabs, resasc = _pass(evaluate, counts, a, b)
+        result, abserr, resabs, resasc = _pass(f, owner, a, b)
         # dqagse's first-pass exit: converged with an unsaturated error
         # estimate, an exact zero error, or round-off already dominating it.
         errbnd = np.maximum(epsabs, spec.rel_tol * np.abs(result))
@@ -258,29 +249,24 @@ def _integrate_pieces(evaluate: Evaluate, points: list[list[float]], spec: Quadr
             abserr <= errbnd, abserr != resasc, abserr <= 100.0 * _EPMACH * resabs)
         rejected = np.flatnonzero(~accept)
         if rejected.size:
-            owner = np.repeat(np.arange(len(points)), counts)[rejected]
             result[rejected], abserr[rejected] = _bisect(
-                evaluate, owner.tolist(), len(points), a[rejected], b[rejected],
+                f, owner[rejected], a[rejected], b[rejected],
                 result[rejected], abserr[rejected], epsabs[rejected], spec)
-    vals, errs = result.tolist(), abserr.tolist()
-    sums = []
-    start = 0
-    for c in counts:
-        sums.append(_sum_parts(zip(vals[start:start + c], errs[start:start + c])))
-        start += c
-    return sums
+    # bincount adds each integral's pieces in index order, i.e. piece order
+    # (its result is int when there are no pieces at all).
+    sums = [np.bincount(owner, x, len(points)).astype(float).tolist() for x in (result, abserr)]
+    return list(zip(*sums))
 
 
-def _bisect(evaluate: Evaluate, owner: list[int], n: int, a, b, result, abserr, epsabs,
+def _bisect(f: Integrand, owner: np.ndarray, a, b, result, abserr, epsabs,
             spec: QuadratureSpec):
     """Refine rejected pieces by bisecting each one's largest-error subinterval.
 
-    Piece ``i`` belongs to integral ``owner[i]`` of ``n`` (``owner`` is
-    non-decreasing).  One :func:`_pass` per round covers the halves of every
-    piece still refining, whichever integral it belongs to.  A piece stops
-    once its summed error is within ``max(epsabs[i], rel_tol * |value|)`` or
-    it holds ``MAX_SUBDIVISIONS`` subintervals; either way its current value
-    and error are returned.
+    Piece ``i`` belongs to integral ``owner[i]``.  One :func:`_pass` per round
+    covers the halves of every piece still refining, whichever integral it
+    belongs to.  A piece stops once its summed error is within
+    ``max(epsabs[i], rel_tol * |value|)`` or it holds ``MAX_SUBDIVISIONS``
+    subintervals; either way its current value and error are returned.
     """
     # parts[i]: piece i's subintervals in order, as (lo, hi, value, error).
     parts = [[p] for p in zip(a.tolist(), b.tolist(), result.tolist(), abserr.tolist())]
@@ -289,14 +275,12 @@ def _bisect(evaluate: Evaluate, owner: list[int], n: int, a, b, result, abserr, 
     while active:
         worst = [max(range(len(parts[i])), key=lambda j: parts[i][j][3]) for i in active]
         lo, hi = [], []
-        counts = [0] * n
         for i, j in zip(active, worst):
             left, right = parts[i][j][:2]
             mid = 0.5 * (left + right)
             lo += [left, mid]
             hi += [mid, right]
-            counts[owner[i]] += 2
-        vals, errs, _, _ = _pass(evaluate, counts, lo, hi)
+        vals, errs, _, _ = _pass(f, np.repeat(owner[active], 2), lo, hi)
         halves = list(zip(lo, hi, vals.tolist(), errs.tolist()))
         for k, (i, j) in enumerate(zip(active, worst)):
             parts[i][j:j + 1] = halves[2 * k:2 * k + 2]
@@ -320,41 +304,52 @@ def _sum_parts(parts) -> tuple[float, float]:
     return value, err
 
 
-def _single(f: Callable[[np.ndarray], np.ndarray]) -> Evaluate:
-    """``f`` as the ``evaluate`` of a batch holding one integral."""
-    return lambda parts: [f(parts[0])]
+def _single(f: Callable[[np.ndarray], np.ndarray]) -> Integrand:
+    """``f`` as the integrand of a batch holding one integral."""
+    return lambda s, owner: f(s)
 
 
-def _integrals(evaluate: Evaluate, spans, spec: QuadratureSpec) -> list[ConvolutionValue]:
+def _integrals(f: Integrand, spans, spec: QuadratureSpec) -> list[ConvolutionValue]:
     """Integral ``i`` over ``[a, b]`` for each span ``(a, b, support,
     shifts_from)``, split at the knots (see :func:`_knot_points`), all in one
     pass of :func:`_integrate_pieces`; 0 when ``b <= a``.  ``support`` is
     reported as the result's effective support."""
     points = [_knot_points(a, b, shifts) if b > a else [] for a, b, _, shifts in spans]
     return [ConvolutionValue(total, err, span[2])
-            for (total, err), span in zip(_integrate_pieces(evaluate, points, spec), spans)]
+            for (total, err), span in zip(_integrate_pieces(f, points, spec), spans)]
 
 
 def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     """Tail integral of the Dickman function, integral of rho over [v, inf).
 
-    For v < 0 this equals tau(0) since rho vanishes below 0.  The upper limit
-    is truncated at the first knot where the certified table values make the
-    remaining tail smaller than a tenth of the absolute tolerance.
+    For v < 0 this equals tau(0) since rho vanishes below 0.  The quadrature
+    stops at the first knot where the certified table values make the
+    remaining tail smaller than a tenth of the absolute tolerance; that
+    tail, integrated exactly from the table's polynomials, is added back
+    when it exceeds the relative tolerance of the value: from v ~ 7 on, and
+    from v = 13 on it is all of tau.
     """
     _check_finite(v)
     rho_t = num.rho
     lo = max(float(v), 0.0)
-    hi = _tau_cutoff(lo, rho_t, num.spec)
+    support_hi = special.rho_support_hi(rho_t)
+    hi = _tau_cutoff(lo, support_hi, rho_t, num.spec)
     [value] = _integrals(_single(lambda s: special.rho(s, table=rho_t)),
                          [(lo, hi, (lo, hi), None)], num.spec)
-    return value.value
+    total = value.value
+    bound = num.spec.rel_tol * abs(total)
+    # The tail past hi is below abs_tol/10, so only a small total can need it.
+    if num.spec.abs_tol / 10.0 > bound:
+        tail = rho_t.integral(hi, support_hi)
+        if tail > bound:
+            total += tail
+    return total
 
 
-def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> float:
+def _tau_cutoff(lo: float, support_hi: float, rho_t: PiecewiseFunction,
+                spec: QuadratureSpec) -> float:
     """First knot where rho's monotone decay bounds the remaining tail below
     abs_tol/10 (rho is decreasing beyond 1, so tail <= rho(k) * remaining length)."""
-    support_hi = special.rho_support_hi(rho_t)
     k = max(math.ceil(lo), 1)
     while k < support_hi:
         remaining = support_hi - k
@@ -364,41 +359,26 @@ def _tau_cutoff(lo: float, rho_t: PiecewiseFunction, spec: QuadratureSpec) -> fl
     return support_hi
 
 
-def _omega_products(terms: list[tuple[float, bool]], num: Numerics) -> Evaluate:
-    """The ``evaluate`` of the batch whose integral ``i`` has the integrand
-    omega(u - s) rho(s), or omega(u - s) rho'(s) when ``terms[i]`` is
-    ``(u, True)``.
+def _omega_products(terms: list[tuple[float, bool]], num: Numerics) -> Integrand:
+    """The integrand of the batch whose integral ``i`` is omega(u - s) rho(s),
+    or omega(u - s) rho'(s) when ``terms[i]`` is ``(u, True)``.
 
-    omega is evaluated once on u - s over every node of every integral, and
-    rho once: on s for the rho integrals and on s - 1 for the rho' ones,
-    where rho'(s) = -rho(s - 1)/s for s >= 1 and 0 below
-    (``special._rho_prime_ext``).
+    omega is evaluated once on u - s over every node, and rho once: on s
+    for the rho integrals and on s - 1 for the rho' ones, where
+    rho'(s) = -rho(s - 1)/s (every rho' node has s > 1; see
+    ``special._rho_prime_ext``).
     """
     rho_t, omega_t = num.rho, num.omega
+    us = np.array([u for u, _ in terms], dtype=float)
+    primes = np.array([prime for _, prime in terms], dtype=bool)
 
-    def evaluate(parts):
-        w = special.omega(np.concatenate([u - s for (u, _), s in zip(terms, parts)]),
-                          table=omega_t)
-        live = [s >= 1.0 if prime else None for (_, prime), s in zip(terms, parts)]
-        r = special.rho(np.concatenate([s if m is None else s[m] - 1.0
-                                        for s, m in zip(parts, live)]), table=rho_t)
-        out = []
-        i = j = 0
-        for s, m in zip(parts, live):
-            w_s = w[i:i + s.size]
-            i += s.size
-            if m is None:
-                out.append(w_s * r[j:j + s.size])
-                j += s.size
-            else:
-                k = j + np.count_nonzero(m)
-                factor = np.zeros_like(s)
-                factor[m] = -r[j:k] / s[m]
-                out.append(w_s * factor)
-                j = k
-        return out
+    def f(s, owner):
+        w = special.omega(us[owner] - s, table=omega_t)
+        prime = primes[owner]
+        r = special.rho(np.where(prime, s - 1.0, s), table=rho_t)
+        return w * np.where(prime, -r / s, r)
 
-    return evaluate
+    return f
 
 
 def omega_convolutions(terms: list[tuple[float, float, bool]],
@@ -422,8 +402,7 @@ def omega_convolutions(terms: list[tuple[float, float, bool]],
             lo = min(max(v, 0.0), hi)
             cut = min(hi, support)
         spans.append((lo, cut, (lo, hi), u))
-    evaluate = _omega_products([(u, prime) for u, _, prime in terms], num)
-    return _integrals(evaluate, spans, num.spec)
+    return _integrals(_omega_products([(u, prime) for u, _, prime in terms], num), spans, num.spec)
 
 
 def conv_omega_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:

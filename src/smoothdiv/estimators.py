@@ -298,6 +298,8 @@ def lemma6_estimate(p: ScaledParams, num: Numerics = DEFAULT_NUMERICS) -> Estima
 
         sum omega(u - u_d)/d = C_or(u, v) log y - gamma C_or'(u, v) + O(E(y, z)).
     """
+    if p.y < 3:
+        raise DomainError("lemma 6 requires y >= 3")
     if not (1 <= p.z <= p.x / p.y):
         raise DomainError("requires 1 <= z <= x/y")
     u, v = p.u, p.v

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothdiv import cli
+from smoothdiv import cli, convolution
 from smoothdiv.cli import (
     CONFIG_ENV_VAR,
     EXIT_DOMAIN,
@@ -95,6 +95,20 @@ class TestEstimateCommand:
         flags = json.loads(out)["flags"]
         assert "in_theorem_domain=false" in flags
         assert any("y >= exp(273034): FAIL" in f for f in flags)
+
+    def test_s_past_the_tau_cutoff_is_positive(self, capsys):
+        # v = 14: tau(v) is all tail beyond the quadrature's cutoff.
+        assert cli.main(["estimate", "s", "--y", "100", "--z", "1e28"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert float(outputs["main_term"]) > 0.0 and float(outputs["value"]) > 0.0
+
+    def test_lemma6_checks_y_before_any_quadrature(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(convolution, "quad", lambda *args: calls.append(args))
+        argv = ["estimate", "lemma6", "--x", "1e4", "--y", "2", "--z", "1"]
+        assert cli.main(argv) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "domain error: lemma 6 requires y >= 3\n"
+        assert calls == []
 
     def test_missing_flag_is_usage_error(self):
         proc = run_cli("estimate", "theta", "--x", "1e6")

@@ -15,6 +15,7 @@ from smoothdiv import (
     tau,
 )
 from smoothdiv.convolution import DEFAULT_ABS_TOL
+from smoothdiv.special import rho_support_hi
 
 from oracles import (
     CONV_OMEGA_RHO_3_15,
@@ -55,6 +56,14 @@ class TestTau:
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
             tau(float("nan"))
+
+    @pytest.mark.parametrize("v", [8.2, 10.0, 12.0, 13.0, 14.0, 20.5])
+    def test_keeps_the_tail_past_its_cutoff(self, v, dickman):
+        # From v ~ 7 on, the mass past the quadrature cutoff is most of tau:
+        # it must come back, or tau(v) is 0 from v = 13 on.
+        exact = dickman.integral(v, rho_support_hi(dickman))
+        assert exact > 0.0
+        assert tau(v) == pytest.approx(exact, rel=1e-15)
 
 
 class TestConvOmegaRho:
