@@ -46,7 +46,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -414,7 +414,10 @@ def cmd_validate(args, settings: Settings) -> tuple[str, bool]:
 _ESTIMATE_KINDS = [k for k, e in KINDS.items() if e.estimate is not None]
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one (parsing leaves it unchanged; help text is laid out per call)."""
     p = argparse.ArgumentParser(
         prog="smoothdiv",
         description="Counts and densities of integers with a large smooth divisor.",

@@ -17,11 +17,12 @@ each knot-free piece is analytic.  All pieces of every integral an estimate
 needs then go through one vectorized pass of QUADPACK's 21-point
 Gauss-Kronrod rule ``dqk21`` (Piessens, de Doncker-Kapenga, Ueberhuber &
 Kahaner, *QUADPACK*, 1983): ``eta`` hands :func:`omega_convolutions` C_or and
-C_or' at two u, four integrals, and the tables are evaluated once on the flat
-array of every node of every piece, each node with its own integral's
-integrand.  A batch's integrand is ``f(s, owner)``: ``s`` is that flat node
-array and ``owner[k]`` the index of the integral node ``s[k]`` belongs to, so
-the pieces of different integrals may sit in a pass in any order.  Each
+C_or' at two u, four integrals (:func:`rho_convolutions` batches C_rr the
+same way), and the tables are evaluated once on the flat array of every
+node of every piece, each node with its own integral's integrand.  A
+batch's integrand is ``f(s, owner)``: ``s`` is that flat node array and
+``owner[k]`` the index of the integral node ``s[k]`` belongs to, so the
+pieces of different integrals may sit in a pass in any order.  Each
 piece gets the rule's value and error estimate, computed with the Fortran
 routine's nodes, weights and order of operations, so a piece has the same
 bits in a batch as alone.  A piece is accepted by the first-pass
@@ -421,20 +422,35 @@ def conv_omega_rho_prime(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -
     return value
 
 
+def rho_convolutions(terms: list[tuple[float, float]],
+                     num: Numerics = DEFAULT_NUMERICS) -> list[ConvolutionValue]:
+    """:func:`conv_rho_rho` at each ``(u, v)`` of ``terms``, every piece of
+    every integral in one quadrature pass.
+
+    Each value is the one the single-integral function returns, to the bit.
+    """
+    rho_t = num.rho
+    support = special.rho_support_hi(rho_t)
+    spans = []
+    for u, v in terms:
+        _check_finite(u, v)
+        hi = u
+        lo = min(max(v, 0.0), hi)
+        # rho(s) is dead beyond the support, rho(u - s) below u - support.
+        spans.append((max(lo, u - support), min(hi, support), (lo, hi), u))
+    us = np.array([u for u, _ in terms], dtype=float)
+
+    def f(s, owner):
+        return special.rho(us[owner] - s, table=rho_t) * special.rho(s, table=rho_t)
+
+    return _integrals(f, spans, num.spec)
+
+
 def conv_rho_rho(u: float, v: float, num: Numerics = DEFAULT_NUMERICS) -> ConvolutionValue:
     """integral of rho(u-s) rho(s) ds over [v, u] (support-clipped).
 
     Both factors have unit-interval knots, so splits land at integer s and at
     s = u - j alike.
     """
-    _check_finite(u, v)
-    rho_t = num.rho
-    hi = u
-    lo = min(max(v, 0.0), hi)
-    support = special.rho_support_hi(rho_t)
-    cut_hi = min(hi, support)            # rho(s) dead beyond
-    cut_lo = max(lo, u - support)        # rho(u-s) dead below
-    [value] = _integrals(
-        _single(lambda s: special.rho(u - s, table=rho_t) * special.rho(s, table=rho_t)),
-        [(cut_lo, cut_hi, (lo, hi), u)], num.spec)
+    [value] = rho_convolutions([(u, v)], num)
     return value

@@ -42,10 +42,11 @@ def _fmt(x: float) -> str:
 
 
 def simpson(f, a: float, b: float, panels: int) -> float:
-    """Plain composite Simpson rule with ``panels`` even subintervals."""
+    """Plain composite Simpson rule with ``panels`` even subintervals; ``f``
+    takes the array of every node and returns the integrand there."""
     n = 2 * panels
     xs = np.linspace(a, b, n + 1)
-    ys = np.array([f(x) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
     h = (b - a) / n
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
@@ -148,9 +149,10 @@ def validate_special(
 
     # |rho'(t)| <= K rho(t) log(t+1) with a single fitted K <= 3 on [1.5, 30].
     ts = np.linspace(1.5, min(30.0, rho_hi), 572)
-    ratios = [abs(special.rho_prime(float(t), table=rt))
-              / (special.rho(float(t), table=rt) * math.log1p(float(t))) for t in ts]
-    fitted_k = max(ratios)
+    # math.log1p is the C library's; numpy's SIMD log1p can differ in the last bit.
+    logs = np.array([math.log1p(t) for t in ts.tolist()])
+    ratios = np.abs(special.rho_prime(ts, table=rt)) / (special.rho(ts, table=rt) * logs)
+    fitted_k = float(ratios.max())
     add("rho_prime_log_bound", fitted_k <= 3.0,
         f"fitted K = {_fmt(fitted_k)} (bound 3)")
 
@@ -211,30 +213,29 @@ def validate_convolution(
     def add(name, passed, detail):
         out.append(CheckResult("convolution", name, bool(passed), detail))
 
-    # Monotone decay in v (fixed u).
-    ok = True
-    for u in (3.5, 6.0, 10.7875):
-        vs = np.linspace(0.0, u - 1.0, 9)
-        for conv in (convolution.conv_omega_rho, convolution.conv_omega_rho_prime):
-            vals = [abs(conv(u, float(v), num).value) for v in vs]
-            ok = ok and all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
-        vals = [abs(convolution.conv_rho_rho(u, float(v), num).value) for v in vs]
-        ok = ok and all(a >= b - 1e-12 for a, b in zip(vals[:-1], vals[1:]))
+    # Monotone decay in v (fixed u).  Every C_or and C_or' goes through one
+    # quadrature pass and every C_rr through another; each run of 9 values
+    # is one convolution at one u, v increasing.
+    grid = [(u, float(v)) for u in (3.5, 6.0, 10.7875) for v in np.linspace(0.0, u - 1.0, 9)]
+    values = (convolution.omega_convolutions(
+        [(u, v, prime) for prime in (False, True) for u, v in grid], num)
+        + convolution.rho_convolutions(grid, num))
+    runs = [[abs(c.value) for c in values[i:i + 9]] for i in range(0, len(values), 9)]
+    ok = all(a >= b - 1e-12 for run in runs for a, b in zip(run[:-1], run[1:]))
     add("monotone_in_v", ok, "all three convolutions non-increasing in v at u = 3.5, 6, 10.7875")
 
     # Envelope: C_or <= tau(v), |C_or'| <= integral of |rho'| = rho(v) for v >= 1.
     ok = True
     worst = 0.0
-    for u in (3.0, 5.5, 9.0):
-        for v in (1.0, 1.5, 2.0, 3.0):
-            if v >= u - 1:
-                continue
-            c1 = convolution.conv_omega_rho(u, v, num).value
-            c2 = convolution.conv_omega_rho_prime(u, v, num).value
-            tv = convolution.tau(v, num)
-            ok = ok and c1 <= tv * (1.0 + 1e-10) and abs(c2) <= special.rho(v, table=rt) * (1.0 + 1e-10)
-            ok = ok and c2 <= 0.0
-            worst = max(worst, c1 / tv)
+    pairs = [(u, v) for u in (3.0, 5.5, 9.0) for v in (1.0, 1.5, 2.0, 3.0) if v < u - 1]
+    values = convolution.omega_convolutions(
+        [(u, v, prime) for u, v in pairs for prime in (False, True)], num)
+    taus = {v: convolution.tau(v, num) for _, v in pairs}
+    for (u, v), c1, c2 in zip(pairs, values[0::2], values[1::2]):
+        c1, c2, tv = c1.value, c2.value, taus[v]
+        ok = ok and c1 <= tv * (1.0 + 1e-10) and abs(c2) <= special.rho(v, table=rt) * (1.0 + 1e-10)
+        ok = ok and c2 <= 0.0
+        worst = max(worst, c1 / tv)
     add("omega_bound_envelope", ok,
         f"C_or <= tau(v) and |C_or'| <= rho(v), sign C_or' <= 0 (max C_or/tau {_fmt(worst)})")
 
@@ -242,10 +243,10 @@ def validate_convolution(
     ok = True
     moved = 0.0
     tight = num._replace(spec=replace(num.spec, abs_tol=num.spec.abs_tol / 2.0))
-    pts = [(float(u), float(v)) for u in rng.uniform(2.2, 12.0, 10) for v in rng.uniform(0.0, 2.0, 5)]
-    for u, v in pts:
-        a = convolution.conv_omega_rho(u, v, num)
-        b = convolution.conv_omega_rho(u, v, tight)
+    pts = [(float(u), float(v), False)
+           for u in rng.uniform(2.2, 12.0, 10) for v in rng.uniform(0.0, 2.0, 5)]
+    for a, b in zip(convolution.omega_convolutions(pts, num),
+                    convolution.omega_convolutions(pts, tight)):
         delta = abs(a.value - b.value)
         allowed = max(a.est_abs_err, 1e-15)
         ok = ok and delta <= allowed
@@ -256,20 +257,22 @@ def validate_convolution(
     # Integration by parts: C_or'(u, v) = [omega(u-s) rho(s)] at the ends
     # plus the integral of omega'(u-s) rho(s).  omega' jumps at its knots
     # (right-continuity), so the integral uses the same open-node piece
-    # quadrature as the convolutions; the splits land on every jump.
+    # quadrature as the convolutions; the splits land on every jump.  The
+    # four C_or' share one pass, and so do the four integrals.
+    pairs = [(4.0, 1.2), (6.5, 1.0), (9.25, 2.5), (11.0, 3.5)]
+    us = np.array([u for u, _ in pairs])
+
+    def f(s, owner):
+        return special.omega_prime(us[owner] - s, table=ot) * special.rho(s, table=rt)
+
+    lhs = convolution.omega_convolutions([(u, v, True) for u, v in pairs], num)
+    integrals = convolution._integrate_pieces(
+        f, [convolution._knot_points(v, u - 1.0, u) for u, v in pairs], num.spec)
     worst = 0.0
-    for u, v in [(4.0, 1.2), (6.5, 1.0), (9.25, 2.5), (11.0, 3.5)]:
-        lhs = convolution.conv_omega_rho_prime(u, v, num).value
+    for (u, v), c, (integral, _err) in zip(pairs, lhs, integrals):
         boundary = (special.omega(1.0, table=ot) * special.rho(u - 1.0, table=rt)
                     - special.omega(u - v, table=ot) * special.rho(v, table=rt))
-
-        def f(s):
-            return special.omega_prime(u - s, table=ot) * special.rho(s, table=rt)
-
-        pieces = convolution._knot_points(v, u - 1.0, u)
-        [(integral, _err)] = convolution._integrate_pieces(
-            convolution._single(f), [pieces], num.spec)
-        worst = max(worst, abs(lhs - (boundary + integral)))
+        worst = max(worst, abs(c.value - (boundary + integral)))
     add("integration_by_parts", worst <= 1e-8,
         f"max defect {_fmt(worst)} across 4 (u, v) pairs (tol 1e-8)")
 

@@ -615,6 +615,10 @@ PINNED_STDOUT = [
      "8dacd5c8be56fa21c435a153931f6c0ee66e87c0b7ca38469f6e25e801413bfa"),
     (("validate", "estimators"),
      "ab666b701c4fbabbc6b0d30fce3711a6c7e4ee669e526a1fd276f80cb99c5801"),
+    # Recorded before the convolution suite's checks were batched and the
+    # special suite's Simpson rule took arrays.
+    (("validate", "oracle"), "f0d6c0e4622bc9f3b993e0cc5c558f51623ed68daba6e7cbd68dff679163bd66"),
+    (("validate", "all"), "364a36cb580c6c120df7123099d7c54ba40b7b1ebc5882e00e10345fd5bc92c7"),
 ]
 
 
@@ -645,6 +649,38 @@ class TestPinnedOutput:
         assert cli.main(["--config", str(cfg), *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSharedParser:
+    """One parser serves every ``cli.main`` call in a process."""
+
+    def test_calls_stay_independent(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit) as exc:  # argparse's own usage error
+            cli.main(["special", "--fn", "nope", "--u", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert cli.main(["estimate", "theta", "--x", "1e6"]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        missing = str(tmp_path / "missing.json")
+        assert cli.main(["--config", missing, "special", "--fn", "rho", "--u", "2"]) == EXIT_USAGE
+        capsys.readouterr()
+        argv, digest = PINNED_STDOUT[0]
+        assert cli.main(list(argv)) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_help_is_laid_out_per_call(self, capsys, monkeypatch):
+        helps = {}
+        for columns in (60, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["compare", "--help"])
+            assert exc.value.code == 0
+            helps[columns] = capsys.readouterr().out
+        assert helps[60] != helps[120]
+        assert helps[60].count("\n") > helps[120].count("\n")
 
 
 # -- the exit-code contract over random argv --------------------------------------

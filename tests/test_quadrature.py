@@ -14,7 +14,7 @@ import pytest
 from smoothdiv import (DsaParams, ScaledParams, cli, convolution, eta, rho, special,
                        theta_estimate, wp)
 from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points, _single
-from smoothdiv.validation import simpson_adaptive
+from smoothdiv.validation import simpson_adaptive, validate_convolution
 
 
 def _bits(x):
@@ -161,6 +161,34 @@ def test_batch_matches_single_integrals_bit_for_bit(monkeypatch):
         assert got.effective_support == single.effective_support
     empty = [got for (u, v, _), got in zip(terms, batch) if v >= u - 1.0]
     assert len(empty) == 8 and all(c.value == 0.0 and c.est_abs_err == 0.0 for c in empty)
+
+
+# validate_convolution's 27 (u, v) points, then u on both sides of the rho
+# support cut at 83: rho(u - s) is cut at u - 83 and rho(s) at 83, pieces
+# straddling the underflow are bisected, and from u = 166 on the span is empty.
+_RHO_BATCH_GRID = ([(u, float(v)) for u in (3.5, 6.0, 10.7875) for v in np.linspace(0.0, u - 1.0, 9)]
+                   + [(82.9, 1.0), (83.0, 0.0), (83.1, 0.5), (84.0, 40.0), (93.4, 6.98),
+                      (100.0, 1.5), (99.975, 60.0), (166.0, 0.0), (170.5, 2.0)])
+
+
+def test_rho_batch_matches_conv_rho_rho_bit_for_bit(monkeypatch):
+    terms = _RHO_BATCH_GRID + _RHO_BATCH_GRID[::-1]  # reversed, so each term twice
+    batch, calls = _passes(monkeypatch, convolution.rho_convolutions, terms)
+    assert len(calls) > 1  # some pieces were bisected
+    for (u, v), got in zip(terms, batch):
+        single = convolution.conv_rho_rho(u, v)
+        assert _bits(got.value) == _bits(single.value), (u, v)
+        assert _bits(got.est_abs_err) == _bits(single.est_abs_err), (u, v)
+        assert got.effective_support == single.effective_support
+    empty = [got for (u, _), got in zip(terms, batch) if u >= 166.0]
+    assert len(empty) == 4 and all(c.value == 0.0 and c.est_abs_err == 0.0 for c in empty)
+
+
+def test_validate_convolution_batches_its_checks(monkeypatch):
+    # One pass per convolution kind per check, plus bisection rounds and
+    # one pass per tau call, is 26; a pass per integral would be 226.
+    _, calls = _passes(monkeypatch, validate_convolution)
+    assert len(calls) <= 40
 
 
 def test_eta_is_two_wp_bit_for_bit():
