@@ -7,9 +7,12 @@ every y, and its largest y-smooth divisor is 1.
 
 One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
 :func:`build_sieve` its prime list and :func:`zeta_one_y` its Euler product,
-and keeps nothing between calls.  A :class:`SieveTables` holds only that list;
-``smooth_part`` divides n by the listed primes that divide it, and the
-smallest-prime-factor table ``SieveTables.spf`` is built only if read.
+and keeps nothing between calls.  It flags the odd numbers only (Bays and
+Hudson, BIT 17, 1977), one bool per odd number, so it makes half the flags
+and half the stride writes of a sieve over all numbers; 2 is put in by hand.
+A :class:`SieveTables` holds only that list; ``smooth_part`` divides n by the
+listed primes that divide it, and the smallest-prime-factor table
+``SieveTables.spf`` is built only if read.
 Counting loops are vectorized:
 
 * smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
@@ -141,17 +144,22 @@ def sieve_primes(n: int) -> np.ndarray:
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     try:
-        is_comp = np.zeros(n + 1, dtype=bool)
+        # Odd numbers only: flag i stands for 2i + 1, and flag 0 (the number
+        # 1) is left clear to stand in for 2.
+        is_comp = np.zeros((n + 1) // 2, dtype=bool)
     except (MemoryError, ValueError):  # numpy refuses an array this large
         raise ResourceError(f"a prime sieve up to {n} does not fit in memory") from None
-    is_comp[:2] = True
-    for i in range(2, math.isqrt(n) + 1):
-        if not is_comp[i]:
-            is_comp[i * i :: i] = True
-    # Inverting in place and a no-copy cast keep the peak at the flag array
-    # plus the primes.
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if not is_comp[p // 2]:
+            is_comp[p * p // 2 :: p] = True  # odd multiples p*p, p*p + 2p, ...
+    # Inverting in place, a no-copy cast and mapping i to 2i + 1 in place keep
+    # the peak at the flag array plus the primes.
     np.logical_not(is_comp, out=is_comp)
-    return np.flatnonzero(is_comp).astype(np.int64, copy=False)
+    primes = np.flatnonzero(is_comp).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
@@ -301,8 +309,8 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
 def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
     rough = np.ones(fx + 1, dtype=bool)
     rough[0] = False
-    for p in t.primes_upto(min(y, fx)):
-        rough[int(p) :: int(p)] = False
+    for p in t.primes_upto(min(y, fx)).tolist():
+        rough[p::p] = False
     return rough
 
 
@@ -404,7 +412,9 @@ def zeta_one_y(y: float) -> float:
     primes = sieve_primes(n)
     if primes.size == 0:
         return 1.0
-    return math.exp(-math.fsum(math.log1p(-1.0 / int(p)) for p in primes))
+    # -1.0 / p is correctly rounded in numpy as in Python; math.log1p reads
+    # the quotients through a memoryview, so no list of them is built.
+    return math.exp(-math.fsum(map(math.log1p, memoryview(-1.0 / primes))))
 
 
 def _fsum_chunked(pieces, f=lambda c: c) -> float:

@@ -360,26 +360,31 @@ def validate_oracle(
     def add(name, passed, detail):
         out.append(CheckResult("oracle", name, bool(passed), detail))
 
-    # Unique decomposition n = d * e: every n <= 1e4 hit exactly once.
-    ok = True
+    # Unique decomposition n = d * e, smooth d and rough e: every n <= 1e4 is
+    # hit exactly once, and the literal partition sums over smooth d of
+    # phi(x/d) give floor(x) at spot values of x.
     cap = 10**4
+    identity_ok = sums_ok = True
     for y in (3.0, 10.0, 50.0):
-        counts = np.zeros(cap + 1, dtype=np.int64)
-        rough = np.flatnonzero(oracle._rough_indicator(cap, y, t))
-        for d in oracle.smooth_numbers(t.primes_upto(y), cap).tolist():
-            np.add.at(counts, d * rough[rough <= cap // d], 1)
-        ok = ok and bool(np.all(counts[1:] == 1))
-    add("partition_identity", ok,
+        rough = oracle._rough_indicator(cap, y, t)
+        rough_cum = np.cumsum(rough, dtype=np.int64)  # rough_cum[n] = phi(n, y)
+        e = np.flatnonzero(rough)
+        d = oracle.smooth_numbers(t.primes_upto(y), cap)
+        # Each d takes the per_d rough e up to cap // d: every product
+        # d * e <= cap, formed and counted in one pass.
+        per_d = np.searchsorted(e, cap // d, side="right")
+        starts = np.cumsum(per_d) - per_d
+        products = np.repeat(d, per_d) * e[np.arange(per_d.sum()) - np.repeat(starts, per_d)]
+        hits = np.bincount(products, minlength=cap + 1)
+        identity_ok = identity_ok and bool(np.all(hits[1:] == 1))
+        for x in (100, 5000, 9999, cap):
+            # floor(x / d) == x // d for integers, so rough_cum[x // d] is
+            # phi(x/d, y); phi_exact itself is checked once per (x, y).
+            sums_ok = (sums_ok and oracle.phi_exact(x, y, t) == rough_cum[x]
+                       and int(rough_cum[x // d[d <= x]].sum()) == x)
+    add("partition_identity", identity_ok,
         "every n <= 1e4 decomposes uniquely as smooth times rough (y = 3, 10, 50)")
-
-    # Literal partition sums at spot values of x.
-    ok = True
-    for y in (3.0, 10.0, 50.0):
-        for x in (100, 5000, 9999, 10**4):
-            total = sum(oracle.phi_exact(x / d, y, t)
-                        for d in oracle.smooth_numbers(t.primes_upto(y), x).tolist())
-            ok = ok and total == x
-    add("partition_sums", ok, "sum over smooth d of phi(x/d) equals floor(x)")
+    add("partition_sums", sums_ok, "sum over smooth d of phi(x/d) equals floor(x)")
 
     # Direct count equals decomposition count.
     ok = True
@@ -391,14 +396,14 @@ def validate_oracle(
 
     # Monotonicity of theta in each argument.
     ok = True
-    base = (10**5, 20.0, 50.0)
     for _ in range(20):
         x = float(rng.integers(10**3, 10**5))
         y = float(rng.integers(3, 200))
         z = float(rng.integers(1, 1000))
-        ok = ok and oracle.theta_exact(x, y, z, t) >= oracle.theta_exact(x, y, z * 2.0, t)
-        ok = ok and oracle.theta_exact(x, y, z, t) <= oracle.theta_exact(x * 1.5, y, z, t)
-        ok = ok and oracle.theta_exact(x, y, z, t) <= oracle.theta_exact(x, y * 1.5, z, t)
+        theta = oracle.theta_exact(x, y, z, t)
+        ok = (ok and theta >= oracle.theta_exact(x, y, z * 2.0, t)
+              and theta <= oracle.theta_exact(x * 1.5, y, z, t)
+              and theta <= oracle.theta_exact(x, y * 1.5, z, t))
     add("theta_monotone", ok, "theta non-increasing in z, non-decreasing in x and y (20 random triples)")
 
     # Mertens: zeta(1, y) / (e^gamma log y) -> 1, deviations decreasing.

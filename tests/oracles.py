@@ -7,13 +7,16 @@ trapezoid march of the defining integral recurrence with Richardson
 extrapolation.  The table coefficients are checked against the same
 midpoint-series recurrences run in ``Decimal`` arithmetic at a working
 precision that grows with the degree, then rounded to doubles through
-``float(Decimal)``.
+``float(Decimal)``.  The prime list is checked against a sieve of
+Eratosthenes that flags every number, odd and even.
 """
 
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+
+from smoothdiv.errors import ResourceError
 
 
 def simpson(f, a, b, panels):
@@ -223,3 +226,22 @@ def omega_deviations_decimal_60() -> list[float]:
             val = _horner_dec(seg, half)
             out.append(float(abs(val - exp_neg_gamma)))
     return out
+
+
+def sieve_primes_full_flags(n: int) -> np.ndarray:
+    """``oracle.sieve_primes`` as it was when it flagged every number up to n:
+    the reference its odd-only sieve must reproduce."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    try:
+        is_comp = np.zeros(n + 1, dtype=bool)
+    except (MemoryError, ValueError):  # numpy refuses an array this large
+        raise ResourceError(f"a prime sieve up to {n} does not fit in memory") from None
+    is_comp[:2] = True
+    for i in range(2, math.isqrt(n) + 1):
+        if not is_comp[i]:
+            is_comp[i * i :: i] = True
+    # Inverting in place and a no-copy cast keep the peak at the flag array
+    # plus the primes.
+    np.logical_not(is_comp, out=is_comp)
+    return np.flatnonzero(is_comp).astype(np.int64, copy=False)

@@ -29,6 +29,8 @@ from smoothdiv import (
 from smoothdiv import oracle
 from smoothdiv.oracle import WeightKind
 
+from oracles import sieve_primes_full_flags
+
 
 def brute_smooth_part(n, y):
     s, d = 1, 2
@@ -116,8 +118,19 @@ class TestSievePins:
             "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40")
 
     def test_sieve_primes_peak(self):
-        # The 10 MB flag array plus 5 MB of int64 primes; no second copy of either.
-        assert _peak_allocation(lambda: oracle.sieve_primes(10**7)) < 18 * 2**20
+        # The 5 MB odd-only flag array plus 5 MB of int64 primes; no second
+        # copy of either.
+        assert _peak_allocation(lambda: oracle.sieve_primes(10**7)) < 12 * 2**20
+
+    def test_sieve_primes_matches_full_flag_sieve(self):
+        # Every n up to 5000, and p*p and its neighbours for every prime
+        # p <= 1000: p*p is where the odd-only sieve's stride for p starts.
+        small = sieve_primes_full_flags(1000)
+        squares = [q for p in small.tolist() for q in (p * p - 1, p * p, p * p + 1)]
+        for n in [*range(5001), *squares]:
+            got = oracle.sieve_primes(n)
+            assert got.dtype == np.int64, n
+            assert np.array_equal(got, sieve_primes_full_flags(n)), n
 
     @pytest.mark.parametrize("y, expected", [
         (1, "1.0"), (2, "2.0"), (100, "8.31135737891573"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothdiv import Numerics, rho, validation
+from smoothdiv import Numerics, oracle, rho, validation
 from smoothdiv.convolution import _knot_points
 from smoothdiv.piecewise import PiecewiseFunction
 from smoothdiv.special import default_dickman, rho_support_hi
@@ -29,6 +29,52 @@ def test_estimators_suite_passes(sieve_1m):
 def test_oracle_suite_passes(sieve_1m):
     results = validation.validate_oracle(sieve=sieve_1m)
     assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+
+def _oracle_checks(sieve):
+    return {r.name: r.passed for r in validation.validate_oracle(sieve=sieve)}
+
+
+@pytest.mark.parametrize("flip", [2, 4999, 10**4])
+def test_partition_checks_catch_a_flipped_rough_flag(monkeypatch, sieve_1m, flip):
+    # The one-pass partition checks read a single rough indicator per y; one
+    # wrong flag in it must still break both identities.
+    original = oracle._rough_indicator
+
+    def flipped(fx, y, t):
+        rough = original(fx, y, t)
+        if flip <= fx:
+            rough[flip] = not rough[flip]
+        return rough
+
+    monkeypatch.setattr(oracle, "_rough_indicator", flipped)
+    passed = _oracle_checks(sieve_1m)
+    assert not passed["partition_identity"] and not passed["partition_sums"]
+
+
+def test_theta_monotone_catches_reversed_theta(monkeypatch, sieve_1m):
+    # A negated theta reverses every monotonicity the check reads.
+    original = oracle.theta_exact
+    monkeypatch.setattr(oracle, "theta_exact", lambda *a: -original(*a))
+    assert not _oracle_checks(sieve_1m)["theta_monotone"]
+
+
+def test_validate_oracle_counts_once_per_check(monkeypatch, sieve_1m):
+    # phi_exact once per (x, y) of partition_sums, 12, where a call per smooth
+    # d would be 7,798; theta_exact 27 times in theta_two_routes and 4 times
+    # per triple in theta_monotone, 107, where recomputing the middle theta in
+    # each comparison would be 147.
+    calls = {"phi_exact": 0, "theta_exact": 0}
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def counting(*a, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*a)
+
+        monkeypatch.setattr(oracle, name, counting)
+    assert all(_oracle_checks(sieve_1m).values())
+    assert calls["phi_exact"] <= 12 and calls["theta_exact"] <= 107
 
 
 def test_corrupted_table_is_detected():
