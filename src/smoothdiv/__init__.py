@@ -58,10 +58,12 @@ from .estimators import (
     theta_error_bound,
     theta_estimate,
     wp,
+    wp_and_eta,
 )
 from .oracle import (
     SieveTables,
     WeightKind,
+    build_prime_table,
     build_sieve,
     eta_empirical,
     phi_exact,
@@ -69,6 +71,7 @@ from .oracle import (
     s_exact,
     smooth_numbers,
     smooth_part,
+    theta_count,
     theta_exact,
     theta_exact_decomposed,
     weighted_smooth_sum,
@@ -96,6 +99,7 @@ __all__ = [
     "WeightKind",
     "build_buchstab_table",
     "build_dickman_table",
+    "build_prime_table",
     "build_sieve",
     "conv_omega_rho",
     "conv_omega_rho_prime",
@@ -126,9 +130,11 @@ __all__ = [
     "tau",
     "theta_error_bound",
     "theta_estimate",
+    "theta_count",
     "theta_exact",
     "theta_exact_decomposed",
     "weighted_smooth_sum",
     "wp",
+    "wp_and_eta",
     "zeta_one_y",
 ]

@@ -29,10 +29,14 @@ flags override them.
 
 The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
 come from :data:`smoothdiv.harness.KINDS`.  Each command sieves exactly as far
-as its count needs: ``exact`` and ``compare`` to the kind's ``sieve_limit``,
-``dsa-risk --empirical`` to 2**l and ``validate`` to 10**6, always under the
-configured ``sieve_ceiling``.  The Euler product zeta(1, y) behind ``estimate
-phi`` and ``exact s`` sieves the primes up to y, under the same ceiling.
+as its count needs: ``exact`` and ``compare`` count up to the kind's
+``sieve_limit`` (x, z for s, n for smoothpart) but sieve only the primes up to
+min(y, that bound), the largest y of the grid for ``compare``;
+``dsa-risk --empirical`` sieves to 2**l and ``validate`` to 10**6.  The
+configured ``sieve_ceiling`` bounds each of those limits, the counting bound
+included.  The Euler product zeta(1, y) behind ``estimate phi`` and ``exact
+s`` sieves the primes up to y, under the same ceiling.  ``exact theta`` and
+``compare --kind theta`` count by :func:`smoothdiv.oracle.theta_count`.
 """
 
 from __future__ import annotations
@@ -235,14 +239,20 @@ def _estimate_flags(result) -> list[str]:
     return flags
 
 
-def _sieve_for(limit_needed: float | int, settings: Settings) -> oracle.SieveTables:
-    """A sieve up to ``limit_needed`` (a float, or an exact int that may
-    exceed every float) under the configured ceiling."""
+def _sieve_for(limit_needed: float | int, settings: Settings,
+               y: float | None = None) -> oracle.SieveTables:
+    """A sieve for counts over n <= ``limit_needed`` (a float, or an exact int
+    that may exceed every float), a bound held to the configured ceiling.  It
+    lists every prime up to that bound, or with ``y`` only those up to
+    min(y, bound): all that a count with parameter y reads."""
     if isinstance(limit_needed, float):
         if not math.isfinite(limit_needed):
             raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
         limit_needed = math.ceil(limit_needed)
-    return oracle.build_sieve(max(limit_needed, 2), ceiling=settings.sieve_ceiling)
+    limit = max(limit_needed, 2)
+    if y is None:
+        return oracle.build_sieve(limit, ceiling=settings.sieve_ceiling)
+    return oracle.build_prime_table(limit, y, ceiling=settings.sieve_ceiling)
 
 
 def _check_zeta_primes(kind: harness.Kind, routes: tuple[str, ...], points: list[dict],
@@ -315,7 +325,7 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
         if not p["n"].is_integer():
             raise UsageError(f"--n must be an integer, got {p['n']!r}")
         p["n"] = int(p["n"])
-    t = _sieve_for(kind.sieve_limit(**p), settings)
+    t = _sieve_for(kind.sieve_limit(**p), settings, p["y"])
     _check_zeta_primes(kind, ("exact",), [p], settings)
     return OutputRecord(command=f"exact {args.kind}", inputs=p,
                         outputs={"value": kind.exact(t, _numerics(settings), **p)})
@@ -348,8 +358,11 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
         if needs_z:
             params["z"] = _power(y, args.v, "z") if args.v is not None else args.z
         grid.append(params)
-    # One sieve for the grid, as large as the kind's exact count needs.
-    t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), settings)
+    # One sieve for the grid: counts up to the largest bound any point needs,
+    # over the primes up to the largest y.  The y are one --y, or finite
+    # powers of x, so max sees no NaN beside a number.
+    t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), settings,
+                   max(p["y"] for p in grid))
     _check_zeta_primes(KINDS[args.kind], ("estimate", "exact"), grid, settings)
     num = _numerics(settings)
     rows = [harness.compare_row(args.kind, p, t, num) for p in grid]
@@ -367,8 +380,7 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         d = DsaParams(args.k, args.l, args.m)
-        w_k = estimators.wp(d, num)
-        analytic = estimators.eta(d, num)
+        w_k, analytic = estimators.wp_and_eta(d, num)
     flags = [f"regime_warning={str(w.message)}" for w in caught]
     if analytic < 0.0:  # a probability, so the asymptotic formula is off here
         flags.append("eta_negative=true")

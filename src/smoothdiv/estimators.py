@@ -350,13 +350,19 @@ def wp(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     return w
 
 
+def wp_and_eta(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> tuple[float, float]:
+    """(wp(k), eta) from one quadrature pass over wp(k) and wp(k-1); each
+    value has the bits of :func:`wp` and :func:`eta`."""
+    if d.k <= 1:
+        raise DomainError("eta requires k >= 2")
+    w_k, w_km1 = _wp_scaled([d.k, d.k - 1], d.l, d.m, num)
+    return w_k, 2.0 * w_k - w_km1
+
+
 def eta(d: DsaParams, num: Numerics = DEFAULT_NUMERICS) -> float:
     """DSA large-subgroup exposure probability, eta = 2 wp(k) - wp(k-1).
 
     The difference accounts for sampling n uniformly from [2**(k-1), 2**k)
     rather than [1, 2**k).  Both wp share one quadrature pass.
     """
-    if d.k <= 1:
-        raise DomainError("eta requires k >= 2")
-    w_k, w_km1 = _wp_scaled([d.k, d.k - 1], d.l, d.m, num)
-    return 2.0 * w_k - w_km1
+    return wp_and_eta(d, num)[1]

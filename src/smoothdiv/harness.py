@@ -54,7 +54,10 @@ class Kind:
 
     The callables take the parameter values as keywords:
     ``estimate(num, **p)``, ``exact(sieve, num, **p)`` and
-    ``sieve_limit(**p)``, the sieve size ``exact`` needs; ``num`` is a
+    ``sieve_limit(**p)``, the bound on the integers ``exact`` counts over
+    (x, or z for s, or n for smoothpart), which the sieve's ``limit`` must
+    reach; ``exact`` reads no prime above the parameter y, so a sieve whose
+    primes stop at min(y, that bound) suffices.  ``num`` is a
     :class:`~smoothdiv.convolution.Numerics`.  They look their
     functions up through the module at call time, so wrappers installed on
     ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and
@@ -81,7 +84,7 @@ KINDS: dict[str, Kind] = {
     "theta": Kind(
         ("x", "y", "z"),
         lambda num, x, y, z: estimators.theta_estimate(ScaledParams(x, y, z), num),
-        lambda t, num, x, y, z: oracle.theta_exact(x, y, z, t),
+        lambda t, num, x, y, z: oracle.theta_count(x, y, z, t),
         exact_command=True),
     "psi-h": Kind(
         ("x", "y"),

@@ -10,9 +10,13 @@ One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
 and keeps nothing between calls.  It flags the odd numbers only (Bays and
 Hudson, BIT 17, 1977), one bool per odd number, so it makes half the flags
 and half the stride writes of a sieve over all numbers; 2 is put in by hand.
-A :class:`SieveTables` holds only that list; ``smooth_part`` divides n by the
-listed primes that divide it, and the smallest-prime-factor table
-``SieveTables.spf`` is built only if read.
+A :class:`SieveTables` holds only that list, with the bound x its counts run
+to and the bound its prime list is complete to: :func:`build_sieve` lists
+every prime up to x, and :func:`build_prime_table` only those up to min(y, x),
+which is all a count with parameter y reads.  ``primes_upto`` refuses a bound
+past the list's, so a short list never truncates a count.  ``smooth_part``
+divides n by the listed primes that divide it, and the smallest-prime-factor
+table ``SieveTables.spf`` is built only if read (and only on a full list).
 Counting loops are vectorized:
 
 * smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
@@ -30,7 +34,9 @@ Counting loops are vectorized:
   Smooth parts are integers, so n_y > z is tested as n_y > floor(z) in
   uint32, and z < 1 or z >= x needs no blocks at all;
 * theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
-  counts rough numbers only up to x/(floor(z) + 1);
+  counts rough numbers only up to x/(floor(z) + 1), in int32 where that fits;
+  theta_count takes it while that count stays within _DECOMPOSED_BUDGET
+  entries and the blocked route beyond, so small z never costs memory in x;
 * phi_exact marks rough numbers with stride writes.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
@@ -74,6 +80,10 @@ _CHUNK = 1 << 16
 #: Integers per block of theta_exact (1 MB of uint32 smooth parts).
 _BLOCK = 1 << 18
 
+#: Largest x // (floor(z) + 1) for which theta_count takes the decomposed
+#: route: its rough indicator and int32 running count then hold ~5 MB.
+_DECOMPOSED_BUDGET = 1 << 20
+
 #: Period of theta_exact's wheel, 2**4 * 3**2 * 5 * 7 * 11: every block starts
 #: from a copy of these prime powers' products instead of one stride each.
 _WHEEL = 55440
@@ -103,21 +113,31 @@ class WeightKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SieveTables:
-    """The primes up to ``limit``, ascending, as int64.
+    """The primes up to ``prime_bound``, ascending, as int64, for counts over
+    n <= ``limit``.
 
-    Immutable after construction; shareable across threads.  No count needs
-    more than the prime list: smooth parts are found by trial division over
-    the primes that divide n.
+    ``prime_bound`` defaults to ``limit``: the list is then complete to the
+    counts' bound.  A table from :func:`build_prime_table` lists fewer primes
+    (those up to min(y, limit)), and ``primes_upto`` refuses any bound past
+    its list.  Immutable after construction; shareable across threads.  No
+    count needs more than the prime list: smooth parts are found by trial
+    division over the primes that divide n.
     """
 
     limit: int
     primes: np.ndarray
+    prime_bound: int | None = None
+
+    def __post_init__(self):
+        if self.prime_bound is None:
+            object.__setattr__(self, "prime_bound", self.limit)
 
     def primes_upto(self, y: float) -> np.ndarray:
-        """Primes p <= y from the table (requires y <= limit)."""
+        """Primes p <= y from the table (requires floor(y) <= prime_bound)."""
         _require_not_nan(y=y)
-        if y > self.limit:
-            raise ResourceError(f"primes up to {y} exceed the sieve limit {self.limit}")
+        if y >= self.prime_bound + 1:  # floor(y) > prime_bound; also y = +inf
+            raise ResourceError(
+                f"primes up to {y} exceed the sieve's prime bound {self.prime_bound}")
         if y < 2:  # also y = -inf, which has no floor
             return self.primes[:0]
         hi = int(np.searchsorted(self.primes, math.floor(y), side="right"))
@@ -127,7 +147,11 @@ class SieveTables:
     def spf(self) -> np.ndarray:
         """Smallest-prime-factor table, uint32, built on first access (4 bytes
         per entry): ``spf[n]`` is the least prime factor of n for
-        2 <= n <= limit, spf[0] = 0 and spf[1] = 1.  No count reads it."""
+        2 <= n <= limit, spf[0] = 0 and spf[1] = 1.  No count reads it.  A
+        table whose primes stop short of ``limit`` has none."""
+        if self.prime_bound < self.limit:
+            raise ResourceError(f"the table lists primes only up to {self.prime_bound}, "
+                                f"so it has no smallest-prime-factor table to {self.limit}")
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
         # A composite n has its least prime factor p with p*p <= n.  Writing
         # the primes up to sqrt(limit) in descending order lets the smallest
@@ -162,14 +186,34 @@ def sieve_primes(n: int) -> np.ndarray:
     return primes
 
 
-def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
-    """The primes up to ``limit`` (deterministic); ``limit`` is at most ``ceiling``."""
+def _checked_limit(limit: int, ceiling: int) -> int:
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be at least 2")
     if limit > ceiling:
         raise ResourceError(f"sieve limit {limit} exceeds the ceiling {ceiling}")
+    return limit
+
+
+def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
+    """The primes up to ``limit`` (deterministic); ``limit`` is at most ``ceiling``."""
+    limit = _checked_limit(limit, ceiling)
     return SieveTables(limit=limit, primes=sieve_primes(limit))
+
+
+def build_prime_table(limit: int, y: float,
+                      ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
+    """A table for counts over n <= ``limit`` that read only the primes p <= y.
+
+    ``limit`` is held to ``ceiling`` as in :func:`build_sieve`, but only the
+    primes up to min(y, limit) are sieved: y = +inf lists every prime up to
+    ``limit``, and y < 2 none.  Each count then asks ``primes_upto`` for at
+    most min(y, x) with x <= limit, which the list covers.
+    """
+    limit = _checked_limit(limit, ceiling)
+    _require_not_nan(y=y)
+    bound = limit if y >= limit else (math.floor(y) if y >= 2 else 1)
+    return SieveTables(limit=limit, primes=sieve_primes(bound), prime_bound=bound)
 
 
 def smooth_part(n: int, y: float, t: SieveTables) -> int:
@@ -393,9 +437,27 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     if z < 1:  # every n has a smooth divisor d = n_y >= 1 > z
         return fx
     hi = fx // (math.floor(z) + 1)
-    rough_cum = np.cumsum(_rough_indicator(hi, y, t), dtype=np.int64)
+    # The running count is at most hi, so int32 holds it for every x < 2**32.
+    # Summing in place: a cumsum that casts the bools makes a second copy.
+    rough_cum = _rough_indicator(hi, y, t).astype(np.int32 if hi < 2**31 else np.int64)
+    np.cumsum(rough_cum, out=rough_cum)
     return sum(int(rough_cum[fx // d[d > z]].sum())
                for d in _smooth_pieces(t.primes_upto(min(y, fx)), fx))
+
+
+def theta_count(x: float, y: float, z: float, t: SieveTables) -> int:
+    """theta(x, y, z) by the cheaper route that fits the memory budget.
+
+    theta_exact_decomposed holds a rough count up to x // (floor(z) + 1) and
+    costs about that plus the smooth d <= x; theta_exact holds one block and
+    costs about x.  The decomposed route answers while its rough count stays
+    within _DECOMPOSED_BUDGET entries, the blocked one beyond (small z and
+    large x).  Both give the same count.
+    """
+    _require_not_nan(y=y, z=z)
+    if 1 <= z < x and x // (math.floor(z) + 1) > _DECOMPOSED_BUDGET:
+        return theta_exact(x, y, z, t)
+    return theta_exact_decomposed(x, y, z, t)
 
 
 def zeta_one_y(y: float) -> float:

@@ -14,6 +14,7 @@ not here: this module evaluates strictly inside ``[knots[0], knots[-1]]``.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -202,13 +203,24 @@ class PiecewiseFunction:
             )
         ia = self.segment_index(a)
         ib = self.segment_index(b)
+        whole = self._whole_segment_integrals
         total = 0.0
         for k in range(ia, ib + 1):
+            if ia < k < ib:
+                total += whole[k]
+                continue
             left = max(a, float(self.knots[k]))
             right = min(b, float(self.knots[k]) + 1.0)
             if right > left:
                 total += self._segment_integral(k, left, right)
         return total
+
+    @functools.cached_property
+    def _whole_segment_integrals(self) -> list[float]:
+        """Each segment's integral over its whole unit interval, with the
+        bits :meth:`_segment_integral` gives there (offsets -1/2 and +1/2 in
+        the same scalar Horner order); computed on the first ``integral``."""
+        return [_horner_row(anti, 0.5) - _horner_row(anti, -0.5) for anti in self._anti.tolist()]
 
     def _segment_integral(self, k: int, a: float, b: float) -> float:
         mid = float(self.knots[k]) + 0.5

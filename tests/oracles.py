@@ -245,3 +245,20 @@ def sieve_primes_full_flags(n: int) -> np.ndarray:
     # plus the primes.
     np.logical_not(is_comp, out=is_comp)
     return np.flatnonzero(is_comp).astype(np.int64, copy=False)
+
+
+def piecewise_integral_per_segment(table, a: float, b: float) -> float:
+    """``PiecewiseFunction.integral`` as it was when every segment, whole or
+    partial, went through ``_segment_integral``: the reference the cached
+    whole-segment integrals must reproduce bit for bit."""
+    if b < a:
+        return -piecewise_integral_per_segment(table, b, a)
+    ia = table.segment_index(a)
+    ib = table.segment_index(b)
+    total = 0.0
+    for k in range(ia, ib + 1):
+        left = max(a, float(table.knots[k]))
+        right = min(b, float(table.knots[k]) + 1.0)
+        if right > left:
+            total += table._segment_integral(k, left, right)
+    return total

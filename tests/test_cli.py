@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothdiv import cli, convolution
+from smoothdiv import cli, convolution, oracle
 from smoothdiv.cli import (
     CONFIG_ENV_VAR,
     EXIT_DOMAIN,
@@ -430,14 +431,27 @@ class TestConfig:
         assert cli.main(["--config", str(cfg), "estimate", "s", "--y", "1e8", "--z", "1e9"]) == 0
 
     def test_unallocatable_sieve_is_resource_error(self, tmp_path, capsys):
-        # A ceiling the config accepts, and a sieve of 10**16 flags (8.9 PiB)
-        # that no address space holds: numpy refuses it without allocating.
+        # A ceiling the config accepts, and y = inf, which asks for every
+        # prime up to 10**16: a sieve of 10**16 flags (8.9 PiB) that no
+        # address space holds, so numpy refuses it without allocating.
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"sieve_ceiling": 10**17}))
         assert cli.main(["--config", str(cfg), "exact", "psi", "--x", "1e16",
-                         "--y", "10"]) == EXIT_RESOURCE
+                         "--y", "inf"]) == EXIT_RESOURCE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("resource error: ") and err.count("\n") == 1
+
+    def test_small_y_counts_past_any_full_sieve(self, tmp_path, capsys):
+        # The same x with y = 10 reads only the primes 2, 3, 5 and 7, so it
+        # answers: the 7-smooth n <= 10**16, enumerated here.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sieve_ceiling": 10**17}))
+        assert cli.main(["--config", str(cfg), "exact", "psi", "--x", "1e16",
+                         "--y", "10"]) == 0
+        smooth = [1]
+        for p in (2, 3, 5, 7):
+            smooth = [n * p**a for n in smooth for a in range(60) if n * p**a <= 10**16]
+        assert json.loads(capsys.readouterr().out)["outputs"]["value"] == str(len(smooth))
 
     def test_config_file_sets_epsilon(self, tmp_path):
         # Larger epsilon tightens the y lower bound enough to flip the flag.
@@ -755,3 +769,103 @@ def test_any_argv_exits_with_a_contract_code(small_ceiling_config, argv):
             return
     assert code in (0, EXIT_USAGE, EXIT_RESOURCE, EXIT_DOMAIN), (argv, code, err.getvalue())
     assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+
+
+# -- exact and compare sieve only the primes up to y ----------------------------------
+
+
+def _main(argv):
+    """(exit code, stdout) of one in-process ``cli.main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+_Y_EDGES = st.sampled_from([math.inf, -math.inf, -1.0, 0.0, 0.5, 1.0, 1.999, 2.0, 2.5,
+                            math.nan])
+_Z_EDGES = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 0.999, 1.0, math.inf])
+
+
+@st.composite
+def _exact_or_compare_argv(draw):
+    """``exact`` or ``compare`` argv of any kind at desk scale, y and z drawn
+    beside the edges: y = inf, y >= x, y < 2 and NaN, z < 1 and z >= x."""
+    xs = draw(st.lists(st.one_of(st.integers(1, 20000), st.floats(0.5, 2e4)),
+                       min_size=1, max_size=3))
+    x = max(xs)
+    y = draw(st.one_of(_Y_EDGES, st.floats(0.0, 3e4), st.just(float(x)),
+                       st.floats(float(x), 1e6), st.floats(2.0, max(2.0, x**0.5))), "y")
+    # The last z lies in the estimates' window 1 <= z <= x/y where it exists.
+    window = x / y if 2.0 <= y < math.inf else x
+    z = draw(st.one_of(_Z_EDGES, st.floats(1.0, max(1.0, float(x))), st.just(float(x)),
+                       st.floats(float(x), 1e5), st.floats(1.0, max(1.0, window))), "z")
+    values = {"x": x, "y": y, "z": z, "n": max(1, math.floor(x))}
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(_EXACT_KINDS))
+        return ["exact", kind, *(f"--{k}={values[k]!r}" for k in cli.KINDS[kind].params)]
+    kind = draw(st.sampled_from(cli._ESTIMATE_KINDS))
+    argv = ["compare", f"--kind={kind}", "--x=" + ",".join(map(repr, xs)), f"--y={y!r}"]
+    return argv + ([f"--z={z!r}"] if "z" in cli.KINDS[kind].params else [])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(argv=_exact_or_compare_argv())
+def test_exact_and_compare_answer_as_on_a_full_sieve(argv):
+    # The reference sieves every prime up to the counting bound and counts
+    # theta by the blocked route alone.
+    got = _main(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "build_prime_table",
+                   lambda limit, y, ceiling: oracle.build_sieve(limit, ceiling))
+        mp.setattr(oracle, "theta_count", oracle.theta_exact)
+        want = _main(argv)
+    assert got == want, argv
+    if any(a.startswith("--y=nan") for a in argv):
+        assert got == (EXIT_DOMAIN, ""), argv
+
+
+_GUARD_ARGV = [
+    (["exact", "theta", "--x", "1e5", "--y", "50", "--z", "100"], 50),
+    (["exact", "psi", "--x", "1e5", "--y", "30"], 30),
+    (["exact", "psi", "--x", "1000", "--y", "1e5"], 1000),
+    (["exact", "phi", "--x", "1e5", "--y", "20"], 20),
+    (["exact", "s", "--y", "40", "--z", "1e5"], 40),
+    (["exact", "smoothpart", "--n", "99991", "--y", "12"], 12),
+    (["exact", "smoothpart", "--n", "360", "--y", "1e4"], 360),
+    (["compare", "--kind", "theta", "--x", "1e4,1e5", "--u", "3", "--v", "1.5"], 46),
+    (["compare", "--kind", "theta", "--x", "100,1000", "--y", "1e4", "--z", "10"], 1000),
+    (["compare", "--kind", "psi-h", "--x", "1e4,1e5", "--u", "2.5"], 100),
+    (["compare", "--kind", "psi-s", "--x", "1e4,1e5", "--y", "30"], 30),
+    (["compare", "--kind", "phi", "--x", "1e4,1e5", "--y", "20"], 20),
+    (["compare", "--kind", "s", "--x", "100", "--y", "40", "--z", "1e5"], 40),
+    (["compare", "--kind", "lemma6", "--x", "1e5,1e6", "--y", "50", "--z", "500"], 50),
+]
+
+
+@pytest.mark.parametrize("argv, most", _GUARD_ARGV, ids=[" ".join(a) for a, _ in _GUARD_ARGV])
+def test_nothing_is_sieved_past_y_or_the_counting_bound(argv, most, monkeypatch):
+    # ``most`` is min(largest y, counting bound), rounded down: the table's
+    # primes and the Euler product's (up to y) both stay within it.
+    sieved = []
+    real = oracle.sieve_primes
+    monkeypatch.setattr(oracle, "sieve_primes", lambda n: sieved.append(n) or real(n))
+    assert _main(argv)[0] == 0
+    assert sieved and max(sieved) <= most, sieved
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "psi", "--x", "2e8", "--y", "100"],
+    ["exact", "theta", "--x", "2e8", "--y", "50", "--z", "1e4"],
+    ["exact", "s", "--y", "100", "--z", "1e8"],
+], ids=lambda argv: " ".join(argv))
+def test_exact_peak_is_far_below_a_sieve_to_the_bound(argv):
+    # A sieve to 2e8 peaked at ~180 MiB (~92 MiB to 1e8 for s); the primes
+    # up to y and the counts' own buffers take a few MiB.
+    tracemalloc.start()
+    try:
+        code, _ = _main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 12 * 2**20

@@ -30,6 +30,7 @@ from smoothdiv import (
     theta_exact,
     weighted_smooth_sum,
     wp,
+    wp_and_eta,
     zeta_one_y,
 )
 from smoothdiv.estimators import EstimateResult, theta_envelope_factor
@@ -319,6 +320,15 @@ class TestWpEta:
                 d = DsaParams(k, l, m)
                 assert 0.0 <= wp(d) <= 1.0, (k, l, m)
                 assert math.isfinite(eta(d)), (k, l, m)
+
+    def test_wp_and_eta_keep_the_bits_of_wp_and_eta(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k, l, m in [(863, 80, 160), (4000, 40, 60), (100, 20, 10), (20, 3, 19)]:
+                d = DsaParams(k, l, m)
+                w_k, e = wp_and_eta(d)
+                assert (np.float64(w_k).tobytes(), np.float64(e).tobytes()) == (
+                    np.float64(wp(d)).tobytes(), np.float64(eta(d)).tobytes()), (k, l, m)
 
     def test_eta_matches_convolution_assembly(self):
         d = DsaParams(48, 12, 24)

@@ -106,6 +106,51 @@ class TestBuildSieve:
         assert spf.size == 10**7 + 1 and spf[9999991] == 9999991  # the largest prime
 
 
+class TestPrimeTable:
+    """build_prime_table: counts up to the limit over the primes up to y."""
+
+    @pytest.mark.parametrize("y, bound", [
+        (30.0, 30), (30.9, 30), (1e5, 1000), (math.inf, 1000), (1000.0, 1000),
+        (1.999, 1), (0.5, 1), (-math.inf, 1),
+    ])
+    def test_lists_the_primes_up_to_min_y_limit(self, sieve_small, y, bound):
+        t = oracle.build_prime_table(1000, y)
+        assert t.limit == 1000 and t.prime_bound == bound
+        assert np.array_equal(t.primes, sieve_small.primes_upto(bound))
+
+    def test_limit_is_held_to_the_ceiling_as_in_build_sieve(self):
+        with pytest.raises(ResourceError, match="exceeds the ceiling"):
+            oracle.build_prime_table(10**7, 10.0, ceiling=10**6)
+        with pytest.raises(DomainError):
+            oracle.build_prime_table(1, 10.0)
+        with pytest.raises(DomainError):
+            oracle.build_prime_table(100, math.nan)
+
+    @pytest.mark.parametrize("y", [31.0, 100.0, 1e6, math.inf])
+    def test_primes_past_the_bound_are_refused(self, y):
+        t = oracle.build_prime_table(1000, 30.5)
+        assert t.primes_upto(30.999).size == 10
+        with pytest.raises(ResourceError, match="prime bound 30"):
+            t.primes_upto(y)
+
+    def test_a_short_table_has_no_spf(self):
+        with pytest.raises(ResourceError):
+            oracle.build_prime_table(1000, 30.0).spf
+        assert oracle.build_prime_table(1000, math.inf).spf[997] == 997
+
+    def test_counts_match_the_full_sieve(self, sieve_small):
+        # x beyond y's primes: a count that asked for more would raise.
+        for y in (0.5, 2.0, 7.5, 97.0, 1e3):
+            t = oracle.build_prime_table(10**5, y)
+            assert psi_exact(10**5, y, t) == psi_exact(10**5, y, sieve_small)
+            assert phi_exact(10**5, y, t) == phi_exact(10**5, y, sieve_small)
+            assert smooth_part(99960, y, t) == smooth_part(99960, y, sieve_small)
+            for z in (0.5, 10.0, 5e4):
+                assert (oracle.theta_count(10**5, y, z, t)
+                        == theta_exact(10**5, y, z, sieve_small))
+                assert s_exact(y, z, t) == s_exact(y, z, sieve_small)
+
+
 class TestSievePins:
     """Exact bytes of the SPF table, the prime list and the Euler product, so
     that a new way of sieving must reproduce them."""
@@ -333,6 +378,56 @@ class TestThetaAtScale:
             got = []
             assert _peak_allocation(lambda: got.append(route(1e7, 25.0, 0.5, sieve_10m))) < 2 * 2**20
             assert got == [10**7]
+
+
+class TestThetaCount:
+    """theta_count takes the decomposed route within the budget and the
+    blocked one beyond; both answer theta_exact's count."""
+
+    @staticmethod
+    def _routes(monkeypatch):
+        taken = []
+        for name in ("theta_exact", "theta_exact_decomposed"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name:
+                                taken.append(name) or real(*a))
+        return taken
+
+    @pytest.mark.parametrize("x, y, z, route", [
+        (1e7, 30.0, 9.0, "theta_exact_decomposed"),     # x // 10 = 1e6 <= 2**20
+        (1e7, 30.0, 8.0, "theta_exact"),                # x // 9 > 2**20
+        (1e7, 1e3, 2.0, "theta_exact"),                 # small z, x far above
+        (1e7, 1e3, 1e3, "theta_exact_decomposed"),
+        (1e7, 25.0, 0.5, "theta_exact_decomposed"),     # z < 1 needs no array
+        (1e7, 25.0, 1e7, "theta_exact_decomposed"),     # z >= x neither
+    ])
+    def test_routes_either_side_of_the_budget(self, sieve_10m, monkeypatch, x, y, z, route):
+        want = theta_exact(x, y, z, sieve_10m)
+        taken = self._routes(monkeypatch)
+        assert oracle.theta_count(x, y, z, sieve_10m) == want
+        assert taken == [route]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(x=st.integers(0, 10**5), y=_BOUNDS, z=_BOUNDS,
+           budget=st.sampled_from([0, 1, 100, 10**4]))
+    def test_matches_theta_exact_at_any_budget(self, sieve_small, x, y, z, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_DECOMPOSED_BUDGET", budget)
+            got = oracle.theta_count(x, y, z, sieve_small)
+        assert got == theta_exact(x, y, z, sieve_small)
+
+    def test_small_z_memory_stays_bounded(self, sieve_10m):
+        # The decomposed route's running count to x // 3 alone took 54 MiB
+        # in int64; the blocked route holds one block.
+        assert _peak_allocation(lambda: oracle.theta_count(1e7, 30.0, 2.0, sieve_10m)) < 8 * 2**20
+        # Within the budget the rough indicator and int32 count take ~5 bytes
+        # an entry: 2**20 entries at (1e7, 30, 9).
+        assert _peak_allocation(lambda: oracle.theta_count(1e7, 30.0, 9.0, sieve_10m)) < 8 * 2**20
+
+    def test_nan_bounds_are_domain_errors(self, sieve_small):
+        for args in ((1e4, math.nan, 10.0), (1e4, 30.0, math.nan)):
+            with pytest.raises(DomainError):
+                oracle.theta_count(*args, sieve_small)
 
 
 def _peak_allocation(call) -> int:

@@ -9,6 +9,8 @@ from smoothdiv import DomainError, load_piecewise, save_piecewise
 from smoothdiv.piecewise import PiecewiseFunction
 from smoothdiv.special import build_buchstab_table, build_dickman_table
 
+from oracles import piecewise_integral_per_segment
+
 
 def test_roundtrip_is_bit_identical(tmp_path, dickman):
     path = tmp_path / "dickman.json"
@@ -150,6 +152,32 @@ def test_exact_integration_matches_quadrature(dickman):
     mids = (xs[:-1] + xs[1:]) / 2.0
     riemann = float(np.sum(dickman.value(mids)) * (b - a) / n)
     assert dickman.integral(a, b) == pytest.approx(riemann, rel=1e-7)
+
+
+def test_integral_matches_the_per_segment_loop_bit_for_bit(dickman, buchstab):
+    # Random endpoints, knot pairs, and a knot with a random end, each pair
+    # in random order, so whole segments sit between partial ends, at
+    # either end, or make up the whole range.
+    rng = np.random.Generator(np.random.Philox(key=11))
+    for table in (dickman, buchstab):
+        lo, hi = table.lo, table.hi
+        knots = table.knots.tolist()
+        ends = [*rng.uniform(lo, hi, size=(500, 2)).tolist(),
+                *rng.choice(knots, size=(250, 2)).tolist(),
+                *[(float(a), float(b)) for a, b in zip(rng.choice(knots, 250),
+                                                        rng.uniform(lo, hi, 250))]]
+        for a, b in ends:
+            got, want = table.integral(a, b), piecewise_integral_per_segment(table, a, b)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a, b)
+
+
+def test_whole_segment_integrals_are_built_on_first_use(tmp_path, dickman):
+    path = tmp_path / "dickman.json"
+    save_piecewise(dickman, path)
+    table = load_piecewise(path)
+    assert "_whole_segment_integrals" not in vars(table)
+    table.integral(2.5, 7.5)
+    assert len(vars(table)["_whole_segment_integrals"]) == table.n_segments
 
 
 def test_integration_range_checked(dickman):
