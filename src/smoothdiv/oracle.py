@@ -27,12 +27,13 @@ Counting loops are vectorized:
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of integers at a
-  time, in O(block) memory.  Each block starts as a copy of a wheel: the
-  products of the prime powers dividing _WHEEL = 2**4 * 3**2 * 5 * 7 * 11,
-  written once per call and periodic with period _WHEEL.  The other prime
-  powers multiply in by strides, or once per block above the block size.
-  Smooth parts are integers, so n_y > z is tested as n_y > floor(z) in
-  uint32, and z < 1 or z >= x needs no blocks at all;
+  time, in O(block) memory.  Each block starts as the product of two wheels
+  (Pritchard, Acta Informatica 17, 1982): the products of the prime powers
+  dividing 2**5 * 3**3 * 5 * 7 * 11 and 13 * 17 * 19 * 23, periodic in n and
+  kept between calls, one pattern per wheel.  The other prime powers
+  multiply in by strides, or, from _SPARSE up, all their hits in a block at
+  once.  Smooth parts are integers, so n_y > z is tested as n_y > floor(z)
+  in uint32, and z < 1 or z >= x needs no blocks at all;
 * theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
   counts rough numbers only up to x/(floor(z) + 1), in int32 where that fits;
   theta_count takes it while that count stays within _DECOMPOSED_BUDGET
@@ -84,9 +85,18 @@ _BLOCK = 1 << 18
 #: route: its rough indicator and int32 running count then hold ~5 MB.
 _DECOMPOSED_BUDGET = 1 << 20
 
-#: Period of theta_exact's wheel, 2**4 * 3**2 * 5 * 7 * 11: every block starts
-#: from a copy of these prime powers' products instead of one stride each.
-_WHEEL = 55440
+#: Periods of theta_exact's wheels, 2**5 * 3**3 * 5 * 7 * 11 and
+#: 13 * 17 * 19 * 23: a block starts from the products of the prime powers
+#: dividing them (1.27 and 0.37 MiB of uint32) instead of one stride each.
+_WHEELS = (332640, 96577)
+
+#: Prime powers from this one up hit a theta_exact block at most
+#: _BLOCK // _SPARSE times; their hits go in at once, by np.multiply.at.
+_SPARSE = 1 << 10
+
+#: The wheel pattern theta_exact last built for each of _WHEELS, by position:
+#: (key, read-only pattern).
+_wheel_cache: dict[int, tuple[tuple, np.ndarray]] = {}
 
 #: Samples per block of the int64 Monte Carlo (512 KB of uint64 each).
 _SAMPLE_BLOCK = 1 << 16
@@ -367,17 +377,69 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
     return int(np.count_nonzero(_rough_indicator(fx, y, t)))
 
 
+def _wheel_pattern(slot: int, period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """pattern[j] = the product of p over the prime powers q = p**a in ``qs``
+    that divide j, for 0 <= j < ``period`` (every q divides ``period``), so
+    pattern[n % period] is their share of n_y.  The last pattern built for
+    each wheel ``slot`` is kept, read-only, and rebuilt only when its prime
+    powers change."""
+    key = (period, tuple(qs.tolist()))
+    cached = _wheel_cache.get(slot)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    pattern = np.ones(period, dtype=np.uint32)
+    for q, p in zip(qs.tolist(), ps.tolist()):
+        v = pattern[::q]
+        np.multiply(v, p, out=v)
+    pattern.flags.writeable = False
+    _wheel_cache[slot] = (key, pattern)
+    return pattern
+
+
+def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], lo: int) -> None:
+    """out[i] = the product over ``wheels`` of w[(lo + i) % w.size]: one
+    contiguous slice of each wheel per stretch between wrap points, the
+    first two multiplied straight into ``out``."""
+    if not wheels:
+        out.fill(1)
+        return
+    i = 0
+    while i < out.size:
+        starts = [(lo + i) % w.size for w in wheels]
+        m = min([out.size - i] + [w.size - s for w, s in zip(wheels, starts)])
+        parts = [w[s : s + m] for w, s in zip(wheels, starts)]
+        seg = out[i : i + m]
+        if len(parts) == 1:
+            seg[...] = parts[0]
+        else:
+            np.multiply(parts[0], parts[1], out=seg)
+        for part in parts[2:]:
+            np.multiply(seg, part, out=seg)
+        i += m
+
+
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
     A block holds the smooth parts of _BLOCK consecutive n as uint32, so x
     must lie below 2**32 whatever the sieve limit.  Each prime power
-    q = p**a <= x multiplies the entries of its multiples by p: a q dividing
-    _WHEEL through the block's starting copy of the wheel pattern, another q
-    below the block size through the stride ``block[(-lo) % q :: q]``, and a
-    larger q, which hits a block at most once, together with the other large
-    ones in one ``np.multiply.at``.
-    Memory is O(_BLOCK + _WHEEL + number of prime powers), independent of x.
+    q = p**a <= x with p <= y multiplies the entries of its multiples by p:
+
+    * a q dividing a wheel period of _WHEELS, 332640 = 2**5 * 3**3 * 5 * 7 * 11
+      or 96577 = 13 * 17 * 19 * 23, through that wheel's pattern, once x
+      reaches the period: each block is the product of the patterns, read
+      from wrapped slices;
+    * another q below _SPARSE = 1024 through the stride
+      ``block[(-lo) % q :: q]``;
+    * every larger q, which hits a block at most _BLOCK // _SPARSE = 256
+      times, with all the others in two ``np.multiply.at`` per block: the
+      size // q hits it makes in any full block, then its one more hit where
+      that lands inside.
+
+    The block and its comparison with floor(z) are two buffers made once per
+    call.  Memory is O(_BLOCK + number of prime powers), independent of x,
+    plus the last pattern built for each wheel, which is kept between calls:
+    at most 1.64 MiB (4 bytes per entry of the two periods).
     """
     _require_not_nan(y=y, z=z)
     fx = _floor_x(x, t)
@@ -396,27 +458,50 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         ps.append(p)
     qs = np.concatenate(qs)
     ps = np.concatenate(ps).astype(np.uint32)
-    # pattern[i] is the product of the wheel's prime powers dividing i + 1,
-    # and repeats with period _WHEEL.
-    pattern = np.ones(min(_BLOCK + _WHEEL, fx), dtype=np.uint32)
-    wheel = _WHEEL % qs == 0
-    for q, p in zip(qs[wheel].tolist(), ps[wheel].tolist()):
-        pattern[q - 1 :: q] *= p
-    qs, ps = qs[~wheel], ps[~wheel]
-    small = qs < _BLOCK
-    strided = list(zip(qs[small].tolist(), ps[small].tolist()))
-    big_q, big_p = qs[~small], ps[~small]
+    wheels = []
+    for slot, period in enumerate(_WHEELS):
+        on = period % qs == 0
+        if period <= fx and on.any():
+            wheels.append(_wheel_pattern(slot, period, qs[on], ps[on]))
+            qs, ps = qs[~on], ps[~on]
+    size = min(_BLOCK, fx)
+    sparse = qs >= _SPARSE
+    strided = list(zip(qs[~sparse].tolist(), ps[~sparse].tolist()))
+    # The sparse q below the block size go first: each makes size // q hits
+    # in every full block, the k-th at its first hit plus k * q.  The hit
+    # after those, like a larger q's only hit, lands in some blocks only.
+    qs, ps = qs[sparse], ps[sparse]
+    order = np.argsort(qs >= size, kind="stable")
+    qs, ps = qs[order], ps[order]
+    many = int(np.count_nonzero(qs < size))
+    sure = size // qs[:many]
+    offset = np.arange(int(sure.sum())) - np.repeat(np.cumsum(sure) - sure, sure)
+    offset *= np.repeat(qs[:many], sure)
+    factor = np.repeat(ps[:many], sure)
+    spill = sure * qs[:many]
     threshold = np.uint32(math.floor(z))  # n_y > z exactly when n_y > floor(z)
+    block = np.empty(size, dtype=np.uint32)
+    above = np.empty(size, dtype=bool)
     count = 0
     for lo in range(1, fx + 1, _BLOCK):
-        start = (lo - 1) % _WHEEL
-        block = pattern[start : start + min(_BLOCK, fx + 1 - lo)].copy()
+        n = min(size, fx + 1 - lo)
+        b = block[:n]
+        _fill_from_wheels(b, wheels, lo)
         for q, p in strided:
-            block[(-lo) % q :: q] *= p
-        at = (-lo) % big_q
-        hit = at < block.size
-        np.multiply.at(block, at[hit], big_p[hit])
-        count += int(np.count_nonzero(block > threshold))
+            v = b[(-lo) % q :: q]
+            np.multiply(v, p, out=v)  # not `b[...] *= p`, which writes v back to b
+        first = (-lo) % qs
+        at = np.repeat(first[:many], sure)
+        at += offset
+        if n < size:  # the last block, cut short
+            keep = at < n
+            np.multiply.at(b, at[keep], factor[keep])
+        else:
+            np.multiply.at(b, at, factor)
+        first[:many] += spill
+        last = first < n
+        np.multiply.at(b, first[last], ps[last])
+        count += int(np.count_nonzero(np.greater(b, threshold, out=above[:n])))
     return count
 
 
@@ -460,6 +545,16 @@ def theta_count(x: float, y: float, z: float, t: SieveTables) -> int:
     return theta_exact_decomposed(x, y, z, t)
 
 
+def _euler_product(primes: np.ndarray) -> float:
+    """The product over ``primes`` of (1 - 1/p)^-1, as exp of a compensated
+    log-sum; the empty product is 1."""
+    if primes.size == 0:
+        return 1.0
+    # -1.0 / p is correctly rounded in numpy as in Python; math.log1p reads
+    # the quotients through a memoryview, so no list of them is built.
+    return math.exp(-math.fsum(map(math.log1p, memoryview(-1.0 / primes))))
+
+
 def zeta_one_y(y: float) -> float:
     """The truncated Euler product over primes p <= y of (1 - 1/p)^-1.
 
@@ -471,12 +566,7 @@ def zeta_one_y(y: float) -> float:
     n = int(math.floor(y))
     if n > DEFAULT_SIEVE_CEILING:
         raise ResourceError(f"prime sieve up to {n} exceeds the ceiling")
-    primes = sieve_primes(n)
-    if primes.size == 0:
-        return 1.0
-    # -1.0 / p is correctly rounded in numpy as in Python; math.log1p reads
-    # the quotients through a memoryview, so no list of them is built.
-    return math.exp(-math.fsum(map(math.log1p, memoryview(-1.0 / primes))))
+    return _euler_product(sieve_primes(n))
 
 
 def _fsum_chunked(pieces, f=lambda c: c) -> float:
@@ -496,7 +586,9 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
 
     Exact up to floating summation error: the partial sum is compensated.
     The smooth d <= z stream from the enumeration into that one sum piece by
-    piece, so no array of them is formed.
+    piece, so no array of them is formed.  The Euler product takes the
+    table's primes where they reach y, and sieves its own (zeta_one_y) where
+    they stop short.
     """
     _require_not_nan(y=y, z=z)
     if z > t.limit:
@@ -505,6 +597,8 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
     if z >= 1:
         pieces = _smooth_pieces(t.primes_upto(min(y, max(z, 2.0))), math.floor(z))
         partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
+    if 0 <= y < t.prime_bound + 1:  # the table lists every prime p <= y
+        return _euler_product(t.primes_upto(y)) - partial
     return zeta_one_y(y) - partial
 
 
@@ -560,27 +654,33 @@ def _smooth_parts_int64(ns: np.ndarray, primes: np.ndarray) -> np.ndarray:
     The 2-part of n is its lowest set bit, n & -n.  For odd p, with p' the
     inverse of p mod 2**64, p divides n exactly when n * p' mod 2**64 is at
     most (2**64 - 1) // p, and that product is then n / p (Granlund and
-    Montgomery 1994): one wrapping uint64 multiply per sample and prime.
+    Montgomery 1994): one wrapping uint64 multiply per sample and prime.  The
+    test holds for even n too, so the 2-part is never divided out.  The
+    inverses come from Newton's iteration p' <- p' (2 - p p'), which doubles
+    the correct low bits from the 3 that p' = p has (p * p = 1 mod 8), for
+    all the odd primes at once.
     """
     rem = ns.astype(np.uint64)
     sp = np.ones_like(rem)
     if primes.size and primes[0] == 2:
         sp = rem & -rem
-        rem //= sp
         primes = primes[1:]
+    odd = primes.astype(np.uint64)
+    invs = odd.copy()
+    for _ in range(5):  # 3, 6, 12, 24, 48, 96 >= 64 bits
+        invs *= 2 - odd * invs
+    lims = np.uint64(2**64 - 1) // odd
     # One product and one mask buffer for all primes, not two temporaries per
     # prime.
     prod = np.empty_like(rem)
     divides = np.empty(rem.shape, dtype=bool)
-    for p in primes.tolist():
-        inv = np.uint64(pow(p, -1, 1 << 64))
-        lim = np.uint64(((1 << 64) - 1) // p)
+    for p, inv, lim in zip(odd, invs, lims):
         np.multiply(rem, inv, out=prod)
         idx = np.flatnonzero(np.less_equal(prod, lim, out=divides))
         while idx.size:
             q = rem[idx] * inv
             rem[idx] = q
-            sp[idx] *= np.uint64(p)
+            sp[idx] *= p
             idx = idx[q * inv <= lim]
     return sp.view(np.int64)  # sp <= n < 2**63
 

@@ -854,6 +854,17 @@ def test_nothing_is_sieved_past_y_or_the_counting_bound(argv, most, monkeypatch)
     assert sieved and max(sieved) <= most, sieved
 
 
+def test_exact_s_sieves_the_primes_up_to_y_once(monkeypatch):
+    # The table's primes reach y = z, so the Euler product takes them: one
+    # sieve, not a second one inside zeta_one_y.
+    want = _main(["exact", "s", "--y", "1e6", "--z", "1e6"])
+    sieved = []
+    real = oracle.sieve_primes
+    monkeypatch.setattr(oracle, "sieve_primes", lambda n: sieved.append(n) or real(n))
+    assert _main(["exact", "s", "--y", "1e6", "--z", "1e6"]) == want
+    assert want[0] == 0 and sieved == [10**6]
+
+
 @pytest.mark.parametrize("argv", [
     ["exact", "psi", "--x", "2e8", "--y", "100"],
     ["exact", "theta", "--x", "2e8", "--y", "50", "--z", "1e4"],

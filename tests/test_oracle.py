@@ -313,14 +313,18 @@ _BOUNDS = st.one_of(
 
 class TestThetaRoutes:
     # A block of 1 puts every prime power above the block size; 7 and 64 mix
-    # strided and single-hit prime powers.  Small blocks cap x at 400 blocks
-    # so that an example stays cheap; the default block draws x up to 1e5.
-    # The same value patched into _CHUNK splits the decomposed route's
-    # batches of large-prime products.  Each example also draws the wheel:
-    # 1 is no wheel, 6 and 30 repeat within and across small blocks, and the
-    # default 55440 lies beyond a small block's x.  Beside the bounds, z takes
-    # values below 1, floor(x) and a half-integer, where an integer threshold
-    # floor(z) must count the same n_y as z.
+    # strided and sparse prime powers.  Small blocks cap x at 400 blocks so
+    # that an example stays cheap; the default block draws x up to 1e5.  The
+    # same value patched into _CHUNK splits the decomposed route's batches of
+    # large-prime products.  Each example also draws the two wheels: (1, 1)
+    # is no wheel, (6, 30) lets the second wheel take only the 5 the first
+    # leaves, (12, 35) and (32, 9) repeat within and across small blocks,
+    # and the defaults lie beyond a small block's x.  It draws the sparse
+    # threshold too: 1 and 3 send every q (every q but 2) through the
+    # sparse hits, 8 mixes them with strides, and the default 1024 leaves
+    # few sparse q below 1e5.  Beside the bounds, z takes values below 1,
+    # floor(x) and a half-integer, where an integer threshold floor(z) must
+    # count the same n_y as z.
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -333,18 +337,53 @@ class TestThetaRoutes:
             _BOUNDS, st.just(float(x)), st.just(float(fx)),
             st.floats(max_value=1.0, exclude_max=True, allow_nan=False),
             st.integers(1, max(fx, 1)).map(lambda n: n - 0.5)), "z")
-        wheel = data.draw(st.sampled_from([1, 6, 30, None]), "wheel")
+        wheels = data.draw(st.sampled_from([(1, 1), (6, 30), (12, 35), (32, 9), None]),
+                           "wheels")
+        sparse = data.draw(st.sampled_from([1, 3, 8, None]), "sparse")
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "_BLOCK", block)
                 mp.setattr(oracle, "_CHUNK", block)
-            if wheel is not None:
-                mp.setattr(oracle, "_WHEEL", wheel)
+            if wheels is not None:
+                mp.setattr(oracle, "_WHEELS", wheels)
+            if sparse is not None:
+                mp.setattr(oracle, "_SPARSE", sparse)
             direct = theta_exact(x, y, z, sieve_small)
             decomposed = theta_exact_decomposed(x, y, z, sieve_small)
         want = reference_theta(fx, y, z, sieve_small) if x >= 1 else 0
         assert direct == want
         assert decomposed == want
+
+    # y at and just below the primes where a wheel gains a prime (11 the last
+    # of the first wheel, 13 and 23 the first and last of the second) and at
+    # 2**5, the first wheel's largest power of 2; x one below, at and one
+    # above each default wheel period, where a wheel is first used, and a
+    # multiple of the default block, where a block of one entry follows.
+    @pytest.mark.parametrize("y", [10.99, 11.0, 12.99, 13.0, 22.99, 23.0, 31.99, 32.0])
+    def test_wheel_and_block_edges(self, sieve_1m, y):
+        assert oracle._WHEELS == (332640, 96577) and oracle._BLOCK == 2**18
+        edges = [*oracle._WHEELS, 2 * oracle._BLOCK]
+        sp = np.ones(max(edges) + 2, dtype=np.int64)
+        for p in sieve_1m.primes_upto(y).tolist():
+            q = p
+            while q < sp.size:
+                sp[q::q] *= p
+                q *= p
+        for fx in (e + d for e in edges for d in (-1, 0, 1)):
+            for z in (-1.0, 0.5, 1.0, 30.5, 1000.0, fx - 1.0, float(fx), fx + 5.0):
+                want = int(np.count_nonzero(sp[1 : fx + 1] > z))
+                assert theta_exact(float(fx), y, z, sieve_1m) == want, (fx, y, z)
+
+    def test_wheel_patterns_kept_are_bounded(self, sieve_1m):
+        # One read-only pattern per wheel stays between calls, whatever the
+        # calls' y: a cache of (period + block)-length patterns per y moved
+        # the benchmark's peak RSS by 20 %.
+        for y in (3.0, 7.0, 12.0, 17.0, 30.0, 1e3, math.inf):
+            theta_exact(5e5, y, 100.0, sieve_1m)
+            kept = [pattern for _, pattern in oracle._wheel_cache.values()]
+            assert len(kept) <= len(oracle._WHEELS)
+            assert sum(p.nbytes for p in kept) <= 2 * 2**20
+            assert not any(p.flags.writeable for p in kept)
 
 
 class TestThetaAtScale:
@@ -505,6 +544,17 @@ class TestZetaOneY:
 
 
 class TestSExact:
+    @pytest.mark.parametrize("y, z", [(100.0, 1e3), (1e3, 1e3), (1e3 + 0.5, 1e3), (1e3 + 1, 1e3),
+                                      (5e3, 1e3), (1.5, 10.0), (0.0, 10.0)])
+    def test_euler_product_bits_match_zeta_one_y(self, y, z):
+        # A table whose primes reach y (y <= z) hands them to the Euler
+        # product; one that stops short (y > z) leaves zeta_one_y to sieve
+        # its own.  The partial sum is exactly rounded, in any order.
+        t = oracle.build_prime_table(z, y)
+        d = smooth_numbers(t.primes_upto(min(y, z)), z)
+        partial = math.fsum(memoryview(1.0 / d.astype(float)))
+        assert repr(s_exact(y, z, t)) == repr(zeta_one_y(y) - partial)
+
     def test_examples(self, sieve_small):
         assert s_exact(5.0, 1.0, sieve_small) == pytest.approx(2.75, abs=1e-14)
         assert s_exact(2.0, 1.0, sieve_small) == pytest.approx(1.0, abs=1e-14)
@@ -745,6 +795,34 @@ class TestEtaEmpirical:
                                              sieve_small.primes_upto(bound))
             assert got.tolist() == [brute_smooth_part_upto(n, bound, primes.tolist())
                                     for n in ns]
+
+    def test_int64_smooth_parts_keep_no_division_by_the_2_part(self, sieve_small):
+        # The 2-part stays in the remainder: the inverse test and the exact
+        # quotient hold for even n too.  Samples 2**a * m, m odd, up to 2**62.
+        primes = sieve_small.primes_upto(2.0**16).tolist()
+        odd = [1, 3, 3**5 * 11, 5 * 7 * 65521, 65519 * 65521, 99991, 3**38]
+        ns = [2**a * m for m in odd for a in range(62) if 2**a * m < 2**62]
+        for bound in (1, 2, 3, 2**8, 2**16):
+            got = oracle._smooth_parts_int64(np.array(ns, dtype=np.int64),
+                                             sieve_small.primes_upto(bound))
+            assert got.tolist() == [brute_smooth_part_upto(n, bound, primes) for n in ns]
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 17, 32, 33, 61, 62])
+    @pytest.mark.parametrize("l", [1, 2, 8, 16])
+    def test_int64_smooth_parts_at_k_and_l_edges(self, sieve_small, k, l):
+        # The smallest and largest k-bit samples, and the ones just inside
+        # them, over the primes up to 2**l; then the drawn samples of a run.
+        primes = sieve_small.primes_upto(2.0**16).tolist()
+        lo, hi = 2 ** (k - 1), 2**k - 1
+        ns = sorted({lo, lo + 1, hi - 1, hi, 3 * 2 ** (k - 2)})
+        got = oracle._smooth_parts_int64(np.array(ns, dtype=np.int64),
+                                         sieve_small.primes_upto(2.0**l))
+        assert got.tolist() == [brute_smooth_part_upto(n, 2**l, primes) for n in ns]
+        rng = np.random.Generator(np.random.Philox(key=7))
+        drawn = oracle._sample_kbit(rng, k, 64)
+        got = oracle._smooth_parts_int64(drawn, sieve_small.primes_upto(2.0**l))
+        assert got.tolist() == [brute_smooth_part_upto(n, 2**l, primes)
+                                for n in drawn.tolist()]
 
     def test_int64_divisibility_bound_is_tight(self):
         # 274177 divides 2**64 + 1, so for it the cofactor 1 maps to exactly
