@@ -124,21 +124,30 @@ def load_settings(config_path: str | None) -> Settings:
 
 
 @lru_cache(maxsize=4)
-def _tables_for(target_rel_err: float, rho_u_max: int, omega_u_cut: int):
-    """Tables built to the configured ranges and accuracy; None for the
+def _rho_table_for(target_rel_err: float, rho_u_max: int):
+    """The rho table built to the configured ceiling and accuracy; None for
+    the defaults, which :class:`~smoothdiv.convolution.Numerics` loads on
+    first use."""
+    if target_rel_err == special.DEFAULT_TARGET_REL_ERR and rho_u_max == special.DEFAULT_RHO_U_MAX:
+        return None
+    return special.build_dickman_table(rho_u_max, target_rel_err=target_rel_err)
+
+
+@lru_cache(maxsize=4)
+def _omega_table_for(target_rel_err: float, omega_u_cut: int):
+    """The omega table built to the configured cut and accuracy; None for the
     defaults, which :class:`~smoothdiv.convolution.Numerics` builds on first use."""
     if (target_rel_err == special.DEFAULT_TARGET_REL_ERR
-            and rho_u_max == special.DEFAULT_RHO_U_MAX
             and omega_u_cut == special.DEFAULT_OMEGA_U_CUT):
-        return None, None
-    return (special.build_dickman_table(rho_u_max, target_rel_err=target_rel_err),
-            special.build_buchstab_table(omega_u_cut, target_rel_err=target_rel_err))
+        return None
+    return special.build_buchstab_table(omega_u_cut, target_rel_err=target_rel_err)
 
 
 def _numerics(s: Settings, epsilon: float | None = None) -> convolution.Numerics:
     """Tables, quadrature tolerances and epsilon from the settings; a given
     ``epsilon`` (the ``--epsilon`` flag) overrides the configured one."""
-    rt, ot = _tables_for(s.target_rel_err, s.rho_u_max, s.omega_u_cut)
+    rt = _rho_table_for(s.target_rel_err, s.rho_u_max)
+    ot = _omega_table_for(s.target_rel_err, s.omega_u_cut)
     return convolution.Numerics(rt, ot,
                                 convolution.QuadratureSpec(abs_tol=s.abs_tol, rel_tol=s.rel_tol),
                                 s.epsilon if epsilon is None else epsilon)

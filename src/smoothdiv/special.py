@@ -31,6 +31,13 @@ integrated delay-ODE identity per segment,
 
 with the integrals evaluated exactly from the stored polynomials.
 Construction fails loudly if the certificate exceeds ``target_rel_err``.
+
+The default rho table is the same every time, bit for bit, so it ships as
+data: :func:`default_dickman` loads the coefficients that
+``build_dickman_table()`` produces from ``default_dickman.npy`` next to this
+module, instead of running the fixed-point construction, and certifies them
+afresh.  A missing, malformed or uncertifiable file is refused like a failed
+build.  The default omega table is cheap and is still built.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import math
 from decimal import Decimal, localcontext
 from collections.abc import Iterator
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +71,15 @@ _GUARD_BITS = 64  # significant bits every fixed-point coefficient must keep
 #: -log10 of the smallest positive double (4.9e-324): a rho table reaching
 #: further down cannot be certified in doubles.
 _LOG10_INV_DOUBLE_MIN = 323.0
+
+#: ``build_dickman_table().coeffs`` saved by ``np.save``: the default rho
+#: table, loaded by :func:`default_dickman`.
+_DEFAULT_DICKMAN_FILE = Path(__file__).with_name("default_dickman.npy")
+#: The one-line command that writes :data:`_DEFAULT_DICKMAN_FILE` afresh.
+_REGENERATE_DEFAULT_DICKMAN = (
+    'python -c "import numpy as np; from smoothdiv import special; '
+    'np.save(special._DEFAULT_DICKMAN_FILE, special.build_dickman_table().coeffs)"'
+)
 
 
 # -- fixed-point segment construction -----------------------------------------
@@ -249,7 +266,7 @@ def _certified(kind: str, knots: np.ndarray, coeffs: np.ndarray, target_rel_err:
         certificate=np.zeros(knots.size - 1),
     )
     cert = certify(table)
-    if cert.max() > target_rel_err:
+    if not cert.max() <= target_rel_err:  # a NaN defect is refused too
         raise ConstructionError(
             f"{kind} table certificate {cert.max():.3e} exceeds target "
             f"{target_rel_err:.3e}"
@@ -305,7 +322,33 @@ def build_buchstab_table(
 
 @lru_cache(maxsize=1)
 def default_dickman() -> PiecewiseFunction:
-    return build_dickman_table()
+    """The table ``build_dickman_table()`` builds, loaded from the shipped
+    coefficients and certified afresh; the construction does not run.
+
+    Raises :class:`ConstructionError`, naming the command that regenerates
+    the file, if it is missing, malformed or fails the certificate.
+    """
+    path = _DEFAULT_DICKMAN_FILE
+
+    def refused(reason: str) -> ConstructionError:
+        return ConstructionError(f"default rho table {path} refused: {reason}; "
+                                 f"regenerate it with: {_REGENERATE_DEFAULT_DICKMAN}")
+
+    try:
+        coeffs = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise refused(" ".join(str(exc).split())) from None
+    shape = (DEFAULT_RHO_U_MAX, dickman_degree_for(DEFAULT_RHO_U_MAX) + 1)
+    if not (isinstance(coeffs, np.ndarray) and coeffs.dtype == np.float64
+            and coeffs.shape == shape):
+        raise refused(f"expected float64 coefficients of shape {shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise refused("a coefficient is not finite")
+    try:
+        return _certified(KIND_DICKMAN, np.arange(0, DEFAULT_RHO_U_MAX + 1, dtype=float),
+                          coeffs, DEFAULT_TARGET_REL_ERR, _certify_dickman)
+    except ConstructionError as exc:
+        raise refused(str(exc)) from None
 
 
 @lru_cache(maxsize=1)

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smoothdiv import cli, convolution, oracle
+from smoothdiv import cli, convolution, oracle, special
 from smoothdiv.cli import (
     CONFIG_ENV_VAR,
     EXIT_DOMAIN,
@@ -852,6 +852,24 @@ def test_nothing_is_sieved_past_y_or_the_counting_bound(argv, most, monkeypatch)
     monkeypatch.setattr(oracle, "sieve_primes", lambda n: sieved.append(n) or real(n))
     assert _main(argv)[0] == 0
     assert sieved and max(sieved) <= most, sieved
+
+
+def test_a_non_default_omega_cut_builds_no_rho_table(tmp_path, monkeypatch):
+    # Each table is picked on its own: only omega leaves its defaults, so the
+    # default rho table is loaded and the Dickman construction never runs.
+    built = []
+    real = special._dickman_segments
+    monkeypatch.setattr(special, "_dickman_segments",
+                        lambda *args: built.append(args) or real(*args))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"omega_u_cut": 40}))
+    cli._omega_table_for.cache_clear()
+    special.default_dickman.cache_clear()
+    code, out = _main(["--config", str(cfg), "estimate", "theta",
+                       "--x", "1e12", "--y", "1e4", "--z", "1e6"])
+    assert code == 0 and built == []
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7edd97a67a5321ca7aab05d37d421b49e117cb68f088d5663f2fbdc20bc1f310")
 
 
 def test_exact_s_sieves_the_primes_up_to_y_once(monkeypatch):

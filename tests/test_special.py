@@ -1,6 +1,9 @@
+import fnmatch
 import hashlib
 import math
+import tomllib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from smoothdiv import (
     rho_double_prime,
     rho_prime,
 )
-from smoothdiv import special
+from smoothdiv import cli, special
 from smoothdiv.piecewise import save_piecewise
 from smoothdiv.special import dickman_degree_for, omega_deviations_decimal
 
@@ -340,3 +343,91 @@ class TestTableBits:
             cols = table._horner_cols
             assert cols.shape == shape, name
             assert hashlib.sha256(cols.tobytes()).hexdigest() == digest, name
+
+
+@pytest.fixture(scope="module")
+def built_dickman():
+    return build_dickman_table()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestShippedDefaultTable:
+    """default_dickman() loads build_dickman_table()'s coefficients from the
+    package and certifies them afresh; the construction does not run."""
+
+    REGENERATE = f"regenerate the shipped table with: {special._REGENERATE_DEFAULT_DICKMAN}"
+
+    def test_equals_the_built_table(self, dickman, built_dickman):
+        for name in ("coeffs", "certificate", "_horner_cols"):
+            assert _same_bits(getattr(dickman, name), getattr(built_dickman, name)), (
+                f"{name} differs; {self.REGENERATE}")
+
+    def test_loads_without_the_construction(self, built_dickman, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("default_dickman() ran the fixed-point construction")
+
+        monkeypatch.setattr(special, "_dickman_segments", refuse)
+        special.default_dickman.cache_clear()
+        try:
+            table = special.default_dickman()
+        finally:
+            special.default_dickman.cache_clear()
+        assert _same_bits(table.coeffs, built_dickman.coeffs), self.REGENERATE
+        assert _same_bits(table.certificate, built_dickman.certificate), self.REGENERATE
+
+    def test_declared_as_package_data(self):
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as f:
+            patterns = tomllib.load(f)["tool"]["setuptools"]["package-data"]["smoothdiv"]
+        shipped = special._DEFAULT_DICKMAN_FILE
+        assert shipped.is_file() and shipped.parent == Path(special.__file__).parent
+        assert any(fnmatch.fnmatch(shipped.name, pattern) for pattern in patterns)
+
+
+def _wrong_shape(coeffs):
+    return coeffs[:, :-1]
+
+
+def _perturbed(coeffs):
+    # A relative change of 1e-9 in one segment's constant term breaks the
+    # delay-ODE identity there far beyond the 1e-10 target.
+    bad = coeffs.copy()
+    bad[40, 0] *= 1.0 + 1e-9
+    return bad
+
+
+class TestBadShippedTable:
+    """A shipped file that is missing, malformed or uncertifiable is refused:
+    no table is built in its place."""
+
+    @pytest.fixture
+    def shipped(self, built_dickman, tmp_path, monkeypatch):
+        def point_at(make):
+            path = tmp_path / "default_dickman.npy"
+            if make is not None:
+                np.save(path, make(built_dickman.coeffs))
+            monkeypatch.setattr(special, "_DEFAULT_DICKMAN_FILE", path)
+            monkeypatch.setattr(special, "_dickman_segments", None)  # no fallback build
+
+        special.default_dickman.cache_clear()
+        yield point_at
+        special.default_dickman.cache_clear()
+
+    @pytest.mark.parametrize("make, reason", [
+        (_wrong_shape, r"expected float64 coefficients of shape \(100, 523\)"),
+        (_perturbed, r"dickman table certificate .* exceeds target 1\.000e-10"),
+        (None, "No such file"),
+    ], ids=["wrong-shape", "perturbed", "missing"])
+    def test_refused(self, shipped, make, reason, capsys, monkeypatch):
+        shipped(make)
+        with pytest.raises(ConstructionError, match=reason) as exc:
+            special.default_dickman()
+        assert special._REGENERATE_DEFAULT_DICKMAN in str(exc.value)
+        monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+        assert cli.main(["special", "--fn", "rho", "--u", "5"]) == cli.EXIT_RESOURCE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("resource error: default rho table ")
