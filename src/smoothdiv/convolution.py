@@ -17,21 +17,23 @@ each knot-free piece is analytic.  All pieces of every integral an estimate
 needs then go through one vectorized pass of QUADPACK's 21-point
 Gauss-Kronrod rule ``dqk21`` (Piessens, de Doncker-Kapenga, Ueberhuber &
 Kahaner, *QUADPACK*, 1983): ``eta`` hands :func:`omega_convolutions` C_or and
-C_or' at two u, four integrals (:func:`rho_convolutions` batches C_rr the
-same way), and the tables are evaluated once on the flat array of every
-node of every piece, each node with its own integral's integrand.  A
-batch's integrand is ``f(s, owner)``: ``s`` is that flat node array and
-``owner[k]`` the index of the integral node ``s[k]`` belongs to, so the
-pieces of different integrals may sit in a pass in any order.  Each
-piece gets the rule's value and error estimate, computed with the Fortran
-routine's nodes, weights and order of operations, so a piece has the same
-bits in a batch as alone.  A piece is accepted by the first-pass
-test of QUADPACK's adaptive routine ``dqagse``, with its own integral's
-tolerance.  The few it rejects (in practice, pieces straddling the point
-where rho underflows to 0) are refined by repeatedly bisecting each one's
-worst subinterval until its summed error meets the tolerance or the
-subdivision budget is spent.  The single-integral functions are batches of
-one.
+C_or' at two u, four integrals (:func:`rho_convolutions` batches C_rr and
+:func:`taus` tau the same way).  A batch's integrand is ``f(s, owner)``:
+``s`` holds the nodes as one row of 21 per piece, and ``owner[i]`` is the
+index of the integral piece ``i`` belongs to, so the pieces of different
+integrals may sit in a pass in any order.  The integrand evaluates both
+tables in one sweep (``special.sweep``): each piece's rho and omega
+segments are found once, and one Horner loop runs over both tables'
+coefficients, one row per piece.  Each piece gets the rule's value and
+error estimate, computed with the Fortran routine's nodes, weights and
+order of operations (each of its sums is one ``np.add.accumulate``, which
+adds left to right), so a piece has the same bits in a batch as alone.  A
+piece is accepted by the first-pass test of QUADPACK's adaptive routine
+``dqagse``, with its own integral's tolerance.  The few it rejects (in
+practice, pieces straddling the point where rho underflows to 0) are
+refined by repeatedly bisecting each one's worst subinterval until its
+summed error meets the tolerance or the subdivision budget is spent.  The
+single-integral functions are batches of one.
 """
 
 from __future__ import annotations
@@ -132,40 +134,49 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
+# dqk21 adds the Gauss-Kronrod pairs first, then the Kronrod-only ones; the
+# node columns of a piece follow that order, and _NATURAL restores the
+# abscissa order in which it adds resasc.
+_ORDER = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+_XGK_SUM = _XGK[_ORDER]
+_WGK_SUM = _WGK[_ORDER]
+_NATURAL = np.argsort(_ORDER)
+
+
 def quad(f: Callable[[np.ndarray], np.ndarray], a, b):
     """QUADPACK ``dqk21`` on every piece ``[a[i], b[i]]`` in one pass.
 
-    ``f`` takes a 1-D array of nodes and returns the integrand there; it is
-    called once, on all 21 nodes of all pieces, piece ``i``'s at flat indices
-    ``21 i`` to ``21 i + 20``.  Returns per-piece arrays
+    ``f`` takes a (pieces, 21) array of nodes and returns the integrand
+    there; it is called once, row ``i`` holding piece ``i``'s nodes with
+    its centre in column 0.  Returns per-piece arrays
     ``(result, abserr, resabs, resasc)`` as ``dqk21`` defines them: the
     Kronrod value, its error estimate, the rule applied to ``|f|`` and to
-    ``|f - mean|``.  Every sum runs in ``dqk21``'s order, elementwise across
-    pieces, so each piece's numbers are those of the scalar routine.
+    ``|f - mean|``.  Each sum is one ``np.add.accumulate`` along a row of
+    terms in ``dqk21``'s order, which adds left to right, so each piece's
+    numbers are those of the scalar routine.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    centr = 0.5 * (a + b)
+    centr = (0.5 * (a + b))[:, None]
     hlgth = 0.5 * (b - a)
-    absc = hlgth[:, None] * _XGK[:10]
-    nodes = np.concatenate([centr[:, None], centr[:, None] - absc, centr[:, None] + absc], axis=1)
-    fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    fc, fv1, fv2 = fv[:, 0], fv[:, 1:11], fv[:, 11:]
-
-    resg = np.zeros_like(centr)
-    resk = _WGK[10] * fc
-    resabs = np.abs(resk)
-    # dqk21 adds the Gauss-Kronrod nodes first, then the Kronrod-only ones.
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        fsum = fv1[:, j] + fv2[:, j]
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (np.abs(fv1[:, j]) + np.abs(fv2[:, j]))
-    reskh = resk * 0.5
-    resasc = _WGK[10] * np.abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (np.abs(fv1[:, j] - reskh) + np.abs(fv2[:, j] - reskh))
+    absc = hlgth[:, None] * _XGK_SUM
+    fv = np.asarray(f(np.concatenate([centr, centr - absc, centr + absc], axis=1)), dtype=float)
+    fsum = fv[:, 1:11] + fv[:, 11:]
+    fabs = np.abs(fv)
+    # Rows of terms for resk, resg (which starts from 0) and resabs.
+    terms = np.zeros((3, a.size, 11))
+    terms[0, :, 0] = _WGK[10] * fv[:, 0]
+    terms[0, :, 1:] = fsum * _WGK_SUM
+    terms[1, :, 1:6] = fsum[:, :5] * _WG
+    terms[2, :, 0] = np.abs(terms[0, :, 0])
+    terms[2, :, 1:] = (fabs[:, 1:11] + fabs[:, 11:]) * _WGK_SUM
+    sums = np.add.accumulate(terms, axis=2)
+    resk, resg, resabs = sums[0, :, -1], sums[1, :, 5], sums[2, :, -1]
+    dev = np.abs(fv - (resk * 0.5)[:, None])
+    asc = terms[0]
+    asc[:, 0] = _WGK[10] * dev[:, 0]
+    asc[:, 1:] = (dev[:, 1:11] + dev[:, 11:])[:, _NATURAL] * _WGK[:10]
+    resasc = np.add.accumulate(asc, axis=1)[:, -1]
 
     dhlgth = np.abs(hlgth)
     result = resk * hlgth
@@ -210,18 +221,19 @@ def _knot_points(lo: float, hi: float, shifts_from: float | None) -> list[float]
     return merged
 
 
-#: The integrand of a batch: ``f(s, owner)`` takes the flat array of nodes
-#: and, for each node, the index of the integral it belongs to.
+#: The integrand of a batch: ``f(s, owner)`` takes the (pieces, 21) array of
+#: nodes (see :func:`quad`) and, for each piece, the index of the integral
+#: it belongs to.
 Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _pass(f: Integrand, owner: np.ndarray, a, b):
     """One :func:`quad` pass over the pieces ``[a[i], b[i]]``, piece ``i``
     belonging to integral ``owner[i]``."""
-    node_owner = np.repeat(owner, 21)  # quad's 21 nodes a piece, in piece order
     # scipy's quad calls the integrand one scalar node at a time, on a batch
-    # of one integral.
-    return quad(lambda s: f(s, node_owner if np.ndim(s) else owner[0]), a, b)
+    # of one integral: that node is a piece of its own.
+    return quad(lambda s: f(s, owner) if np.ndim(s) else f(np.full((1, 1), s), owner[:1])[0, 0],
+                a, b)
 
 
 def _integrate_pieces(f: Integrand, points: list[list[float]], spec: QuadratureSpec
@@ -330,21 +342,36 @@ def tau(v: float, num: Numerics = DEFAULT_NUMERICS) -> float:
     when it exceeds the relative tolerance of the value: from v ~ 7 on, and
     from v = 13 on it is all of tau.
     """
-    _check_finite(v)
+    [value] = taus([v], num)
+    return value
+
+
+def taus(vs: list[float], num: Numerics = DEFAULT_NUMERICS) -> list[float]:
+    """:func:`tau` at each v of ``vs``, every piece of every integral in one
+    quadrature pass; each v keeps its own cutoff and tail.
+
+    Each value is the one the single-integral function returns, to the bit.
+    """
     rho_t = num.rho
-    lo = max(float(v), 0.0)
     support_hi = special.rho_support_hi(rho_t)
-    hi = _tau_cutoff(lo, support_hi, rho_t, num.spec)
-    [value] = _integrals(_single(lambda s: special.rho(s, table=rho_t)),
-                         [(lo, hi, (lo, hi), None)], num.spec)
-    total = value.value
-    bound = num.spec.rel_tol * abs(total)
-    # The tail past hi is below abs_tol/10, so only a small total can need it.
-    if num.spec.abs_tol / 10.0 > bound:
-        tail = rho_t.integral(hi, support_hi)
-        if tail > bound:
-            total += tail
-    return total
+    spans = []
+    for v in vs:
+        _check_finite(v)
+        lo = max(float(v), 0.0)
+        hi = _tau_cutoff(lo, support_hi, rho_t, num.spec)
+        spans.append((lo, hi, (lo, hi), None))
+    values = _integrals(lambda s, owner: special.sweep([("rho", rho_t, s)])[0], spans, num.spec)
+    out = []
+    for (_, hi, _, _), value in zip(spans, values):
+        total = value.value
+        bound = num.spec.rel_tol * abs(total)
+        # The tail past hi is below abs_tol/10, so only a small total can need it.
+        if num.spec.abs_tol / 10.0 > bound:
+            tail = rho_t.integral(hi, support_hi)
+            if tail > bound:
+                total += tail
+        out.append(total)
+    return out
 
 
 def _tau_cutoff(lo: float, support_hi: float, rho_t: PiecewiseFunction,
@@ -364,20 +391,19 @@ def _omega_products(terms: list[tuple[float, bool]], num: Numerics) -> Integrand
     """The integrand of the batch whose integral ``i`` is omega(u - s) rho(s),
     or omega(u - s) rho'(s) when ``terms[i]`` is ``(u, True)``.
 
-    omega is evaluated once on u - s over every node, and rho once: on s
-    for the rho integrals and on s - 1 for the rho' ones, where
-    rho'(s) = -rho(s - 1)/s (every rho' node has s > 1; see
-    ``special._rho_prime_ext``).
+    One table sweep evaluates omega on u - s and rho on s for the rho
+    integrals and on s - 1 for the rho' ones, where rho'(s) = -rho(s - 1)/s
+    (every rho' node has s > 1; see ``special._rho_prime_ext``).
     """
     rho_t, omega_t = num.rho, num.omega
-    us = np.array([u for u, _ in terms], dtype=float)
-    primes = np.array([prime for _, prime in terms], dtype=bool)
+    us = np.array([u for u, _ in terms], dtype=float)[:, None]
+    primes = np.array([prime for _, prime in terms], dtype=bool)[:, None]
+    shifts = primes.astype(float)  # s - 0.0 is s, to the bit
 
     def f(s, owner):
-        w = special.omega(us[owner] - s, table=omega_t)
-        prime = primes[owner]
-        r = special.rho(np.where(prime, s - 1.0, s), table=rho_t)
-        return w * np.where(prime, -r / s, r)
+        w, r = special.sweep([("omega", omega_t, us[owner] - s),
+                              ("rho", rho_t, s - shifts[owner])])
+        return w * np.where(primes[owner], -r / s, r)
 
     return f
 
@@ -438,10 +464,11 @@ def rho_convolutions(terms: list[tuple[float, float]],
         lo = min(max(v, 0.0), hi)
         # rho(s) is dead beyond the support, rho(u - s) below u - support.
         spans.append((max(lo, u - support), min(hi, support), (lo, hi), u))
-    us = np.array([u for u, _ in terms], dtype=float)
+    us = np.array([u for u, _ in terms], dtype=float)[:, None]
 
     def f(s, owner):
-        return special.rho(us[owner] - s, table=rho_t) * special.rho(s, table=rho_t)
+        shifted, r = special.sweep([("rho", rho_t, us[owner] - s), ("rho", rho_t, s)])
+        return shifted * r
 
     return _integrals(f, spans, num.spec)
 

@@ -9,7 +9,9 @@ segment integration are pure.
 
 Extension conventions (value 0 below the table, asymptotic value above it,
 underflow reporting) are applied by the wrappers in :mod:`smoothdiv.special`,
-not here: this module evaluates strictly inside ``[knots[0], knots[-1]]``.
+not here: this module evaluates strictly inside ``[knots[0], knots[-1]]``,
+and a :class:`TableStack`, which evaluates several tables' quadrature pieces
+in one Horner loop, takes its values beyond the edges from its caller.
 """
 
 from __future__ import annotations
@@ -226,6 +228,68 @@ class PiecewiseFunction:
         mid = float(self.knots[k]) + 0.5
         anti = self._anti[k].tolist()
         return _horner_row(anti, b - mid) - _horner_row(anti, a - mid)
+
+
+class TableStack:
+    """Several tables' Horner columns side by side, evaluated a piece at a time.
+
+    Table ``i`` contributes a constant row for arguments below its first
+    knot (``below[i]``), one row per segment, and a constant row for
+    arguments above its last knot (``above[i]``); a None constant leaves
+    such arguments to the caller.  Rows are right-aligned behind leading
+    zeros across the common width, as in ``_horner_cols``, so a piece
+    evaluated with its row gets the bits of :meth:`PiecewiseFunction.value`.
+    """
+
+    def __init__(self, tables, below, above):
+        width = max(t._horner_cols.shape[0] for t in tables)
+        cols, mids, self._base, self._limits = [], [], [], []
+        for table, lo_value, hi_value in zip(tables, below, above):
+            n = table.n_segments
+            block = np.zeros((width, n + 2))
+            block[width - table._horner_cols.shape[0]:, 1:-1] = table._horner_cols
+            block[-1, [0, -1]] = [lo_value or 0.0, hi_value or 0.0]
+            self._base.append(sum(c.shape[1] for c in cols) + 1)
+            # The rows a piece may use: the segments, and a constant if given.
+            self._limits.append((-1.0 if lo_value is not None else 0.0,
+                                 n if hi_value is not None else n - 1.0))
+            cols.append(block)
+            mids.append(np.concatenate([[0.0], table.knots[:-1] + 0.5, [0.0]]))
+        # (width, rows, 1): a column step broadcasts over a piece's nodes.
+        self._cols = np.concatenate(cols, axis=1)[:, :, None]
+        self._mids = np.concatenate(mids)
+        self._tables = tuple(tables)
+
+    def sweep(self, which, xs):
+        """Table ``which[j]`` at the nodes ``xs[j]``, for every j, in one
+        Horner loop.
+
+        Row p of ``xs[j]`` holds one piece's nodes, and the node in column 0
+        picks the segment or constant the whole piece is evaluated with.
+        Returns the values, the blocks stacked along axis 0, and a mask of
+        the nodes that belong elsewhere (a piece across a knot, as rounding
+        at a knot allows, or past an edge with no constant): their values
+        are not the table's and must be replaced.
+        """
+        rows, off = [], []
+        for i, x in zip(which, xs):
+            table = self._tables[i]
+            # Each node's row: -1 below the table, n_segments above it, and
+            # the last knot in the last segment, as in ``value``.
+            k = np.maximum(np.minimum(np.floor(x - table.lo), table.n_segments - 1.0), -1.0)
+            k += x > table.hi
+            lo_row, hi_row = self._limits[i]
+            piece = np.maximum(np.minimum(k[:, 0], hi_row), lo_row)
+            off.append(k != piece[:, None])
+            rows.append(piece.astype(np.intp) + self._base[i])
+        row = np.concatenate(rows)
+        t = np.concatenate(xs)
+        t -= self._mids[row][:, None]
+        acc = np.zeros_like(t)
+        for col in self._cols[:, row]:
+            acc *= t
+            acc += col
+        return acc, np.concatenate(off)
 
 
 # -- export / import ---------------------------------------------------------

@@ -52,7 +52,7 @@ import numpy as np
 
 from .constants import EXP_NEG_GAMMA
 from .errors import ConstructionError, DomainError
-from .piecewise import KIND_BUCHSTAB, KIND_DICKMAN, PiecewiseFunction, _horner
+from .piecewise import KIND_BUCHSTAB, KIND_DICKMAN, PiecewiseFunction, TableStack, _horner
 
 #: Default evaluation ceiling for rho; values below the floor report 0.
 DEFAULT_RHO_U_MAX = 100
@@ -404,9 +404,7 @@ def rho(u, table: PiecewiseFunction | None = None):
     out = np.zeros_like(arr)
     inside = (arr >= 0.0) & (arr <= table.hi)
     if np.any(inside):
-        vals = table.value(arr[inside])
-        vals = np.where(vals < DEFAULT_VALUE_FLOOR, 0.0, vals)
-        out[inside] = vals
+        out[inside] = _floored(table.value(arr[inside]))
     above = arr > table.hi
     if np.any(above):
         _require_rho_underflow(float(arr[above][0]), table)
@@ -414,8 +412,18 @@ def rho(u, table: PiecewiseFunction | None = None):
     return out
 
 
+def _floored(vals: np.ndarray) -> np.ndarray:
+    """rho table values with those below ``DEFAULT_VALUE_FLOOR`` set to 0."""
+    return np.where(vals < DEFAULT_VALUE_FLOOR, 0.0, vals)
+
+
+def _underflowed(table: PiecewiseFunction) -> bool:
+    """Whether rho has underflowed at the table ceiling, so that 0 is its value above it."""
+    return table._value_scalar(table.hi) < DEFAULT_VALUE_FLOOR
+
+
 def _require_rho_underflow(x: float, table: PiecewiseFunction):
-    if table._value_scalar(table.hi) >= DEFAULT_VALUE_FLOOR:
+    if not _underflowed(table):
         raise DomainError(
             f"u={x} exceeds the rho table ceiling u_max={table.hi} and the "
             f"value there has not underflowed; build a larger table"
@@ -506,6 +514,53 @@ def omega_prime(u, table: PiecewiseFunction | None = None):
     """
     x = _checked(u, 1.0, False, "omega_prime")
     return (omega(x - 1.0, table=table) - omega(x, table=table)) / x
+
+
+# -- one table sweep over the pieces of a quadrature pass ---------------------
+
+
+@lru_cache(maxsize=8)
+def _stack(key: tuple) -> TableStack:
+    """The stack of the distinct ``(name, table)`` pairs of ``key``, with
+    their functions' constants: 0 below the rho table (from 0) and the omega
+    table (from 1), 0 above the rho table once rho has underflowed there,
+    and e**-gamma above the omega table."""
+    below, above = [], []
+    for name, table in key:
+        if name == "rho":
+            below.append(0.0 if table.lo == 0.0 else None)
+            above.append(0.0 if _underflowed(table) else None)
+        else:
+            below.append(0.0 if table.lo == 1.0 else None)
+            above.append(EXP_NEG_GAMMA)
+    return TableStack([table for _, table in key], below, above)
+
+
+def sweep(blocks) -> list[np.ndarray]:
+    """``rho(x, table)`` or ``omega(x, table)`` for each ``(name, table, x)``
+    of ``blocks``, ``name`` being "rho" or "omega", in one table sweep.
+
+    ``x`` holds one quadrature piece's nodes per row, and the piece is
+    evaluated with one coefficient row (see :meth:`TableStack.sweep`).
+    Every value has the bits of :func:`rho` or :func:`omega` at its node: a
+    node outside its piece's segment is handed to that function itself.
+    """
+    key = tuple(dict.fromkeys((name, table) for name, table, _ in blocks))
+    values, off = _stack(key).sweep([key.index((name, table)) for name, table, _ in blocks],
+                                   [x for _, _, x in blocks])
+    any_off = off.any()
+    out = []
+    start = 0
+    for name, table, x in blocks:
+        stop = start + len(x)
+        v, o = values[start:stop], off[start:stop]
+        if name == "rho":
+            v = _floored(v)
+        if any_off and o.any():
+            v[o] = (rho if name == "rho" else omega)(x[o], table=table)
+        out.append(v)
+        start = stop
+    return out
 
 
 # -- high-precision spot values (validation helpers) --------------------------

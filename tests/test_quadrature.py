@@ -184,11 +184,22 @@ def test_rho_batch_matches_conv_rho_rho_bit_for_bit(monkeypatch):
     assert len(empty) == 4 and all(c.value == 0.0 and c.est_abs_err == 0.0 for c in empty)
 
 
+def test_tau_batch_matches_tau_bit_for_bit(monkeypatch):
+    # Below 0, around the knots, where the tail past the cutoff is added
+    # back (v ~ 7 on) or is all of tau (v = 13 on), and past the support.
+    vs = [-2.0, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.5, 4.4, 5.0, 7.0, 12.5, 13.0, 40.0, 83.0, 90.0]
+    vs += vs[::-1]
+    batch, calls = _passes(monkeypatch, convolution.taus, vs)
+    assert len(calls) == 1
+    for v, got in zip(vs, batch):
+        assert _bits(got) == _bits(convolution.tau(v)), v
+
+
 def test_validate_convolution_batches_its_checks(monkeypatch):
-    # One pass per convolution kind per check, plus bisection rounds and
-    # one pass per tau call, is 26; a pass per integral would be 226.
+    # One pass per convolution kind per check and per tau batch, plus three
+    # bisection rounds, is 12; a pass per integral would be 226.
     _, calls = _passes(monkeypatch, validate_convolution)
-    assert len(calls) <= 40
+    assert len(calls) <= 12
 
 
 def test_eta_is_two_wp_bit_for_bit():
@@ -202,21 +213,23 @@ def test_eta_is_two_wp_bit_for_bit():
 
 
 def _array_calls(monkeypatch, fn, *args):
-    """Run ``fn(*args)``; return how many times ``quad`` ran and how many
-    times ``special.omega`` and ``special.rho`` were called on arrays."""
-    counts = {"quad": 0, "omega": 0, "rho": 0}
+    """Run ``fn(*args)``; return how many times ``quad`` ran, how many table
+    sweeps ``special.sweep`` made, and how many times ``special.omega`` and
+    ``special.rho`` were called on arrays."""
+    counts = {"quad": 0, "sweep": 0, "omega": 0, "rho": 0}
 
     def recording(module, name):
         original = getattr(module, name)
 
         def wrapper(*a, **kw):
-            if name == "quad" or np.ndim(a[0]):
+            if name in ("quad", "sweep") or np.ndim(a[0]):
                 counts[name] += 1
             return original(*a, **kw)
 
         monkeypatch.setattr(module, name, wrapper)
 
     recording(convolution, "quad")
+    recording(special, "sweep")
     recording(special, "omega")
     recording(special, "rho")
     fn(*args)
@@ -229,10 +242,11 @@ def _array_calls(monkeypatch, fn, *args):
     (theta_estimate, (ScaledParams(1e12, 1e4, 1e6),)),
 ])
 def test_estimate_is_one_quadrature_pass(monkeypatch, fn, args):
-    # eta needs C_or and C_or' at two u, theta both at one: all in one pass.
+    # eta needs C_or and C_or' at two u, theta both at one: all in one pass,
+    # whose integrand evaluates both tables in one sweep and no table on its own.
     if fn is theta_estimate:
         assert theta_estimate(*args).in_theorem_domain
-    assert _array_calls(monkeypatch, fn, *args) == {"quad": 1, "omega": 1, "rho": 1}
+    assert _array_calls(monkeypatch, fn, *args) == {"quad": 1, "sweep": 1, "omega": 0, "rho": 0}
 
 
 @pytest.mark.parametrize("table_fn", [special.default_dickman, special.default_buchstab])
