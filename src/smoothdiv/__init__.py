@@ -63,7 +63,6 @@ from .estimators import (
 from .oracle import (
     SieveTables,
     WeightKind,
-    build_prime_table,
     build_sieve,
     eta_empirical,
     phi_exact,
@@ -99,7 +98,6 @@ __all__ = [
     "WeightKind",
     "build_buchstab_table",
     "build_dickman_table",
-    "build_prime_table",
     "build_sieve",
     "conv_omega_rho",
     "conv_omega_rho_prime",

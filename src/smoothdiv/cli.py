@@ -34,9 +34,10 @@ as its count needs: ``exact`` and ``compare`` count up to the kind's
 min(y, that bound), the largest y of the grid for ``compare``;
 ``dsa-risk --empirical`` sieves to 2**l and ``validate`` to 10**6.  The
 configured ``sieve_ceiling`` bounds each of those limits, the counting bound
-included.  The Euler product zeta(1, y) behind ``estimate phi`` and ``exact
-s`` sieves the primes up to y, under the same ceiling.  ``exact theta`` and
-``compare --kind theta`` count by :func:`smoothdiv.oracle.theta_count`.
+included; a count past 2**63 is a resource error whatever the ceiling.  The
+Euler product zeta(1, y) behind ``estimate phi`` and ``exact s`` sieves the
+primes up to y, under the same ceiling.  ``exact theta`` and ``compare
+--kind theta`` count by :func:`smoothdiv.oracle.theta_count`.
 """
 
 from __future__ import annotations
@@ -248,20 +249,22 @@ def _estimate_flags(result) -> list[str]:
     return flags
 
 
-def _sieve_for(limit_needed: float | int, settings: Settings,
-               y: float | None = None) -> oracle.SieveTables:
-    """A sieve for counts over n <= ``limit_needed`` (a float, or an exact int
-    that may exceed every float), a bound held to the configured ceiling.  It
-    lists every prime up to that bound, or with ``y`` only those up to
-    min(y, bound): all that a count with parameter y reads."""
-    if isinstance(limit_needed, float):
-        if not math.isfinite(limit_needed):
-            raise DomainError(f"the exact count needs a sieve up to {limit_needed}")
-        limit_needed = math.ceil(limit_needed)
-    limit = max(limit_needed, 2)
-    if y is None:
-        return oracle.build_sieve(limit, ceiling=settings.sieve_ceiling)
-    return oracle.build_prime_table(limit, y, ceiling=settings.sieve_ceiling)
+def _sieve_for(bound: float | int, settings: Settings,
+               y: float = math.inf) -> oracle.SieveTables:
+    """A sieve for counts over n <= ``bound`` (a float, or an exact int that
+    may exceed every float) with parameter ``y``.  The bound is held to the
+    configured ceiling, but the sieve lists only the primes up to min(y,
+    bound): all that such a count reads."""
+    if isinstance(bound, float):
+        if not math.isfinite(bound):
+            raise DomainError(f"the exact count needs a sieve up to {bound}")
+        bound = math.ceil(bound)
+    bound = max(bound, 2)
+    if bound > settings.sieve_ceiling:
+        raise ResourceError(f"sieve limit {bound} exceeds the ceiling {settings.sieve_ceiling}")
+    if math.isnan(y):
+        raise DomainError("y must not be NaN")
+    return oracle.build_sieve(math.floor(min(bound, max(y, 2))), settings.sieve_ceiling)
 
 
 def _check_zeta_primes(kind: harness.Kind, routes: tuple[str, ...], points: list[dict],

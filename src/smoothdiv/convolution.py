@@ -230,10 +230,7 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 def _pass(f: Integrand, owner: np.ndarray, a, b):
     """One :func:`quad` pass over the pieces ``[a[i], b[i]]``, piece ``i``
     belonging to integral ``owner[i]``."""
-    # scipy's quad calls the integrand one scalar node at a time, on a batch
-    # of one integral: that node is a piece of its own.
-    return quad(lambda s: f(s, owner) if np.ndim(s) else f(np.full((1, 1), s), owner[:1])[0, 0],
-                a, b)
+    return quad(lambda s: f(s, owner), a, b)
 
 
 def _integrate_pieces(f: Integrand, points: list[list[float]], spec: QuadratureSpec
@@ -315,11 +312,6 @@ def _sum_parts(parts) -> tuple[float, float]:
         value += v
         err += e
     return value, err
-
-
-def _single(f: Callable[[np.ndarray], np.ndarray]) -> Integrand:
-    """``f`` as the integrand of a batch holding one integral."""
-    return lambda s, owner: f(s)
 
 
 def _integrals(f: Integrand, spans, spec: QuadratureSpec) -> list[ConvolutionValue]:

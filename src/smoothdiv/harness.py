@@ -55,9 +55,9 @@ class Kind:
     The callables take the parameter values as keywords:
     ``estimate(num, **p)``, ``exact(sieve, num, **p)`` and
     ``sieve_limit(**p)``, the bound on the integers ``exact`` counts over
-    (x, or z for s, or n for smoothpart), which the sieve's ``limit`` must
-    reach; ``exact`` reads no prime above the parameter y, so a sieve whose
-    primes stop at min(y, that bound) suffices.  ``num`` is a
+    (x, or z for s, or n for smoothpart), which the CLI holds to its sieve
+    ceiling; ``exact`` reads no prime above min(y, that bound), so a sieve
+    to that suffices.  ``num`` is a
     :class:`~smoothdiv.convolution.Numerics`.  They look their
     functions up through the module at call time, so wrappers installed on
     ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and

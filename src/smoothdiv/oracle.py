@@ -10,14 +10,13 @@ One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
 and keeps nothing between calls.  It flags the odd numbers only (Bays and
 Hudson, BIT 17, 1977), one bool per odd number, so it makes half the flags
 and half the stride writes of a sieve over all numbers; 2 is put in by hand.
-A :class:`SieveTables` holds only that list, with the bound x its counts run
-to and the bound its prime list is complete to: :func:`build_sieve` lists
-every prime up to x, and :func:`build_prime_table` only those up to min(y, x),
-which is all a count with parameter y reads.  ``primes_upto`` refuses a bound
-past the list's, so a short list never truncates a count.  ``smooth_part``
-divides n by the listed primes that divide it, and the smallest-prime-factor
-table ``SieveTables.spf`` is built only if read (and only on a full list).
-Counting loops are vectorized:
+A :class:`SieveTables` holds only that list and its bound, every prime up to
+``limit``.  A count with parameter y reads only the primes up to min(y, x),
+so a table sieved that far answers it for any x below 2**63, where the int64
+enumerations stop; ``primes_upto`` refuses a bound past the list's, so a
+short list never truncates a count.  ``smooth_part`` divides n by the listed
+primes that divide it, and the smallest-prime-factor table
+``SieveTables.spf`` is built only if read.  Counting loops are vectorized:
 
 * smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
   walking the primes in order, a number retires once it is too large to take
@@ -123,31 +122,23 @@ class WeightKind(Enum):
 
 @dataclass(frozen=True, eq=False)
 class SieveTables:
-    """The primes up to ``prime_bound``, ascending, as int64, for counts over
-    n <= ``limit``.
+    """Every prime p <= ``limit``, ascending, as int64.
 
-    ``prime_bound`` defaults to ``limit``: the list is then complete to the
-    counts' bound.  A table from :func:`build_prime_table` lists fewer primes
-    (those up to min(y, limit)), and ``primes_upto`` refuses any bound past
-    its list.  Immutable after construction; shareable across threads.  No
-    count needs more than the prime list: smooth parts are found by trial
-    division over the primes that divide n.
+    No count needs more than the prime list (smooth parts are found by trial
+    division over the primes that divide n), and none reads a prime above
+    min(y, x): a table to that bound serves a count over any x < 2**63.
+    ``primes_upto`` refuses a bound past ``limit``.  Immutable after
+    construction; shareable across threads.
     """
 
     limit: int
     primes: np.ndarray
-    prime_bound: int | None = None
-
-    def __post_init__(self):
-        if self.prime_bound is None:
-            object.__setattr__(self, "prime_bound", self.limit)
 
     def primes_upto(self, y: float) -> np.ndarray:
-        """Primes p <= y from the table (requires floor(y) <= prime_bound)."""
+        """Primes p <= y from the table (requires floor(y) <= limit)."""
         _require_not_nan(y=y)
-        if y >= self.prime_bound + 1:  # floor(y) > prime_bound; also y = +inf
-            raise ResourceError(
-                f"primes up to {y} exceed the sieve's prime bound {self.prime_bound}")
+        if y >= self.limit + 1:  # floor(y) > limit; also y = +inf
+            raise ResourceError(f"primes up to {y} exceed the sieve limit {self.limit}")
         if y < 2:  # also y = -inf, which has no floor
             return self.primes[:0]
         hi = int(np.searchsorted(self.primes, math.floor(y), side="right"))
@@ -157,11 +148,7 @@ class SieveTables:
     def spf(self) -> np.ndarray:
         """Smallest-prime-factor table, uint32, built on first access (4 bytes
         per entry): ``spf[n]`` is the least prime factor of n for
-        2 <= n <= limit, spf[0] = 0 and spf[1] = 1.  No count reads it.  A
-        table whose primes stop short of ``limit`` has none."""
-        if self.prime_bound < self.limit:
-            raise ResourceError(f"the table lists primes only up to {self.prime_bound}, "
-                                f"so it has no smallest-prime-factor table to {self.limit}")
+        2 <= n <= limit, spf[0] = 0 and spf[1] = 1.  No count reads it."""
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
         # A composite n has its least prime factor p with p*p <= n.  Writing
         # the primes up to sqrt(limit) in descending order lets the smallest
@@ -196,34 +183,26 @@ def sieve_primes(n: int) -> np.ndarray:
     return primes
 
 
-def _checked_limit(limit: int, ceiling: int) -> int:
+def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
+    """The primes up to ``limit`` (deterministic); ``limit`` is at most ``ceiling``."""
     limit = int(limit)
     if limit < 2:
         raise DomainError("sieve limit must be at least 2")
     if limit > ceiling:
         raise ResourceError(f"sieve limit {limit} exceeds the ceiling {ceiling}")
-    return limit
-
-
-def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
-    """The primes up to ``limit`` (deterministic); ``limit`` is at most ``ceiling``."""
-    limit = _checked_limit(limit, ceiling)
     return SieveTables(limit=limit, primes=sieve_primes(limit))
 
 
-def build_prime_table(limit: int, y: float,
-                      ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
-    """A table for counts over n <= ``limit`` that read only the primes p <= y.
-
-    ``limit`` is held to ``ceiling`` as in :func:`build_sieve`, but only the
-    primes up to min(y, limit) are sieved: y = +inf lists every prime up to
-    ``limit``, and y < 2 none.  Each count then asks ``primes_upto`` for at
-    most min(y, x) with x <= limit, which the list covers.
-    """
-    limit = _checked_limit(limit, ceiling)
-    _require_not_nan(y=y)
-    bound = limit if y >= limit else (math.floor(y) if y >= 2 else 1)
-    return SieveTables(limit=limit, primes=sieve_primes(bound), prime_bound=bound)
+def _count_bound(name: str, v: float) -> int:
+    """floor(v) for a count over the integers up to v.  v must be finite,
+    and below 2**63: the enumerations and trial division run in int64."""
+    try:
+        fv = math.floor(v)
+    except (OverflowError, ValueError):  # an infinity or NaN has no floor
+        raise DomainError(f"{name} must be finite") from None
+    if fv >= 2**63:
+        raise ResourceError(f"{name}={v} reaches 2^63, past the int64 counts")
+    return fv
 
 
 def smooth_part(n: int, y: float, t: SieveTables) -> int:
@@ -232,12 +211,10 @@ def smooth_part(n: int, y: float, t: SieveTables) -> int:
     Trial division by the primes p <= min(y, n) that divide n, found in one
     vectorized ``n % p`` over the table's primes.
     """
-    n = int(n)
     _require_not_nan(y=y)
+    n = _count_bound("n", n)
     if n < 1:
         raise DomainError("smooth_part requires n >= 1")
-    if n > t.limit:
-        raise ResourceError(f"n={n} exceeds the sieve limit {t.limit}")
     primes = t.primes_upto(min(y, n))
     s = 1
     for p in primes[n % primes == 0].tolist():
@@ -325,7 +302,7 @@ def smooth_numbers(primes, bound: float) -> np.ndarray:
     downstream because counts ignore it and the reciprocal sums are exactly
     rounded.
     """
-    cap = int(math.floor(bound))
+    cap = _count_bound("bound", bound)
     if cap < 1:
         return np.zeros(0, dtype=np.int64)
     out = np.empty(_count_smooth(primes, cap), dtype=np.int64)
@@ -339,29 +316,23 @@ def smooth_numbers(primes, bound: float) -> np.ndarray:
 # -- exact counting functions ------------------------------------------------------
 
 
-def _floor_x(x: float, t: SieveTables) -> int:
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    fx = int(math.floor(x))
-    if fx > t.limit:
-        raise ResourceError(f"x={x} exceeds the sieve limit {t.limit}")
-    return fx
-
-
 def psi_exact(x: float, y: float, t: SieveTables) -> int:
     """#{n <= x : P+(n) <= y}, counted by one walk of the smooth-number
     enumeration: the retired numbers, the final live set, and for each prime
     above sqrt(x) the length of the live prefix it multiplies.  No array of
     smooth numbers is formed."""
     _require_not_nan(y=y)
-    fx = _floor_x(x, t)
+    fx = _count_bound("x", x)
     if fx < 1:
         return 0
     return _count_smooth(t.primes_upto(min(y, fx)), fx)
 
 
 def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
-    rough = np.ones(fx + 1, dtype=bool)
+    try:
+        rough = np.ones(fx + 1, dtype=bool)
+    except (MemoryError, ValueError):  # numpy refuses an array this large
+        raise ResourceError(f"a rough indicator up to {fx} does not fit in memory") from None
     rough[0] = False
     for p in t.primes_upto(min(y, fx)).tolist():
         rough[p::p] = False
@@ -371,7 +342,7 @@ def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
 def phi_exact(x: float, y: float, t: SieveTables) -> int:
     """#{n <= x : P-(n) > y}; n = 1 counts (P-(1) = infinity)."""
     _require_not_nan(y=y)
-    fx = _floor_x(x, t)
+    fx = _count_bound("x", x)
     if fx < 1:
         return 0
     return int(np.count_nonzero(_rough_indicator(fx, y, t)))
@@ -442,7 +413,7 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     at most 1.64 MiB (4 bytes per entry of the two periods).
     """
     _require_not_nan(y=y, z=z)
-    fx = _floor_x(x, t)
+    fx = _count_bound("x", x)
     if fx >= 2**32:
         raise ResourceError(f"x={x} needs smooth parts beyond the uint32 blocks")
     if fx < 1 or z >= fx:  # n_y <= n <= x; also z = +inf
@@ -516,7 +487,7 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     ``theta_exact`` exactly; the two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
-    fx = _floor_x(x, t)
+    fx = _count_bound("x", x)
     if fx < 1 or z >= fx:  # no smooth d <= x exceeds z; also z = +inf
         return 0
     if z < 1:  # every n has a smooth divisor d = n_y >= 1 > z
@@ -591,13 +562,12 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
     they stop short.
     """
     _require_not_nan(y=y, z=z)
-    if z > t.limit:
-        raise ResourceError(f"z={z} exceeds the sieve limit {t.limit}")
     partial = 0.0
     if z >= 1:
-        pieces = _smooth_pieces(t.primes_upto(min(y, max(z, 2.0))), math.floor(z))
+        fz = _count_bound("z", z)
+        pieces = _smooth_pieces(t.primes_upto(min(y, fz)), fz)
         partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
-    if 0 <= y < t.prime_bound + 1:  # the table lists every prime p <= y
+    if 0 <= y < t.limit + 1:  # the table lists every prime p <= y
         return _euler_product(t.primes_upto(y)) - partial
     return zeta_one_y(y) - partial
 
@@ -610,10 +580,8 @@ def weighted_smooth_sum(
     The weight is the Buchstab or Dickman function; summation is exactly
     rounded, so the result does not depend on enumeration order.
     """
-    hi = p.x / p.y
-    if hi > t.limit:
-        raise ResourceError(f"x/y={hi} exceeds the sieve limit {t.limit}")
-    d = smooth_numbers(t.primes_upto(min(p.y, max(hi, 2.0))), hi)
+    hi = _count_bound("x/y", p.x / p.y)
+    d = smooth_numbers(t.primes_upto(min(p.y, hi)), hi)
     d = d[d > p.z]
     if d.size == 0:
         return 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,7 +143,7 @@ class PiecewiseFunction:
         """Index of the segment evaluated at ``u`` (right-continuous at knots)."""
         if not self.lo <= u <= self.hi:
             raise DomainError(f"u={u} outside table range [{self.lo}, {self.hi}]")
-        return min(int(np.floor(u - self.lo)), self.n_segments - 1)
+        return min(math.floor(u - self.lo), self.n_segments - 1)
 
     # -- evaluation --------------------------------------------------------
 
@@ -169,8 +170,9 @@ class PiecewiseFunction:
         return acc
 
     def _value_scalar(self, u: float) -> float:
+        # Knots are consecutive integers, so knots[k] is exactly lo + k.
         k = self.segment_index(u)
-        return _horner_row(self._rows[k], u - (float(self.knots[k]) + 0.5))
+        return _horner_row(self._rows[k], u - (self.lo + k + 0.5))
 
     def _segment_right_value(self, k: int) -> float:
         """Value of segment ``k`` at its right endpoint (left limit at the
@@ -185,8 +187,7 @@ class PiecewiseFunction:
         """
         k = self.segment_index(u)
         row = self._rows[k]
-        return _horner_row([j * row[j] for j in range(1, len(row))],
-                           u - (float(self.knots[k]) + 0.5))
+        return _horner_row([j * row[j] for j in range(1, len(row))], u - (self.lo + k + 0.5))
 
     # -- exact integration ---------------------------------------------------
 

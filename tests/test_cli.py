@@ -186,6 +186,23 @@ class TestExactCommand:
         assert cli.main(["exact", "smoothpart", "--n", "12", "--y", "inf"]) == 0
         assert json.loads(capsys.readouterr().out)["outputs"]["value"] == "12"
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "psi", "--x", "1e19", "--y", "3"],
+        ["exact", "s", "--y", "3", "--z", "1e19"],
+        ["exact", "theta", "--x", "1e19", "--y", "3", "--z", "1e18"],
+        ["exact", "smoothpart", "--n", "1e19", "--y", "7"],
+        ["exact", "phi", "--x", "1e19", "--y", "3"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_counts_past_int64_are_resource_errors(self, argv, tmp_path):
+        # Under a ceiling above 2**63 the int64 walk never emptied (psi, s)
+        # and the others overflowed into an internal error.  A hang fails
+        # the test at the timeout instead of stalling the run.
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"sieve_ceiling": 10**20}))
+        proc = run_cli("--config", str(config), *argv, timeout=60)
+        assert proc.returncode == EXIT_RESOURCE, proc.stderr
+        assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_single_point_grid(self):
@@ -748,22 +765,41 @@ _ARGV = st.one_of(
 )
 
 
+# ``exact`` under a ceiling past 2**63, so x, z and n from all of _FLOATS,
+# and from the int64 edge itself, reach the counts.  y is drawn small and
+# finite: the table lists the primes up to min(y, bound), so no draw sieves
+# gigabytes.  Nothing bounds a count's work yet (ROADMAP item 2), so a
+# mid-range x beside y near 1e3 would walk a huge count; each of the
+# derandomised draws runs in milliseconds.
+_PAST_INT64 = st.one_of(_FLOATS, st.sampled_from([2.0**63, 1e19, 1e20]))
+_EXACT_PAST_INT64 = st.sampled_from(_EXACT_KINDS).flatmap(
+    lambda kind: _argv(["exact", kind], _maybe("x", _PAST_INT64),
+                       _maybe("y", st.floats(-10.0, 1e3)), _maybe("z", _PAST_INT64),
+                       _maybe("n", _PAST_INT64)))
+
+
 @pytest.fixture(scope="module")
-def small_ceiling_config(tmp_path_factory):
-    path = tmp_path_factory.mktemp("config") / "conf.json"
-    path.write_text(json.dumps({"sieve_ceiling": 1000000}))
-    return str(path)
+def ceiling_configs(tmp_path_factory):
+    """Config paths by ceiling: 1e6, and 1e20, past 2**63."""
+    configs = {}
+    for ceiling in (10**6, 10**20):
+        path = tmp_path_factory.mktemp("config") / "conf.json"
+        path.write_text(json.dumps({"sieve_ceiling": ceiling}))
+        configs[ceiling] = str(path)
+    return configs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(argv=_ARGV)
-def test_any_argv_exits_with_a_contract_code(small_ceiling_config, argv):
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(st.tuples(st.just(10**6), _ARGV),
+                      st.tuples(st.just(10**20), _EXACT_PAST_INT64)))
+def test_any_argv_exits_with_a_contract_code(ceiling_configs, case):
     # 0 success, 2 usage, 3 resource, 4 domain; 1 belongs to validate alone.
     # Every error but argparse's own is one line on stderr.
+    ceiling, argv = case
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(["--config", small_ceiling_config, *argv])
+            code = cli.main(["--config", ceiling_configs[ceiling], *argv])
         except SystemExit as exc:  # argparse rejects bad argv this way
             assert exc.code == EXIT_USAGE, (argv, err.getvalue())
             return
@@ -815,9 +851,9 @@ def test_exact_and_compare_answer_as_on_a_full_sieve(argv):
     # The reference sieves every prime up to the counting bound and counts
     # theta by the blocked route alone.
     got = _main(argv)
+    sieve_for = cli._sieve_for
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "build_prime_table",
-                   lambda limit, y, ceiling: oracle.build_sieve(limit, ceiling))
+        mp.setattr(cli, "_sieve_for", lambda bound, settings, y: sieve_for(bound, settings))
         mp.setattr(oracle, "theta_count", oracle.theta_exact)
         want = _main(argv)
     assert got == want, argv

@@ -149,7 +149,7 @@ class TestConvolutionProperties:
 
     def test_integration_by_parts(self, dickman, buchstab):
         from smoothdiv import omega, omega_prime
-        from smoothdiv.convolution import _integrate_pieces, _knot_points, _single
+        from smoothdiv.convolution import _integrate_pieces, _knot_points
 
         for (u, v) in [(4.0, 1.2), (6.5, 1.0), (9.25, 2.5)]:
             lhs = conv_omega_rho_prime(u, v).value
@@ -157,7 +157,7 @@ class TestConvolutionProperties:
                         - omega(u - v, buchstab) * rho(v, dickman))
             pieces = _knot_points(v, u - 1.0, u)
             [(integral, _)] = _integrate_pieces(
-                _single(lambda s: omega_prime(u - s, buchstab) * rho(s, dickman)),
+                lambda s, owner: omega_prime(u - s, buchstab) * rho(s, dickman),
                 [pieces], QuadratureSpec())
             assert abs(lhs - (boundary + integral)) <= 1e-8
 

@@ -26,7 +26,7 @@ from smoothdiv import (
     weighted_smooth_sum,
     zeta_one_y,
 )
-from smoothdiv import oracle
+from smoothdiv import cli, oracle
 from smoothdiv.oracle import WeightKind
 
 from oracles import sieve_primes_full_flags
@@ -107,41 +107,42 @@ class TestBuildSieve:
 
 
 class TestPrimeTable:
-    """build_prime_table: counts up to the limit over the primes up to y."""
+    """A table to min(y, x): counts up to x over the primes up to y."""
 
     @pytest.mark.parametrize("y, bound", [
         (30.0, 30), (30.9, 30), (1e5, 1000), (math.inf, 1000), (1000.0, 1000),
         (1.999, 1), (0.5, 1), (-math.inf, 1),
     ])
     def test_lists_the_primes_up_to_min_y_limit(self, sieve_small, y, bound):
-        t = oracle.build_prime_table(1000, y)
-        assert t.limit == 1000 and t.prime_bound == bound
-        assert np.array_equal(t.primes, sieve_small.primes_upto(bound))
+        # The CLI's table for a count up to 1000 with parameter y.
+        t = cli._sieve_for(1000, cli.Settings(), y)
+        assert t.limit == max(bound, 2)
+        assert np.array_equal(t.primes_upto(min(y, 1000)), sieve_small.primes_upto(bound))
 
     def test_limit_is_held_to_the_ceiling_as_in_build_sieve(self):
         with pytest.raises(ResourceError, match="exceeds the ceiling"):
-            oracle.build_prime_table(10**7, 10.0, ceiling=10**6)
+            cli._sieve_for(10**7, cli.Settings(sieve_ceiling=10**6), 10.0)
         with pytest.raises(DomainError):
-            oracle.build_prime_table(1, 10.0)
+            build_sieve(1)
         with pytest.raises(DomainError):
-            oracle.build_prime_table(100, math.nan)
+            cli._sieve_for(100, cli.Settings(), math.nan)
 
     @pytest.mark.parametrize("y", [31.0, 100.0, 1e6, math.inf])
     def test_primes_past_the_bound_are_refused(self, y):
-        t = oracle.build_prime_table(1000, 30.5)
+        t = build_sieve(30)
         assert t.primes_upto(30.999).size == 10
-        with pytest.raises(ResourceError, match="prime bound 30"):
+        with pytest.raises(ResourceError, match="sieve limit 30"):
             t.primes_upto(y)
 
-    def test_a_short_table_has_no_spf(self):
-        with pytest.raises(ResourceError):
-            oracle.build_prime_table(1000, 30.0).spf
-        assert oracle.build_prime_table(1000, math.inf).spf[997] == 997
+    def test_a_short_table_has_no_spf(self, sieve_small):
+        # A table to min(y, x) has an spf too: the full table's prefix.
+        for limit in (2, 30, 1000):
+            assert np.array_equal(build_sieve(limit).spf, sieve_small.spf[: limit + 1])
 
     def test_counts_match_the_full_sieve(self, sieve_small):
         # x beyond y's primes: a count that asked for more would raise.
         for y in (0.5, 2.0, 7.5, 97.0, 1e3):
-            t = oracle.build_prime_table(10**5, y)
+            t = build_sieve(max(2, math.floor(min(y, 10**5))))
             assert psi_exact(10**5, y, t) == psi_exact(10**5, y, sieve_small)
             assert phi_exact(10**5, y, t) == phi_exact(10**5, y, sieve_small)
             assert smooth_part(99960, y, t) == smooth_part(99960, y, sieve_small)
@@ -220,11 +221,49 @@ class TestSmoothPart:
                 if 4 * p <= sieve_small.limit:
                     assert smooth_part(4 * p, y, sieve_small) == brute_smooth_part(4 * p, y) == 4
 
-    def test_range_errors(self, sieve_small):
-        with pytest.raises(ResourceError):
-            smooth_part(10**5 + 1, 2.0, sieve_small)
+    def test_range_errors(self, sieve_small, sieve_1m):
+        # n past the table: the primes up to y are all it reads.
+        for n, y in ((10**5 + 1, 2.0), (2**20, 2.0), (999999, 1000.0), (10**6, 5.0)):
+            assert smooth_part(n, y, sieve_small) == smooth_part(n, y, sieve_1m)
         with pytest.raises(DomainError):
             smooth_part(0, 2.0, sieve_small)
+
+
+def three_smooth_upto(n):
+    """The 3-smooth integers <= n, by Python-int powers."""
+    out = []
+    p2 = 1
+    while p2 <= n:
+        q = p2
+        while q <= n:
+            out.append(q)
+            q *= 3
+        p2 *= 2
+    return out
+
+
+class TestInt64Edge:
+    """Counts answer just below 2**63, where int64 stops, and refuse at it."""
+
+    def test_psi(self, sieve_small):
+        assert psi_exact(2**63 - 1, 3.0, sieve_small) == len(three_smooth_upto(2**63 - 1))
+        with pytest.raises(ResourceError):
+            psi_exact(2**63, 3.0, sieve_small)
+
+    def test_s_exact(self, sieve_small):
+        partial = math.fsum(1.0 / d for d in three_smooth_upto(2**63 - 1))
+        assert repr(s_exact(3.0, 2**63 - 1, sieve_small)) == repr(zeta_one_y(3.0) - partial)
+        with pytest.raises(ResourceError):
+            s_exact(3.0, 2**63, sieve_small)
+
+    def test_smooth_part(self, sieve_small):
+        n = 2**63 - 1  # 7**2 * 73 * 127 * 337 * 92737 * 649657
+        primes = sieve_small.primes.tolist()
+        for y in (7.0, 1e3, 1e5):
+            assert smooth_part(n, y, sieve_small) == brute_smooth_part_upto(n, y, primes)
+        assert smooth_part(n, 1e5, sieve_small) == 7**2 * 73 * 127 * 337 * 92737
+        with pytest.raises(ResourceError):
+            smooth_part(2**63, 7.0, sieve_small)
 
 
 class TestCountingFunctions:
@@ -255,14 +294,14 @@ class TestCountingFunctions:
                     assert theta_exact(x, y, z, sieve_small) == \
                         theta_exact_decomposed(x, y, z, sieve_small)
 
-    def test_range_error(self, sieve_small):
-        with pytest.raises(ResourceError):
-            psi_exact(10**6, 5.0, sieve_small)
+    def test_range_error(self, sieve_small, sieve_1m):
+        # x past the table: the primes up to y are all psi reads.
+        assert psi_exact(10**6, 5.0, sieve_small) == psi_exact(10**6, 5.0, sieve_1m)
 
     def test_theta_refuses_x_beyond_uint32_blocks(self):
         # A hand-built table, so no sieve runs: smooth parts up to 2**32 would
         # wrap in the uint32 blocks.
-        t = oracle.SieveTables(limit=2**33, primes=np.array([2, 3]))
+        t = oracle.SieveTables(limit=3, primes=np.array([2, 3]))
         with pytest.raises(ResourceError):
             theta_exact(2**32, 3.0, 1.0, t)
 
@@ -550,7 +589,7 @@ class TestSExact:
         # A table whose primes reach y (y <= z) hands them to the Euler
         # product; one that stops short (y > z) leaves zeta_one_y to sieve
         # its own.  The partial sum is exactly rounded, in any order.
-        t = oracle.build_prime_table(z, y)
+        t = build_sieve(max(2, math.floor(min(y, z))))
         d = smooth_numbers(t.primes_upto(min(y, z)), z)
         partial = math.fsum(memoryview(1.0 / d.astype(float)))
         assert repr(s_exact(y, z, t)) == repr(zeta_one_y(y) - partial)
@@ -566,9 +605,9 @@ class TestSExact:
             partial = math.fsum(sorted(1.0 / di for di in d.tolist()))
             assert abs(s_exact(y, z, sieve_small) + partial - zeta_one_y(y)) <= 1e-12
 
-    def test_range_error(self, sieve_small):
-        with pytest.raises(ResourceError):
-            s_exact(5.0, 10**6, sieve_small)
+    def test_range_error(self, sieve_small, sieve_1m):
+        # z past the table: the primes up to y are all S reads.
+        assert repr(s_exact(5.0, 10**6, sieve_small)) == repr(s_exact(5.0, 10**6, sieve_1m))
 
     # The (y, z) points of the benchmark's Lemma 3 rows, recorded before the
     # partial sum streamed from the enumeration.
@@ -669,10 +708,12 @@ class TestWeightedSmoothSum:
         b = math.fsum((omega(p.u - u_d) / d.astype(float)).tolist())
         assert a == b
 
-    def test_range_error(self, sieve_small):
-        with pytest.raises(ResourceError):
-            weighted_smooth_sum(ScaledParams(1e7, 10.0, 100.0),
-                                WeightKind.BUCHSTAB_OMEGA, sieve_small)
+    def test_range_error(self, sieve_small, sieve_1m):
+        # x/y past the table: the primes up to y are all the sum reads.
+        p = ScaledParams(1e7, 10.0, 100.0)
+        for w in WeightKind:
+            assert (repr(weighted_smooth_sum(p, w, sieve_small))
+                    == repr(weighted_smooth_sum(p, w, sieve_1m)))
 
 
 class TestEtaEmpirical:

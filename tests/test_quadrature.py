@@ -13,7 +13,7 @@ import pytest
 
 from smoothdiv import (DsaParams, ScaledParams, cli, convolution, eta, rho, special,
                        theta_estimate, wp)
-from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points, _single
+from smoothdiv.convolution import QuadratureSpec, _integrate_pieces, _knot_points
 from smoothdiv.validation import simpson_adaptive, validate_convolution
 
 
@@ -22,15 +22,16 @@ def _bits(x):
 
 
 def _passes(monkeypatch, fn, *args):
-    """Run ``fn(*args)`` and return every ``(f, a, b)`` it handed to ``quad``."""
+    """Run ``fn(*args)`` and return every ``(f, owner, a, b)`` it handed to
+    ``_pass``, one ``quad`` call each."""
     calls = []
-    original = convolution.quad
+    original = convolution._pass
 
-    def recording(f, a, b):
-        calls.append((f, np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
-        return original(f, a, b)
+    def recording(f, owner, a, b):
+        calls.append((f, owner, np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+        return original(f, owner, a, b)
 
-    monkeypatch.setattr(convolution, "quad", recording)
+    monkeypatch.setattr(convolution, "_pass", recording)
     out = fn(*args)
     monkeypatch.undo()
     return out, calls
@@ -59,14 +60,19 @@ def test_qk21_matches_scipy_quad_bit_for_bit(monkeypatch, name):
         out, calls = _passes(monkeypatch, INTEGRALS[name], u, v)
         if not calls:
             continue
-        f, a, b = calls[0]
-        result, abserr, _, _ = convolution.quad(f, a, b)
+        f, owner, a, b = calls[0]
+        result, abserr, _, _ = convolution._pass(f, owner, a, b)
         ref_total = 0.0
         for i in range(a.size):
+            def scalar(s, piece=owner[i : i + 1]):
+                # scipy calls the integrand one node at a time: a piece of
+                # its own, of this piece's integral.
+                return f(np.full((1, 1), s), piece)[0, 0]
+
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 val, err, info = scipy_integrate.quad(
-                    f, a[i], b[i], epsabs=spec.abs_tol / a.size, epsrel=spec.rel_tol,
+                    scalar, a[i], b[i], epsabs=spec.abs_tol / a.size, epsrel=spec.rel_tol,
                     limit=convolution.MAX_SUBDIVISIONS, full_output=1)
             ref_total += val
             if info["last"] == 1:
@@ -134,7 +140,7 @@ def test_fallback_stops_at_subdivision_budget(monkeypatch):
         return np.where(s > 0.3, 1.0, 0.0)
 
     [(value, err)], calls = _passes(
-        monkeypatch, _integrate_pieces, _single(step), [[0.0, 1.0]], spec)
+        monkeypatch, _integrate_pieces, lambda s, owner: step(s), [[0.0, 1.0]], spec)
     assert len(calls) == convolution.MAX_SUBDIVISIONS
     assert err > spec.abs_tol
     assert abs(value - 0.7) <= err
