@@ -70,7 +70,6 @@ from .oracle import (
     s_exact,
     smooth_numbers,
     smooth_part,
-    theta_count,
     theta_exact,
     theta_exact_decomposed,
     weighted_smooth_sum,
@@ -128,7 +127,6 @@ __all__ = [
     "tau",
     "theta_error_bound",
     "theta_estimate",
-    "theta_count",
     "theta_exact",
     "theta_exact_decomposed",
     "weighted_smooth_sum",

@@ -84,7 +84,7 @@ KINDS: dict[str, Kind] = {
     "theta": Kind(
         ("x", "y", "z"),
         lambda num, x, y, z: estimators.theta_estimate(ScaledParams(x, y, z), num),
-        lambda t, num, x, y, z: oracle.theta_count(x, y, z, t),
+        lambda t, num, x, y, z: oracle.theta_exact_decomposed(x, y, z, t),
         exact_command=True),
     "psi-h": Kind(
         ("x", "y"),

@@ -26,34 +26,21 @@ primes that divide it, and the smallest-prime-factor table
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of integers at a
-  time, in O(block) memory.  Each block starts as the product of two wheels
-  (Pritchard, Acta Informatica 17, 1982): the products of the prime powers
-  dividing 2**5 * 3**3 * 5 * 7 * 11 and 13 * 17 * 19 * 23, periodic in n and
-  kept between calls, one pattern per wheel.  The other prime powers
-  multiply in by strides, or, from _SPARSE up, all their hits in a block at
-  once.  Smooth parts are integers, so n_y > z is tested as n_y > floor(z)
-  in uint32, and z < 1 or z >= x needs no blocks at all;
-* theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so it marks and
-  counts rough numbers only up to x/(floor(z) + 1), in int32 where that fits;
-  theta_count takes it while that count stays within _DECOMPOSED_BUDGET
-  entries and the blocked route beyond, so small z never costs memory in x;
-* phi_exact marks rough numbers with stride writes.
+  time, in O(block) memory, each block started from two wheel patterns kept
+  between calls (Pritchard, Acta Informatica 17, 1982);
+* phi_exact and theta_exact_decomposed count rough numbers one block of
+  _BLOCK at a time (segmented as in Bays and Hudson), each marked by
+  _mark_rough; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so
+  its counts go only to x/(floor(z) + 1).  Past 2**32 a rough count answers
+  from one block only, a stand-in for a bound on the work.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
 results are independent of enumeration order.
 
-The Monte Carlo oracle for the DSA risk probability uses the counter-based,
-splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
-byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
-no division per prime: the 2-part is the lowest set bit, and an odd p is
-tested and divided out by multiplying with its inverse mod 2**64.  Larger
-samples take gcd(n, P) with Python ints, P the primorial.  Where P is larger
-than the product N of a group of _GCD_GROUP samples, P is never formed
-(Bernstein, "How to find smooth parts of integers", 2004): r = P mod N is
-reduced chunk by chunk, and each n in the group takes gcd(n, r mod n), which
-equals gcd(n, P) because n divides N.  A smaller P is built by a balanced
-product tree.  The int64 samples are drawn in one call and reduced in blocks
-of _SAMPLE_BLOCK, so the working buffers span one block.
+The Monte Carlo oracle for the DSA risk probability draws from the
+counter-based Philox PRNG (numpy) with a fixed key, so reruns with the same
+seed are byte-identical; see :func:`eta_empirical` for how it finds smooth
+parts without division below 2**62 and by gcds with the primorial above.
 """
 
 from __future__ import annotations
@@ -77,12 +64,9 @@ DEFAULT_SIEVE_CEILING = 2**31
 #: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
 
-#: Integers per block of theta_exact (1 MB of uint32 smooth parts).
+#: Integers per block of theta_exact (1 MB of uint32 smooth parts) and of the
+#: rough counts (256 KB of flags, and 1 MB of int32 running count in theta).
 _BLOCK = 1 << 18
-
-#: Largest x // (floor(z) + 1) for which theta_count takes the decomposed
-#: route: its rough indicator and int32 running count then hold ~5 MB.
-_DECOMPOSED_BUDGET = 1 << 20
 
 #: Periods of theta_exact's wheels, 2**5 * 3**3 * 5 * 7 * 11 and
 #: 13 * 17 * 19 * 23: a block starts from the products of the prime powers
@@ -90,7 +74,8 @@ _DECOMPOSED_BUDGET = 1 << 20
 _WHEELS = (332640, 96577)
 
 #: Prime powers from this one up hit a theta_exact block at most
-#: _BLOCK // _SPARSE times; their hits go in at once, by np.multiply.at.
+#: _BLOCK // _SPARSE times; their hits go in at once, by np.multiply.at.  So
+#: do the hits of the primes from this one up in a block of rough flags.
 _SPARSE = 1 << 10
 
 #: The wheel pattern theta_exact last built for each of _WHEELS, by position:
@@ -328,24 +313,37 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
     return _count_smooth(t.primes_upto(min(y, fx)), fx)
 
 
-def _rough_indicator(fx: int, y: float, t: SieveTables) -> np.ndarray:
-    try:
-        rough = np.ones(fx + 1, dtype=bool)
-    except (MemoryError, ValueError):  # numpy refuses an array this large
-        raise ResourceError(f"a rough indicator up to {fx} does not fit in memory") from None
-    rough[0] = False
-    for p in t.primes_upto(min(y, fx)).tolist():
-        rough[p::p] = False
-    return rough
+def _mark_rough(out: np.ndarray, lo: int, primes: np.ndarray) -> np.ndarray:
+    """Set out[i] to whether lo + i is rough, P-(lo + i) > y, and return
+    ``out``; ``primes`` are the primes p <= y, ascending, and 0 is not rough.
+    A prime below _SPARSE clears its multiples by one stride write from
+    (-lo) % p; the hits of all larger ones go in by one scattered write."""
+    out.fill(True)
+    split = int(np.searchsorted(primes, _SPARSE))
+    for p in primes[:split].tolist():
+        out[(-lo) % p :: p] = False
+    first = (-lo) % primes[split:]
+    hit = first < out.size  # most primes far above the block miss it
+    big, first = primes[split:][hit], first[hit]
+    hits = (out.size - 1 - first) // big + 1
+    k = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # k-th hit of its prime
+    out[np.repeat(first, hits) + k * np.repeat(big, hits)] = False
+    out[0] &= lo > 0  # 0 is not rough
+    return out
 
 
 def phi_exact(x: float, y: float, t: SieveTables) -> int:
-    """#{n <= x : P-(n) > y}; n = 1 counts (P-(1) = infinity)."""
+    """#{n <= x : P-(n) > y}, one block of _BLOCK at a time; n = 1 counts (P-(1) = inf)."""
     _require_not_nan(y=y)
     fx = _count_bound("x", x)
     if fx < 1:
         return 0
-    return int(np.count_nonzero(_rough_indicator(fx, y, t)))
+    if fx >= 2**32:  # past 2**32 a rough count answers from one block only
+        raise ResourceError(f"x={x} reaches 2^32, past which phi counts one block only")
+    primes = t.primes_upto(min(y, fx))
+    rough = np.empty(min(_BLOCK, fx + 1), dtype=bool)
+    return sum(int(np.count_nonzero(_mark_rough(rough[: fx + 1 - lo], lo, primes)))
+               for lo in range(0, fx + 1, rough.size))
 
 
 def _wheel_pattern(slot: int, period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -481,10 +479,12 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
 
         theta(x, y, z) = sum over smooth d > z of phi(x/d, y).
 
-    Every smooth d > z is at least floor(z) + 1, so the rough indicator and
-    its running count go only to x // (floor(z) + 1), not to x; the smooth d
-    stream in piece by piece and are never held as one array.  Must equal
-    ``theta_exact`` exactly; the two routes share no counting code.
+    Every smooth d > z is at least floor(z) + 1, so the rough counts go only
+    to hi = x // (floor(z) + 1), in blocks of n = min(_BLOCK, hi + 1).  The
+    first block's running count answers the d > x // n, streamed piece by
+    piece; the rest, fewer than x / _BLOCK < 2**14, by binary search among
+    the later blocks' rough numbers.  Must equal ``theta_exact`` exactly; the
+    two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
     fx = _count_bound("x", x)
@@ -492,28 +492,29 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
         return 0
     if z < 1:  # every n has a smooth divisor d = n_y >= 1 > z
         return fx
-    hi = fx // (math.floor(z) + 1)
-    # The running count is at most hi, so int32 holds it for every x < 2**32.
-    # Summing in place: a cumsum that casts the bools makes a second copy.
-    rough_cum = _rough_indicator(hi, y, t).astype(np.int32 if hi < 2**31 else np.int64)
-    np.cumsum(rough_cum, out=rough_cum)
-    return sum(int(rough_cum[fx // d[d > z]].sum())
-               for d in _smooth_pieces(t.primes_upto(min(y, fx)), fx))
-
-
-def theta_count(x: float, y: float, z: float, t: SieveTables) -> int:
-    """theta(x, y, z) by the cheaper route that fits the memory budget.
-
-    theta_exact_decomposed holds a rough count up to x // (floor(z) + 1) and
-    costs about that plus the smooth d <= x; theta_exact holds one block and
-    costs about x.  The decomposed route answers while its rough count stays
-    within _DECOMPOSED_BUDGET entries, the blocked one beyond (small z and
-    large x).  Both give the same count.
-    """
-    _require_not_nan(y=y, z=z)
-    if 1 <= z < x and x // (math.floor(z) + 1) > _DECOMPOSED_BUDGET:
-        return theta_exact(x, y, z, t)
-    return theta_exact_decomposed(x, y, z, t)
+    fz = math.floor(z)
+    hi = fx // (fz + 1)
+    if fx >= 2**32 and hi >= _BLOCK:  # past 2**32, one block of rough counts only
+        raise ResourceError(f"x={x} reaches 2^32, where theta needs x // (floor(z) + 1) < {_BLOCK}")
+    primes = t.primes_upto(min(y, fx))
+    rough_primes = t.primes_upto(min(y, hi))
+    rough = _mark_rough(np.empty(min(_BLOCK, hi + 1), dtype=bool), 0, rough_primes)
+    cum = np.cumsum(rough, dtype=np.int32)  # phi(m, y) for m < n
+    cut = max(fx // rough.size, fz)
+    count = sum(int(cum[fx // d[d > cut]].sum()) for d in _smooth_pieces(primes, fx))
+    if rough.size > hi:
+        return count
+    d = np.concatenate(list(_smooth_pieces(primes, fx // rough.size)))
+    late = np.sort(fx // d[d > fz])  # x // d for the d the later blocks answer
+    before = int(cum[-1])  # the rough numbers below the block
+    for lo in range(rough.size, hi + 1, rough.size):
+        b = _mark_rough(rough[: hi + 1 - lo], lo, rough_primes)
+        i, j = np.searchsorted(late, [lo, lo + b.size]).tolist()
+        if i < j:
+            ranks = np.searchsorted(np.flatnonzero(b), late[i:j] - lo, side="right")
+            count += int(ranks.sum()) + before * (j - i)
+        before += int(np.count_nonzero(b))
+    return count
 
 
 def _euler_product(primes: np.ndarray) -> float:

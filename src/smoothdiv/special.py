@@ -68,9 +68,9 @@ BUCHSTAB_DEGREE = 80
 
 _CERT_SAMPLES = 17  # identity-defect sample points per segment
 _GUARD_BITS = 64  # significant bits every fixed-point coefficient must keep
-#: -log10 of the smallest positive double (4.9e-324): a rho table reaching
-#: further down cannot be certified in doubles.
-_LOG10_INV_DOUBLE_MIN = 323.0
+#: -log10 of the smallest normal double (2.2e-308), 307.65: a rho table
+#: reaching further down leaves the normal doubles and cannot be certified.
+_LOG10_INV_DOUBLE_MIN = -math.log10(np.finfo(float).tiny)
 
 #: ``build_dickman_table().coeffs`` saved by ``np.save``: the default rho
 #: table, loaded by :func:`default_dickman`.
@@ -286,9 +286,9 @@ def build_dickman_table(
     The degree grows with ``u_max`` (see :func:`dickman_degree_for`) so the
     series-truncation floor stays far below the smallest table values.
     Raises :class:`ConstructionError`, before any arithmetic, if rho(u_max)
-    lies below the smallest double (about u_max >= 136), and after the build
-    if the table's delay-ODE defect certificate exceeds ``target_rel_err`` on
-    any segment.
+    lies below the smallest normal double (u_max >= 130, whatever
+    ``target_rel_err`` says), and after the build if the table's delay-ODE
+    defect certificate exceeds ``target_rel_err`` on any segment.
     """
     if u_max < 2:
         raise DomainError("need u_max >= 2")
@@ -296,7 +296,7 @@ def build_dickman_table(
     if depth > _LOG10_INV_DOUBLE_MIN:
         raise ConstructionError(
             f"dickman table u_max={u_max} cannot be certified: rho(u_max) ~ 1e-{depth:.0f} "
-            f"lies below the smallest double"
+            f"lies below the smallest normal double"
         )
     degree = dickman_degree_for(u_max)
     bits = _scale_bits(_log10_inv_rho(u_max) + 26.0, degree)

@@ -368,7 +368,7 @@ def validate_oracle(
     cap = 10**4
     identity_ok = sums_ok = True
     for y in (3.0, 10.0, 50.0):
-        rough = oracle._rough_indicator(cap, y, t)
+        rough = oracle._mark_rough(np.empty(cap + 1, dtype=bool), 0, t.primes_upto(y))
         rough_cum = np.cumsum(rough, dtype=np.int64)  # rough_cum[n] = phi(n, y)
         e = np.flatnonzero(rough)
         d = oracle.smooth_numbers(t.primes_upto(y), cap)

@@ -203,6 +203,21 @@ class TestExactCommand:
         assert proc.returncode == EXIT_RESOURCE, proc.stderr
         assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "phi", "--x", "5e9", "--y", "3"],
+        ["exact", "theta", "--x", "1e18", "--y", "3", "--z", "1e12"],
+        ["exact", "theta", "--x", "1e19", "--y", "3", "--z", "1e12"],  # past 2**63 too
+    ], ids=lambda argv: " ".join(argv))
+    def test_rough_counts_past_2_32_take_one_block(self, argv, tmp_path):
+        # Rough counts in bounded memory no longer fail to allocate an array
+        # to x; past 2**32 they count one block of 2**18 only, so a count to
+        # 5e9 or to 1e18 // (1e12 + 1) is refused before any work.
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"sieve_ceiling": 10**20}))
+        proc = run_cli("--config", str(config), *argv, timeout=60)
+        assert proc.returncode == EXIT_RESOURCE, proc.stderr
+        assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1
+
 
 class TestCompareCommand:
     def test_single_point_grid(self):
@@ -497,10 +512,15 @@ class TestConfig:
         assert err.startswith("resource error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", [{"rho_u_max": 100000},
-                                     {"rho_u_max": 136, "target_rel_err": 1.0}])
+                                     {"rho_u_max": 136, "target_rel_err": 1.0},
+                                     {"rho_u_max": 130, "target_rel_err": 1.0},
+                                     {"rho_u_max": 133, "target_rel_err": 1.0},
+                                     {"rho_u_max": 135, "target_rel_err": 1.0}])
     def test_uncertifiable_rho_ceiling_is_resource_error(self, tmp_path, capsys, raw):
-        # rho(u_max) below the smallest double: refused at once, not after a
-        # build that cannot succeed (at u_max = 100000, one of degree 1.18M).
+        # rho(u_max) below the smallest normal double: refused at once, not
+        # after a build that cannot succeed (at u_max = 100000, one of degree
+        # 1.18M), nor passed with a broken certificate under a loose target
+        # (u_max = 135 exited 0 with a certificate of 1).
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps(raw))
         code = cli.main(["--config", str(cfg), "special", "--fn", "rho", "--u", "3"])
@@ -849,12 +869,12 @@ def _exact_or_compare_argv(draw):
 @given(argv=_exact_or_compare_argv())
 def test_exact_and_compare_answer_as_on_a_full_sieve(argv):
     # The reference sieves every prime up to the counting bound and counts
-    # theta by the blocked route alone.
+    # theta by the blocked route.
     got = _main(argv)
     sieve_for = cli._sieve_for
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_sieve_for", lambda bound, settings, y: sieve_for(bound, settings))
-        mp.setattr(oracle, "theta_count", oracle.theta_exact)
+        mp.setattr(oracle, "theta_exact_decomposed", oracle.theta_exact)
         want = _main(argv)
     assert got == want, argv
     if any(a.startswith("--y=nan") for a in argv):

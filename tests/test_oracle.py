@@ -147,7 +147,7 @@ class TestPrimeTable:
             assert phi_exact(10**5, y, t) == phi_exact(10**5, y, sieve_small)
             assert smooth_part(99960, y, t) == smooth_part(99960, y, sieve_small)
             for z in (0.5, 10.0, 5e4):
-                assert (oracle.theta_count(10**5, y, z, t)
+                assert (theta_exact_decomposed(10**5, y, z, t)
                         == theta_exact(10**5, y, z, sieve_small))
                 assert s_exact(y, z, t) == s_exact(y, z, sieve_small)
 
@@ -332,8 +332,8 @@ class TestCountingFunctions:
         assert theta_exact(100.0, math.inf, 50.0, sieve_small) == 50
 
 
-def reference_theta(fx, y, z, t):
-    """theta from the full smooth-part array sp[0..fx], filled by one stride
+def reference_smooth_parts(fx, y, t):
+    """The full smooth-part array sp[0..fx], filled by one stride
     multiplication per prime power."""
     sp = np.ones(fx + 1, dtype=np.int64)
     for p in t.primes_upto(min(y, fx)).tolist():
@@ -341,7 +341,12 @@ def reference_theta(fx, y, z, t):
         while q <= fx:
             sp[q::q] *= p
             q *= p
-    return int(np.count_nonzero(sp[1:] > z))
+    return sp
+
+
+def reference_theta(fx, y, z, t):
+    """theta from the full smooth-part array."""
+    return int(np.count_nonzero(reference_smooth_parts(fx, y, t)[1:] > z))
 
 
 _BOUNDS = st.one_of(
@@ -458,54 +463,65 @@ class TestThetaAtScale:
             assert got == [10**7]
 
 
-class TestThetaCount:
-    """theta_count takes the decomposed route within the budget and the
-    blocked one beyond; both answer theta_exact's count."""
+class TestRoughBlocks:
+    """phi_exact and theta_exact_decomposed count rough numbers one block of
+    _BLOCK at a time; past 2**32 a count takes one block only."""
 
-    @staticmethod
-    def _routes(monkeypatch):
-        taken = []
-        for name in ("theta_exact", "theta_exact_decomposed"):
-            real = getattr(oracle, name)
-            monkeypatch.setattr(oracle, name, lambda *a, real=real, name=name:
-                                taken.append(name) or real(*a))
-        return taken
-
-    @pytest.mark.parametrize("x, y, z, route", [
-        (1e7, 30.0, 9.0, "theta_exact_decomposed"),     # x // 10 = 1e6 <= 2**20
-        (1e7, 30.0, 8.0, "theta_exact"),                # x // 9 > 2**20
-        (1e7, 1e3, 2.0, "theta_exact"),                 # small z, x far above
-        (1e7, 1e3, 1e3, "theta_exact_decomposed"),
-        (1e7, 25.0, 0.5, "theta_exact_decomposed"),     # z < 1 needs no array
-        (1e7, 25.0, 1e7, "theta_exact_decomposed"),     # z >= x neither
-    ])
-    def test_routes_either_side_of_the_budget(self, sieve_10m, monkeypatch, x, y, z, route):
-        want = theta_exact(x, y, z, sieve_10m)
-        taken = self._routes(monkeypatch)
-        assert oracle.theta_count(x, y, z, sieve_10m) == want
-        assert taken == [route]
-
+    # Blocks of 64 and 1000 split a count to 1e5 into up to 1563 and 101
+    # blocks, the last one short; the default 2**18 leaves one block.
+    @pytest.mark.parametrize("block", [64, 1000, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(x=st.integers(0, 10**5), y=_BOUNDS, z=_BOUNDS,
-           budget=st.sampled_from([0, 1, 100, 10**4]))
-    def test_matches_theta_exact_at_any_budget(self, sieve_small, x, y, z, budget):
+    @given(x=st.integers(0, 10**5), y=_BOUNDS, z=_BOUNDS)
+    def test_blocks_count_as_one_array(self, sieve_small, block, x, y, z):
+        want = theta_exact(x, y, z, sieve_small)
+        smooth_free = x - theta_exact(x, y, 1.0, sieve_small)  # the n with n_y = 1
+        rough = int(np.count_nonzero(reference_smooth_parts(x, y, sieve_small)[1:] == 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "_DECOMPOSED_BUDGET", budget)
-            got = oracle.theta_count(x, y, z, sieve_small)
-        assert got == theta_exact(x, y, z, sieve_small)
+            if block is not None:
+                mp.setattr(oracle, "_BLOCK", block)
+            phi = phi_exact(x, y, sieve_small)
+            decomposed = theta_exact_decomposed(x, y, z, sieve_small)
+        assert phi == rough == smooth_free
+        assert decomposed == want
+
+    # x // (floor(z) + 1) at 1e6, 1.1e6 and 3.3e6 spans 4, 5 and 13 blocks,
+    # at 1e4 one; z < 1 and z >= x need none.
+    @pytest.mark.parametrize("x, y, z", [
+        (1e7, 30.0, 9.0), (1e7, 30.0, 8.0), (1e7, 1e3, 2.0), (1e7, 1e3, 1e3),
+        (1e7, 25.0, 0.5), (1e7, 25.0, 1e7),
+    ])
+    def test_many_blocks_match_theta_exact(self, sieve_10m, x, y, z):
+        assert theta_exact_decomposed(x, y, z, sieve_10m) == theta_exact(x, y, z, sieve_10m)
 
     def test_small_z_memory_stays_bounded(self, sieve_10m):
-        # The decomposed route's running count to x // 3 alone took 54 MiB
-        # in int64; the blocked route holds one block.
-        assert _peak_allocation(lambda: oracle.theta_count(1e7, 30.0, 2.0, sieve_10m)) < 8 * 2**20
-        # Within the budget the rough indicator and int32 count take ~5 bytes
-        # an entry: 2**20 entries at (1e7, 30, 9).
-        assert _peak_allocation(lambda: oracle.theta_count(1e7, 30.0, 9.0, sieve_10m)) < 8 * 2**20
+        # A running count to x // 3 took 54 MiB in int64, and the first
+        # block's is 1 MiB of int32 at any x.
+        for z in (2.0, 9.0):
+            got = _peak_allocation(lambda: theta_exact_decomposed(1e7, 30.0, z, sieve_10m))
+            assert got < 8 * 2**20
 
-    def test_nan_bounds_are_domain_errors(self, sieve_small):
-        for args in ((1e4, math.nan, 10.0), (1e4, 30.0, math.nan)):
-            with pytest.raises(DomainError):
-                oracle.theta_count(*args, sieve_small)
+    def test_phi_memory_stays_bounded(self):
+        # One bool per n <= 2e8 took 190.7 MiB.
+        t = build_sieve(30)
+        assert _peak_allocation(lambda: phi_exact(2e8, 30.0, t)) < 8 * 2**20
+
+    def test_past_2_32_a_count_takes_one_block(self, monkeypatch):
+        # Refused before any block is marked or any smooth d is walked.
+        t = build_sieve(30)
+        for name in ("_mark_rough", "_smooth_pieces"):
+            monkeypatch.setattr(oracle, name, lambda *a: pytest.fail("counted"))
+        with pytest.raises(ResourceError, match="2\\^32"):
+            phi_exact(2**32, 3.0, t)
+        for z in (2**21, 2**22 - 1):  # rough counts to 2**19 and 2**18
+            with pytest.raises(ResourceError, match="2\\^32"):
+                theta_exact_decomposed(2**40, 30.0, z, t)
+        monkeypatch.undo()
+        # Rough counts to 2**18 - 1 fill one block: against phi from the full
+        # smooth-part array, summed over every smooth d > z.
+        x, z = 2**40, 2**22
+        phi = np.cumsum(reference_smooth_parts(x // (z + 1), 30.0, t) == 1) - 1  # sp[0] = 1
+        d = smooth_numbers(t.primes, x)
+        assert theta_exact_decomposed(x, 30.0, z, t) == int(phi[x // d[d > z]].sum())
 
 
 def _peak_allocation(call) -> int:

@@ -257,10 +257,11 @@ class TestConstruction:
         assert dickman.max_certificate <= dickman.target_rel_err
         assert buchstab.max_certificate <= buchstab.target_rel_err
 
-    @pytest.mark.parametrize("u_max", [136, 400, 100000])
+    @pytest.mark.parametrize("u_max", [130, 133, 135, 136, 400, 100000])
     def test_rho_below_the_doubles_is_refused_before_building(self, u_max):
-        # rho(136) ~ 1e-325 is below every double; no target, however loose,
-        # lets such a table through, and nothing is built to find that out.
+        # rho(130) ~ 1e-308 is below the normal doubles and rho(136) ~ 1e-325
+        # below every double; no target, however loose, lets such a table
+        # through, and nothing is built to find that out.
         tracemalloc.start()
         try:
             with pytest.raises(ConstructionError, match=f"u_max={u_max} cannot be certified"):

@@ -37,17 +37,17 @@ def _oracle_checks(sieve):
 
 @pytest.mark.parametrize("flip", [2, 4999, 10**4])
 def test_partition_checks_catch_a_flipped_rough_flag(monkeypatch, sieve_1m, flip):
-    # The one-pass partition checks read a single rough indicator per y; one
-    # wrong flag in it must still break both identities.
-    original = oracle._rough_indicator
+    # The one-pass partition checks read a single block of rough flags per y;
+    # one wrong flag in it must still break both identities.
+    original = oracle._mark_rough
 
-    def flipped(fx, y, t):
-        rough = original(fx, y, t)
-        if flip <= fx:
-            rough[flip] = not rough[flip]
+    def flipped(out, lo, primes):
+        rough = original(out, lo, primes)
+        if lo <= flip < lo + rough.size:
+            rough[flip - lo] = not rough[flip - lo]
         return rough
 
-    monkeypatch.setattr(oracle, "_rough_indicator", flipped)
+    monkeypatch.setattr(oracle, "_mark_rough", flipped)
     passed = _oracle_checks(sieve_1m)
     assert not passed["partition_identity"] and not passed["partition_sums"]
 
