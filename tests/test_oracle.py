@@ -26,7 +26,7 @@ from smoothdiv import (
     weighted_smooth_sum,
     zeta_one_y,
 )
-from smoothdiv import cli, oracle
+from smoothdiv import cli, harness, oracle
 from smoothdiv.oracle import WeightKind
 
 from oracles import sieve_primes_full_flags
@@ -461,6 +461,17 @@ class TestThetaAtScale:
             got = []
             assert _peak_allocation(lambda: got.append(route(1e7, 25.0, 0.5, sieve_10m))) < 2 * 2**20
             assert got == [10**7]
+
+
+class TestThetaCount:
+    """The exact theta count that ``exact theta`` and ``compare --kind
+    theta`` answer with: ``harness.KINDS["theta"].exact``."""
+
+    def test_nan_bounds_are_domain_errors(self, sieve_small):
+        count = harness.KINDS["theta"].exact
+        for x, y, z in ((1e4, math.nan, 10.0), (1e4, 30.0, math.nan)):
+            with pytest.raises(DomainError):
+                count(sieve_small, None, x, y, z)
 
 
 class TestRoughBlocks:
