@@ -26,21 +26,35 @@ primes that divide it, and the smallest-prime-factor table
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of integers at a
-  time, in O(block) memory, each block started from two wheel patterns kept
-  between calls (Pritchard, Acta Informatica 17, 1982);
+  time, in O(block) memory.  Each block starts as the product of two wheels
+  (Pritchard, Acta Informatica 17, 1982): the products of the prime powers
+  dividing 2**5 * 3**3 * 5 * 7 * 11 and 13 * 17 * 19 * 23, periodic in n and
+  kept between calls, one pattern per wheel.  The other prime powers
+  multiply in by strides, or, from _SPARSE up, all their hits in a block at
+  once.  Smooth parts are integers, so n_y > z is tested as n_y > floor(z)
+  in uint32, and z < 1 or z >= x needs no blocks at all;
 * phi_exact and theta_exact_decomposed count rough numbers one block of
-  _BLOCK at a time (segmented as in Bays and Hudson), each marked by
-  _mark_rough; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so
-  its counts go only to x/(floor(z) + 1).  Past 2**32 a rough count answers
-  from one block only, a stand-in for a bound on the work.
+  _BLOCK at a time (segmented as in Bays and Hudson), each sieved by
+  _mark_rough with the primes up to its square root; theta_exact_decomposed
+  sums phi(x/d, y) over smooth d > z, so its counts go only to
+  x/(floor(z) + 1).  Past 2**32 a rough count answers from one block only,
+  a stand-in for a bound on the work.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
 results are independent of enumeration order.
 
-The Monte Carlo oracle for the DSA risk probability draws from the
-counter-based Philox PRNG (numpy) with a fixed key, so reruns with the same
-seed are byte-identical; see :func:`eta_empirical` for how it finds smooth
-parts without division below 2**62 and by gcds with the primorial above.
+The Monte Carlo oracle for the DSA risk probability uses the counter-based,
+splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
+byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
+no division per prime: the 2-part is the lowest set bit, and an odd p is
+tested and divided out by multiplying with its inverse mod 2**64.  Larger
+samples take gcd(n, P) with Python ints, P the primorial.  Where P is larger
+than the product N of a group of _GCD_GROUP samples, P is never formed
+(Bernstein, "How to find smooth parts of integers", 2004): r = P mod N is
+reduced chunk by chunk, and each n in the group takes gcd(n, r mod n), which
+equals gcd(n, P) because n divides N.  A smaller P is built by a balanced
+product tree.  The int64 samples are drawn in one call and reduced in blocks
+of _SAMPLE_BLOCK, so the working buffers span one block.
 """
 
 from __future__ import annotations
@@ -315,19 +329,25 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
 
 def _mark_rough(out: np.ndarray, lo: int, primes: np.ndarray) -> np.ndarray:
     """Set out[i] to whether lo + i is rough, P-(lo + i) > y, and return
-    ``out``; ``primes`` are the primes p <= y, ascending, and 0 is not rough.
-    A prime below _SPARSE clears its multiples by one stride write from
-    (-lo) % p; the hits of all larger ones go in by one scattered write."""
+    ``out``; ``primes`` holds every prime p <= y up to the block's end,
+    ascending, and 0 is not rough.  Only the p up to the square root of the
+    block's end are sieved, by one stride write from (-lo) % p below _SPARSE
+    and one scattered write for all larger ones, so a block costs
+    O(pi(sqrt(x))) whatever y is; the flags left past 1 are then primes, and
+    one slice of ``primes`` clears those <= y."""
     out.fill(True)
-    split = int(np.searchsorted(primes, _SPARSE))
-    for p in primes[:split].tolist():
+    end = lo + out.size
+    sieving = primes[: int(np.searchsorted(primes, math.isqrt(end - 1), side="right"))]
+    split = int(np.searchsorted(sieving, _SPARSE))
+    for p in sieving[:split].tolist():
         out[(-lo) % p :: p] = False
-    first = (-lo) % primes[split:]
-    hit = first < out.size  # most primes far above the block miss it
-    big, first = primes[split:][hit], first[hit]
+    big = sieving[split:]
+    first = (-lo) % big  # below p, so a prime missing a short block has no hits
     hits = (out.size - 1 - first) // big + 1
     k = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # k-th hit of its prime
     out[np.repeat(first, hits) + k * np.repeat(big, hits)] = False
+    a, b = np.searchsorted(primes, [lo, end]).tolist()
+    out[primes[a:b] - lo] = False
     out[0] &= lo > 0  # 0 is not rough
     return out
 
@@ -497,8 +517,7 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     if fx >= 2**32 and hi >= _BLOCK:  # past 2**32, one block of rough counts only
         raise ResourceError(f"x={x} reaches 2^32, where theta needs x // (floor(z) + 1) < {_BLOCK}")
     primes = t.primes_upto(min(y, fx))
-    rough_primes = t.primes_upto(min(y, hi))
-    rough = _mark_rough(np.empty(min(_BLOCK, hi + 1), dtype=bool), 0, rough_primes)
+    rough = _mark_rough(np.empty(min(_BLOCK, hi + 1), dtype=bool), 0, primes)
     cum = np.cumsum(rough, dtype=np.int32)  # phi(m, y) for m < n
     cut = max(fx // rough.size, fz)
     count = sum(int(cum[fx // d[d > cut]].sum()) for d in _smooth_pieces(primes, fx))
@@ -508,7 +527,7 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     late = np.sort(fx // d[d > fz])  # x // d for the d the later blocks answer
     before = int(cum[-1])  # the rough numbers below the block
     for lo in range(rough.size, hi + 1, rough.size):
-        b = _mark_rough(rough[: hi + 1 - lo], lo, rough_primes)
+        b = _mark_rough(rough[: hi + 1 - lo], lo, primes)
         i, j = np.searchsorted(late, [lo, lo + b.size]).tolist()
         if i < j:
             ranks = np.searchsorted(np.flatnonzero(b), late[i:j] - lo, side="right")

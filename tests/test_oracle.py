@@ -511,10 +511,22 @@ class TestRoughBlocks:
             got = _peak_allocation(lambda: theta_exact_decomposed(1e7, 30.0, z, sieve_10m))
             assert got < 8 * 2**20
 
-    def test_phi_memory_stays_bounded(self):
+    def test_phi_memory_stays_bounded(self, sieve_10m):
         # One bool per n <= 2e8 took 190.7 MiB.
         t = build_sieve(30)
         assert _peak_allocation(lambda: phi_exact(2e8, 30.0, t)) < 8 * 2**20
+        # A block sieves only by the primes up to the square root of its end,
+        # so a large y costs one slice of its primes per block, not arrays
+        # over all of them (34.6 MiB at y = 1e7).
+        assert _peak_allocation(lambda: phi_exact(1e7, 1e7, sieve_10m)) < 8 * 2**20
+
+    def test_small_z_walk_memory_is_bounded(self):
+        # At small z and large x the smooth d <= x dominate the peak: the
+        # walk's live set holds the smooth numbers up to x / p over the
+        # primes up to p, 17.9 MiB here, where the blocked theta_exact holds
+        # 1.3 MiB.  This bound records that trade.
+        t = build_sieve(100)
+        assert _peak_allocation(lambda: theta_exact_decomposed(1e9, 100.0, 10.0, t)) < 24 * 2**20
 
     def test_past_2_32_a_count_takes_one_block(self, monkeypatch):
         # Refused before any block is marked or any smooth d is walked.
