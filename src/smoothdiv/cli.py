@@ -35,10 +35,11 @@ min(y, that bound), the largest y of the grid for ``compare``;
 ``dsa-risk --empirical`` sieves to 2**l and ``validate`` to 10**6.  The
 configured ``sieve_ceiling`` bounds each of those limits, the counting bound
 included; a count past 2**63 is a resource error whatever the ceiling.  The
-Euler product zeta(1, y) behind ``estimate phi`` and ``exact s`` sieves the
-primes up to y, under the same ceiling.  ``exact theta`` and ``compare
---kind theta`` count by :func:`smoothdiv.oracle.theta_exact_decomposed`; it
-and ``exact phi`` count rough numbers in blocks of 2**18, past 2**32 one only.
+Euler product zeta(1, y) behind ``estimate phi`` and ``exact s`` lists the
+primes up to y a block at a time, a few MiB at any y, under the same ceiling.
+``exact theta`` and ``compare --kind theta`` count by
+:func:`smoothdiv.oracle.theta_exact_decomposed`; it and ``exact phi`` count
+rough numbers a block of 2**18 odd numbers at a time, past 2**32 one only.
 """
 
 from __future__ import annotations

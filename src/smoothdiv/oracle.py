@@ -5,18 +5,14 @@ n <= floor(x); "prime <= y" means p <= floor(y); divisor thresholds d > z are
 strict.  P+(1) = 1 and P-(1) = infinity, so n = 1 is y-smooth and y-rough for
 every y, and its largest y-smooth divisor is 1.
 
-One sieve of Eratosthenes, :func:`sieve_primes`, lists the primes: it gives
-:func:`build_sieve` its prime list and :func:`zeta_one_y` its Euler product,
-and keeps nothing between calls.  It flags the odd numbers only (Bays and
-Hudson, BIT 17, 1977), one bool per odd number, so it makes half the flags
-and half the stride writes of a sieve over all numbers; 2 is put in by hand.
-A :class:`SieveTables` holds only that list and its bound, every prime up to
-``limit``.  A count with parameter y reads only the primes up to min(y, x),
-so a table sieved that far answers it for any x below 2**63, where the int64
-enumerations stop; ``primes_upto`` refuses a bound past the list's, so a
-short list never truncates a count.  ``smooth_part`` divides n by the listed
-primes that divide it, and the smallest-prime-factor table
-``SieveTables.spf`` is built only if read.  Counting loops are vectorized:
+One sieve of Eratosthenes, _mark_rough, flags the rough odd numbers of one
+block at a time (Bays and Hudson, BIT 17, 1977).  The primes up to n are
+those up to sqrt(n), listed one level down, and those left in the blocks
+above: :func:`sieve_primes` lists them for :func:`build_sieve`, and
+:func:`zeta_one_y` takes its Euler product block by block.  A
+:class:`SieveTables` holds only that list and its bound, which serve a count
+over any x below 2**63, and builds the smallest-prime-factor table
+``SieveTables.spf`` only if read.  Counting loops are vectorized:
 
 * smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
   walking the primes in order, a number retires once it is too large to take
@@ -33,12 +29,10 @@ primes that divide it, and the smallest-prime-factor table
   multiply in by strides, or, from _SPARSE up, all their hits in a block at
   once.  Smooth parts are integers, so n_y > z is tested as n_y > floor(z)
   in uint32, and z < 1 or z >= x needs no blocks at all;
-* phi_exact and theta_exact_decomposed count rough numbers one block of
-  _BLOCK at a time (segmented as in Bays and Hudson), each sieved by
-  _mark_rough with the primes up to its square root; theta_exact_decomposed
-  sums phi(x/d, y) over smooth d > z, so its counts go only to
-  x/(floor(z) + 1).  Past 2**32 a rough count answers from one block only,
-  a stand-in for a bound on the work.
+* phi_exact and theta_exact_decomposed count rough numbers one block at a
+  time; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so its
+  counts go only to x/(floor(z) + 1).  Past 2**32 a rough count answers
+  from one block only, a stand-in for a bound on the work.
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
 results are independent of enumeration order.
@@ -78,8 +72,8 @@ DEFAULT_SIEVE_CEILING = 2**31
 #: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
 
-#: Integers per block of theta_exact (1 MB of uint32 smooth parts) and of the
-#: rough counts (256 KB of flags, and 1 MB of int32 running count in theta).
+#: Integers per block of theta_exact (1 MB of uint32 smooth parts); odd numbers
+#: per block of _mark_rough (256 KB of flags, 1 MB of int32 running count in theta).
 _BLOCK = 1 << 18
 
 #: Periods of theta_exact's wheels, 2**5 * 3**3 * 5 * 7 * 11 and
@@ -160,26 +154,33 @@ class SieveTables:
 
 
 def sieve_primes(n: int) -> np.ndarray:
-    """Primes p <= n, ascending, as int64 (empty for n < 2)."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
+    """Primes p <= n (n >= 0), ascending, as int64, from :func:`_prime_blocks`
+    into one array allocated first, at pi(n) < 1.25506 n / ln n (Rosser and
+    Schoenfeld, 1962), so a list too large is refused at once; cut in place."""
     try:
-        # Odd numbers only: flag i stands for 2i + 1, and flag 0 (the number
-        # 1) is left clear to stand in for 2.
-        is_comp = np.zeros((n + 1) // 2, dtype=bool)
+        primes = np.empty(int(1.25506 * n / math.log(max(n, 2))) + 1, dtype=np.int64)
     except (MemoryError, ValueError):  # numpy refuses an array this large
         raise ResourceError(f"a prime sieve up to {n} does not fit in memory") from None
-    for p in range(3, math.isqrt(n) + 1, 2):
-        if not is_comp[p // 2]:
-            is_comp[p * p // 2 :: p] = True  # odd multiples p*p, p*p + 2p, ...
-    # Inverting in place, a no-copy cast and mapping i to 2i + 1 in place keep
-    # the peak at the flag array plus the primes.
-    np.logical_not(is_comp, out=is_comp)
-    primes = np.flatnonzero(is_comp).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
+    k = 0
+    for piece in _prime_blocks(n):
+        primes[k : k + piece.size] = piece
+        k += piece.size
+    primes.resize(k, refcheck=False)  # no view of it is alive
     return primes
+
+
+def _prime_blocks(n: int):
+    """The primes p <= n as ascending int64 arrays: those up to r = sqrt(n)
+    (below 9, a fixed base), then those left in each block of flags over (r, n]."""
+    if n < 9:
+        yield np.array([p for p in (2, 3, 5, 7) if p <= n], dtype=np.int64)
+        return
+    r = math.isqrt(n)
+    yield (base := sieve_primes(r))
+    start = r + r % 2  # even, and start + 1 > r
+    flags = np.empty(min(_BLOCK, (n + 1 - start) // 2), dtype=bool)
+    for lo in range(start, n, 2 * flags.size):
+        yield 2 * np.flatnonzero(_mark_rough(flags[: (n + 1 - lo) // 2], lo, base)) + (lo + 1)
 
 
 def build_sieve(limit: int, ceiling: int = DEFAULT_SIEVE_CEILING) -> SieveTables:
@@ -328,42 +329,42 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
 
 
 def _mark_rough(out: np.ndarray, lo: int, primes: np.ndarray) -> np.ndarray:
-    """Set out[i] to whether lo + i is rough, P-(lo + i) > y, and return
-    ``out``; ``primes`` holds every prime p <= y up to the block's end,
-    ascending, and 0 is not rough.  Only the p up to the square root of the
-    block's end are sieved, by one stride write from (-lo) % p below _SPARSE
-    and one scattered write for all larger ones, so a block costs
-    O(pi(sqrt(x))) whatever y is; the flags left past 1 are then primes, and
-    one slice of ``primes`` clears those <= y."""
+    """Set out[i] to whether lo + 2i + 1 is rough, P-(lo + 2i + 1) > y (for y >= 2
+    no rough n > 1 is even), and return ``out``; lo is even, and ``primes`` holds
+    every prime p <= y up to the block's end, ascending.  The odd p up to the
+    end's square root sieve from flag -(lo + 1) * (p + 1)/2 mod p, by strides
+    below _SPARSE and one scattered write above: O(pi(sqrt(x))) at any y."""
     out.fill(True)
-    end = lo + out.size
-    sieving = primes[: int(np.searchsorted(primes, math.isqrt(end - 1), side="right"))]
+    end = lo + 2 * out.size
+    sieving = primes[1 : int(np.searchsorted(primes, math.isqrt(end - 1), side="right"))]
     split = int(np.searchsorted(sieving, _SPARSE))
     for p in sieving[:split].tolist():
-        out[(-lo) % p :: p] = False
+        out[-(lo + 1) * (p + 1) // 2 % p :: p] = False
     big = sieving[split:]
-    first = (-lo) % big  # below p, so a prime missing a short block has no hits
-    hits = (out.size - 1 - first) // big + 1
-    k = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # k-th hit of its prime
-    out[np.repeat(first, hits) + k * np.repeat(big, hits)] = False
+    if big.size:  # only a block that ends past _SPARSE**2 has any
+        first = -(lo + 1) % big * ((big + 1) // 2) % big  # below p, so a short block may miss p
+        hits = (out.size - 1 - first) // big + 1
+        k = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # k-th hit of its prime
+        out[np.repeat(first, hits) + k * np.repeat(big, hits)] = False
     a, b = np.searchsorted(primes, [lo, end]).tolist()
-    out[primes[a:b] - lo] = False
-    out[0] &= lo > 0  # 0 is not rough
+    out[(primes[max(a, 1) : b] - lo) // 2] = False  # the odd primes <= y left
     return out
 
 
 def phi_exact(x: float, y: float, t: SieveTables) -> int:
-    """#{n <= x : P-(n) > y}, one block of _BLOCK at a time; n = 1 counts (P-(1) = inf)."""
+    """#{n <= x : P-(n) > y}, one block at a time; n = 1 counts (P-(1) = inf)."""
     _require_not_nan(y=y)
     fx = _count_bound("x", x)
     if fx < 1:
         return 0
     if fx >= 2**32:  # past 2**32 a rough count answers from one block only
         raise ResourceError(f"x={x} reaches 2^32, past which phi counts one block only")
+    if y < 2:  # every n is rough; the blocks flag odd n only
+        return fx
     primes = t.primes_upto(min(y, fx))
-    rough = np.empty(min(_BLOCK, fx + 1), dtype=bool)
-    return sum(int(np.count_nonzero(_mark_rough(rough[: fx + 1 - lo], lo, primes)))
-               for lo in range(0, fx + 1, rough.size))
+    rough = np.empty(min(_BLOCK, (fx + 1) // 2), dtype=bool)
+    return sum(int(np.count_nonzero(_mark_rough(rough[: (fx + 1 - lo) // 2], lo, primes)))
+               for lo in range(0, fx, 2 * rough.size))
 
 
 def _wheel_pattern(slot: int, period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -500,11 +501,11 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
         theta(x, y, z) = sum over smooth d > z of phi(x/d, y).
 
     Every smooth d > z is at least floor(z) + 1, so the rough counts go only
-    to hi = x // (floor(z) + 1), in blocks of n = min(_BLOCK, hi + 1).  The
-    first block's running count answers the d > x // n, streamed piece by
-    piece; the rest, fewer than x / _BLOCK < 2**14, by binary search among
-    the later blocks' rough numbers.  Must equal ``theta_exact`` exactly; the
-    two routes share no counting code.
+    to hi = x // (floor(z) + 1), in blocks of n = min(_BLOCK, hi // 2 + 1)
+    odd numbers.  The first block's running count answers the d > x // 2n,
+    streamed piece by piece; the rest, fewer than x / 2**19 < 2**13, by
+    binary search among the later blocks' rough numbers.  Must equal
+    ``theta_exact`` exactly; the two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
     fx = _count_bound("x", x)
@@ -516,48 +517,47 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     hi = fx // (fz + 1)
     if fx >= 2**32 and hi >= _BLOCK:  # past 2**32, one block of rough counts only
         raise ResourceError(f"x={x} reaches 2^32, where theta needs x // (floor(z) + 1) < {_BLOCK}")
-    primes = t.primes_upto(min(y, fx))
-    rough = _mark_rough(np.empty(min(_BLOCK, hi + 1), dtype=bool), 0, primes)
-    cum = np.cumsum(rough, dtype=np.int32)  # phi(m, y) for m < n
-    cut = max(fx // rough.size, fz)
-    count = sum(int(cum[fx // d[d > cut]].sum()) for d in _smooth_pieces(primes, fx))
-    if rough.size > hi:
+    primes = t.primes_upto(min(y, fx))  # for y < 2 only d = 1 <= z is smooth
+    rough = _mark_rough(np.empty(min(_BLOCK, hi // 2 + 1), dtype=bool), 0, primes)
+    cum = np.cumsum(rough, dtype=np.int32)  # phi(m, y) = cum[(m - 1) // 2] for m < span
+    span = 2 * rough.size
+    cut = max(fx // span, fz)
+    count = sum(int(cum[(fx // d[d > cut] - 1) // 2].sum()) for d in _smooth_pieces(primes, fx))
+    if span > hi:
         return count
-    d = np.concatenate(list(_smooth_pieces(primes, fx // rough.size)))
+    d = np.concatenate(list(_smooth_pieces(primes, fx // span)))
     late = np.sort(fx // d[d > fz])  # x // d for the d the later blocks answer
     before = int(cum[-1])  # the rough numbers below the block
-    for lo in range(rough.size, hi + 1, rough.size):
-        b = _mark_rough(rough[: hi + 1 - lo], lo, primes)
-        i, j = np.searchsorted(late, [lo, lo + b.size]).tolist()
+    for lo in range(span, hi + 1, span):
+        b = _mark_rough(rough[: (hi - lo) // 2 + 1], lo, primes)
+        i, j = np.searchsorted(late, [lo, lo + 2 * b.size]).tolist()
         if i < j:
-            ranks = np.searchsorted(np.flatnonzero(b), late[i:j] - lo, side="right")
+            ranks = np.searchsorted(np.flatnonzero(b), (late[i:j] - lo - 1) // 2, side="right")
             count += int(ranks.sum()) + before * (j - i)
         before += int(np.count_nonzero(b))
     return count
 
 
-def _euler_product(primes: np.ndarray) -> float:
-    """The product over ``primes`` of (1 - 1/p)^-1, as exp of a compensated
-    log-sum; the empty product is 1."""
-    if primes.size == 0:
-        return 1.0
-    # -1.0 / p is correctly rounded in numpy as in Python; math.log1p reads
-    # the quotients through a memoryview, so no list of them is built.
-    return math.exp(-math.fsum(map(math.log1p, memoryview(-1.0 / primes))))
+def _euler_product(pieces) -> float:
+    """The product of (1 - 1/p)^-1 over the primes in the arrays ``pieces``, as
+    exp of one compensated log-sum (1 for none).  -1.0 / p is correctly rounded
+    in numpy as in Python; math.log1p reads it through a memoryview."""
+    return math.exp(-math.fsum(map(math.log1p, itertools.chain.from_iterable(
+        memoryview(-1.0 / p) for p in pieces))))
 
 
 def zeta_one_y(y: float) -> float:
     """The truncated Euler product over primes p <= y of (1 - 1/p)^-1.
 
     Exact finite product, evaluated as exp of a compensated log-sum; the empty
-    product (y < 2) is 1.
+    product (y < 2) is 1.  The primes come block by block: a few MiB at any y.
     """
     if not math.isfinite(y) or y < 0:
         raise DomainError("zeta_one_y requires finite y >= 0")
     n = int(math.floor(y))
     if n > DEFAULT_SIEVE_CEILING:
         raise ResourceError(f"prime sieve up to {n} exceeds the ceiling")
-    return _euler_product(sieve_primes(n))
+    return _euler_product(_prime_blocks(n))
 
 
 def _fsum_chunked(pieces, f=lambda c: c) -> float:
@@ -588,7 +588,7 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
         pieces = _smooth_pieces(t.primes_upto(min(y, fz)), fz)
         partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
     if 0 <= y < t.limit + 1:  # the table lists every prime p <= y
-        return _euler_product(t.primes_upto(y)) - partial
+        return _euler_product([t.primes_upto(y)]) - partial
     return zeta_one_y(y) - partial
 
 

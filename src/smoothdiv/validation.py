@@ -368,9 +368,9 @@ def validate_oracle(
     cap = 10**4
     identity_ok = sums_ok = True
     for y in (3.0, 10.0, 50.0):
-        rough = oracle._mark_rough(np.empty(cap + 1, dtype=bool), 0, t.primes_upto(y))
-        rough_cum = np.cumsum(rough, dtype=np.int64)  # rough_cum[n] = phi(n, y)
-        e = np.flatnonzero(rough)
+        rough = oracle._mark_rough(np.empty((cap + 1) // 2, dtype=bool), 0, t.primes_upto(y))
+        rough_cum = np.cumsum(rough, dtype=np.int64)  # rough_cum[i] = phi(2i + 1, y)
+        e = 2 * np.flatnonzero(rough) + 1
         d = oracle.smooth_numbers(t.primes_upto(y), cap)
         # Each d takes the per_d rough e up to cap // d: every product
         # d * e <= cap, formed and counted in one pass.
@@ -380,10 +380,9 @@ def validate_oracle(
         hits = np.bincount(products, minlength=cap + 1)
         identity_ok = identity_ok and bool(np.all(hits[1:] == 1))
         for x in (100, 5000, 9999, cap):
-            # floor(x / d) == x // d for integers, so rough_cum[x // d] is
-            # phi(x/d, y); phi_exact itself is checked once per (x, y).
-            sums_ok = (sums_ok and oracle.phi_exact(x, y, t) == rough_cum[x]
-                       and int(rough_cum[x // d[d <= x]].sum()) == x)
+            # rough_cum[(x // d - 1) // 2] is phi(x/d, y); phi_exact is checked once per (x, y).
+            sums_ok = (sums_ok and oracle.phi_exact(x, y, t) == rough_cum[(x - 1) // 2]
+                       and int(rough_cum[(x // d[d <= x] - 1) // 2].sum()) == x)
     add("partition_identity", identity_ok,
         "every n <= 1e4 decomposes uniquely as smooth times rough (y = 3, 10, 50)")
     add("partition_sums", sums_ok, "sum over smooth d of phi(x/d) equals floor(x)")

@@ -230,7 +230,7 @@ def omega_deviations_decimal_60() -> list[float]:
 
 def sieve_primes_full_flags(n: int) -> np.ndarray:
     """``oracle.sieve_primes`` as it was when it flagged every number up to n:
-    the reference its odd-only sieve must reproduce."""
+    the reference the block sieve must reproduce."""
     if n < 2:
         return np.zeros(0, dtype=np.int64)
     try:

@@ -464,8 +464,9 @@ class TestConfig:
 
     def test_unallocatable_sieve_is_resource_error(self, tmp_path, capsys):
         # A ceiling the config accepts, and y = inf, which asks for every
-        # prime up to 10**16: a sieve of 10**16 flags (8.9 PiB) that no
-        # address space holds, so numpy refuses it without allocating.
+        # prime up to 10**16: a list allocated at a bound on pi(10**16),
+        # 3.4e14 int64 (2.4 PiB), that no address space holds, so numpy
+        # refuses it without allocating.
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"sieve_ceiling": 10**17}))
         assert cli.main(["--config", str(cfg), "exact", "psi", "--x", "1e16",
@@ -902,10 +903,11 @@ _GUARD_ARGV = [
 @pytest.mark.parametrize("argv, most", _GUARD_ARGV, ids=[" ".join(a) for a, _ in _GUARD_ARGV])
 def test_nothing_is_sieved_past_y_or_the_counting_bound(argv, most, monkeypatch):
     # ``most`` is min(largest y, counting bound), rounded down: the table's
-    # primes and the Euler product's (up to y) both stay within it.
+    # primes and the Euler product's (up to y) both stay within it.  Both
+    # lists come from the prime stream, which every prime list enters.
     sieved = []
-    real = oracle.sieve_primes
-    monkeypatch.setattr(oracle, "sieve_primes", lambda n: sieved.append(n) or real(n))
+    real = oracle._prime_blocks
+    monkeypatch.setattr(oracle, "_prime_blocks", lambda n: sieved.append(n) or real(n))
     assert _main(argv)[0] == 0
     assert sieved and max(sieved) <= most, sieved
 
@@ -930,11 +932,23 @@ def test_a_non_default_omega_cut_builds_no_rho_table(tmp_path, monkeypatch):
 
 def test_exact_s_sieves_the_primes_up_to_y_once(monkeypatch):
     # The table's primes reach y = z, so the Euler product takes them: one
-    # sieve, not a second one inside zeta_one_y.
+    # prime stream, not a second one inside zeta_one_y.  A stream lists its
+    # primes to sqrt(n) through a stream one level down, which is not
+    # counted: only the streams opened outside another.
     want = _main(["exact", "s", "--y", "1e6", "--z", "1e6"])
-    sieved = []
-    real = oracle.sieve_primes
-    monkeypatch.setattr(oracle, "sieve_primes", lambda n: sieved.append(n) or real(n))
+    sieved, depth = [], [0]
+    real = oracle._prime_blocks
+
+    def spy(n):
+        if depth[0] == 0:
+            sieved.append(n)
+        depth[0] += 1
+        try:
+            yield from real(n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(oracle, "_prime_blocks", spy)
     assert _main(["exact", "s", "--y", "1e6", "--z", "1e6"]) == want
     assert want[0] == 0 and sieved == [10**6]
 

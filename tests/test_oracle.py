@@ -164,19 +164,37 @@ class TestSievePins:
             "9a175956bcc0270ceaaf56af1b9f8fa19762597a1286b5124ca6d86284f60b40")
 
     def test_sieve_primes_peak(self):
-        # The 5 MB odd-only flag array plus 5 MB of int64 primes; no second
-        # copy of either.
+        # The 6.2 MB int64 list at the bound on pi(10**7), cut in place, plus
+        # one 256 KB block of flags; no second copy of the list.
         assert _peak_allocation(lambda: oracle.sieve_primes(10**7)) < 12 * 2**20
 
     def test_sieve_primes_matches_full_flag_sieve(self):
         # Every n up to 5000, and p*p and its neighbours for every prime
-        # p <= 1000: p*p is where the odd-only sieve's stride for p starts.
-        small = sieve_primes_full_flags(1000)
-        squares = [q for p in small.tolist() for q in (p * p - 1, p * p, p * p + 1)]
-        for n in [*range(5001), *squares]:
-            got = oracle.sieve_primes(n)
-            assert got.dtype == np.int64, n
-            assert np.array_equal(got, sieve_primes_full_flags(n)), n
+        # p <= 1000: p*p is where p joins the primes that sieve a block.
+        # Blocks of 1, 7 and 64 flags put a block edge every few odd numbers;
+        # sieving that many blocks is slow, so they take n <= 300 and p <= 50.
+        # With _SPARSE at 8, the primes from 11 up take the scattered write.
+        for block, sparse, top, p_max in ((None, None, 5000, 1000), (1, None, 300, 50),
+                                          (7, 8, 300, 50), (64, 8, 300, 50)):
+            small = sieve_primes_full_flags(p_max)
+            squares = [q for p in small.tolist() for q in (p * p - 1, p * p, p * p + 1)]
+            with pytest.MonkeyPatch.context() as mp:
+                if block is not None:
+                    mp.setattr(oracle, "_BLOCK", block)
+                if sparse is not None:
+                    mp.setattr(oracle, "_SPARSE", sparse)
+                for n in [*range(top + 1), *squares]:
+                    got = oracle.sieve_primes(n)
+                    assert got.dtype == np.int64, (block, n)
+                    assert np.array_equal(got, sieve_primes_full_flags(n)), (block, n)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_zeta_one_y_bits_do_not_depend_on_the_block(self, block):
+        ys = (0.0, 8.0, 9.0, 100.0, 2310.0, 10007.0)
+        want = [repr(zeta_one_y(y)) for y in ys]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "_BLOCK", block)
+            assert [repr(zeta_one_y(y)) for y in ys] == want
 
     @pytest.mark.parametrize("y, expected", [
         (1, "1.0"), (2, "2.0"), (100, "8.31135737891573"),
@@ -519,6 +537,11 @@ class TestRoughBlocks:
         # so a large y costs one slice of its primes per block, not arrays
         # over all of them (34.6 MiB at y = 1e7).
         assert _peak_allocation(lambda: phi_exact(1e7, 1e7, sieve_10m)) < 8 * 2**20
+
+    def test_zeta_memory_stays_bounded(self):
+        # The primes up to 1e8 in one array peaked at 91.6 MiB; the Euler
+        # product now holds the primes to 1e4 and one block of them.
+        assert _peak_allocation(lambda: zeta_one_y(1e8)) < 8 * 2**20
 
     def test_small_z_walk_memory_is_bounded(self):
         # At small z and large x the smooth d <= x dominate the peak: the
