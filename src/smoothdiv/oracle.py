@@ -21,14 +21,15 @@ over any x below 2**63, and builds the smallest-prime-factor table
   theta_exact_decomposed read the stream piece by piece, smooth_numbers (for
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
-* theta_exact computes smooth parts one cache-sized block of integers at a
-  time, in O(block) memory.  Each block starts as the product of two wheels
-  (Pritchard, Acta Informatica 17, 1982): the products of the prime powers
-  dividing 2**5 * 3**3 * 5 * 7 * 11 and 13 * 17 * 19 * 23, periodic in n and
-  kept between calls, one pattern per wheel.  The other prime powers
-  multiply in by strides, or, from _SPARSE up, all their hits in a block at
-  once.  Smooth parts are integers, so n_y > z is tested as n_y > floor(z)
-  in uint32, and z < 1 or z >= x needs no blocks at all;
+* theta_exact computes smooth parts one cache-sized block of odd o at a
+  time, in O(block) memory: n = 2**a * o has n_y = 2**a * o_y for y >= 2, so
+  a block serves every a through the uint32 threshold floor(z) >> a.  Each
+  block starts as the product of two wheels (Pritchard, Acta Informatica
+  17, 1982): the products of the prime powers dividing 3**3 * 5 * 7 * 11 *
+  13 and 17 * 19 * 23 * 29, periodic in o and kept between calls, one
+  pattern per wheel.  The other prime powers multiply in by strides, or,
+  from _SPARSE up, all their hits in a block at once; z < 1, z >= x and
+  y < 3 need no blocks at all;
 * phi_exact and theta_exact_decomposed count rough numbers one block at a
   time; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so its
   counts go only to x/(floor(z) + 1).  Past 2**32 a rough count answers
@@ -72,23 +73,27 @@ DEFAULT_SIEVE_CEILING = 2**31
 #: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
 
-#: Integers per block of theta_exact (1 MB of uint32 smooth parts); odd numbers
-#: per block of _mark_rough (256 KB of flags, 1 MB of int32 running count in theta).
+#: Odd numbers per block, of theta_exact (1 MB of uint32 smooth parts) and of
+#: _mark_rough (256 KB of flags, 1 MB of int32 running count in theta).
 _BLOCK = 1 << 18
 
-#: Periods of theta_exact's wheels, 2**5 * 3**3 * 5 * 7 * 11 and
-#: 13 * 17 * 19 * 23: a block starts from the products of the prime powers
-#: dividing them (1.27 and 0.37 MiB of uint32) instead of one stride each.
-_WHEELS = (332640, 96577)
+#: Periods of theta_exact's odd wheels, 3**3 * 5 * 7 * 11 * 13 and 17 * 19 * 23 * 29,
+#: each spanning twice as many integers: a block starts from the products of the
+#: prime powers dividing them (0.52 and 0.82 MiB of uint32) instead of one stride each.
+_WHEELS = (135135, 215441)
 
 #: Prime powers from this one up hit a theta_exact block at most
 #: _BLOCK // _SPARSE times; their hits go in at once, by np.multiply.at.  So
 #: do the hits of the primes from this one up in a block of rough flags.
 _SPARSE = 1 << 10
 
-#: The wheel pattern theta_exact last built for each of _WHEELS, by position:
-#: (key, read-only pattern).
+#: The odd-number wheel pattern theta_exact last built for each of _WHEELS,
+#: by position: (key, read-only pattern).
 _wheel_cache: dict[int, tuple[tuple, np.ndarray]] = {}
+
+#: The primes below 100: the fixed base of every prime list.
+_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+                          67, 71, 73, 79, 83, 89, 97], dtype=np.int64)
 
 #: Samples per block of the int64 Monte Carlo (512 KB of uint64 each).
 _SAMPLE_BLOCK = 1 << 16
@@ -171,9 +176,10 @@ def sieve_primes(n: int) -> np.ndarray:
 
 def _prime_blocks(n: int):
     """The primes p <= n as ascending int64 arrays: those up to r = sqrt(n)
-    (below 9, a fixed base), then those left in each block of flags over (r, n]."""
-    if n < 9:
-        yield np.array([p for p in (2, 3, 5, 7) if p <= n], dtype=np.int64)
+    (below 100, a fixed base, so every n < 10**4 sieves one level), then
+    those left in each block of flags over (r, n]."""
+    if n < 100:
+        yield _SMALL_PRIMES[_SMALL_PRIMES <= n]
         return
     r = math.isqrt(n)
     yield (base := sieve_primes(r))
@@ -368,26 +374,26 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
 
 
 def _wheel_pattern(slot: int, period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """pattern[j] = the product of p over the prime powers q = p**a in ``qs``
-    that divide j, for 0 <= j < ``period`` (every q divides ``period``), so
-    pattern[n % period] is their share of n_y.  The last pattern built for
-    each wheel ``slot`` is kept, read-only, and rebuilt only when its prime
-    powers change."""
+    """pattern[j] = the product of p over the odd prime powers q = p**a in
+    ``qs`` that divide 2j + 1, for 0 <= j < ``period`` (every q divides the odd
+    ``period``), so pattern[(o - 1) // 2 % period] is their share of o_y for
+    odd o.  The last pattern built for each wheel ``slot`` is kept, read-only,
+    and rebuilt only when its prime powers change."""
     key = (period, tuple(qs.tolist()))
     cached = _wheel_cache.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1]
     pattern = np.ones(period, dtype=np.uint32)
     for q, p in zip(qs.tolist(), ps.tolist()):
-        v = pattern[::q]
+        v = pattern[(q - 1) // 2 :: q]
         np.multiply(v, p, out=v)
     pattern.flags.writeable = False
     _wheel_cache[slot] = (key, pattern)
     return pattern
 
 
-def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], lo: int) -> None:
-    """out[i] = the product over ``wheels`` of w[(lo + i) % w.size]: one
+def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], start: int) -> None:
+    """out[i] = the product over ``wheels`` of w[(start + i) % w.size]: one
     contiguous slice of each wheel per stretch between wrap points, the
     first two multiplied straight into ``out``."""
     if not wheels:
@@ -395,7 +401,7 @@ def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], lo: int) -> Non
         return
     i = 0
     while i < out.size:
-        starts = [(lo + i) % w.size for w in wheels]
+        starts = [(start + i) % w.size for w in wheels]
         m = min([out.size - i] + [w.size - s for w, s in zip(wheels, starts)])
         parts = [w[s : s + m] for w, s in zip(wheels, starts)]
         seg = out[i : i + m]
@@ -411,25 +417,28 @@ def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], lo: int) -> Non
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
-    A block holds the smooth parts of _BLOCK consecutive n as uint32, so x
-    must lie below 2**32 whatever the sieve limit.  Each prime power
-    q = p**a <= x with p <= y multiplies the entries of its multiples by p:
+    For y >= 2, n = 2**a * o with o odd has n_y = 2**a * o_y, so n_y > z
+    exactly when o_y > Z >> a, Z = floor(z).  A block holds o_y for _BLOCK
+    consecutive odd o = lo + 2i + 1 (lo even) as uint32, so x must lie below
+    2**32 whatever the sieve limit, and serves each a < Z.bit_length() by
+    one compare of its o <= x >> a with Z >> a; the other n, the multiples
+    of 2**Z.bit_length(), all count.  An odd prime power q = p**a <= x with
+    p <= y multiplies every q-th entry from -(lo + 1) * (q + 1)/2 mod q by p:
 
-    * a q dividing a wheel period of _WHEELS, 332640 = 2**5 * 3**3 * 5 * 7 * 11
-      or 96577 = 13 * 17 * 19 * 23, through that wheel's pattern, once x
-      reaches the period: each block is the product of the patterns, read
-      from wrapped slices;
-    * another q below _SPARSE = 1024 through the stride
-      ``block[(-lo) % q :: q]``;
+    * a q dividing a wheel period of _WHEELS, 135135 = 3**3 * 5 * 7 * 11 * 13
+      or 215441 = 17 * 19 * 23 * 29, through that wheel's pattern, indexed
+      by (o - 1) // 2, once x reaches twice the period: each block is the
+      product of the patterns, read from wrapped slices;
+    * another q below _SPARSE = 1024 through a strided slice;
     * every larger q, which hits a block at most _BLOCK // _SPARSE = 256
       times, with all the others in two ``np.multiply.at`` per block: the
       size // q hits it makes in any full block, then its one more hit where
       that lands inside.
 
-    The block and its comparison with floor(z) are two buffers made once per
-    call.  Memory is O(_BLOCK + number of prime powers), independent of x,
-    plus the last pattern built for each wheel, which is kept between calls:
-    at most 1.64 MiB (4 bytes per entry of the two periods).
+    The block and its compare are two buffers made once per call.  Memory
+    is O(_BLOCK + number of prime powers), independent of x, plus the last
+    pattern built for each wheel, kept between calls: at most 1.34 MiB
+    (4 bytes per entry of the two periods).
     """
     _require_not_nan(y=y, z=z)
     fx = _count_bound("x", x)
@@ -439,8 +448,15 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         return 0
     if z < 1:  # n_y >= 1
         return fx
-    p = t.primes_upto(min(y, fx))
-    qs, ps = [p], [p]  # every prime power q = p**a <= fx, beside its prime
+    if y < 2:  # n_y = 1 <= z
+        return 0
+    fz = math.floor(z)
+    shifts = fz.bit_length()  # Z >> a > 0 exactly for a < shifts
+    count = fx >> shifts  # the n whose 2-part alone exceeds Z
+    p = t.primes_upto(min(y, fx))[1:]  # the odd primes
+    if not p.size:  # every o_y is 1
+        return count
+    qs, ps = [p], [p]  # every odd prime power q = p**a <= fx, beside its prime
     while p.size:
         keep = qs[-1] <= fx // p
         p = p[keep]
@@ -451,10 +467,10 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     wheels = []
     for slot, period in enumerate(_WHEELS):
         on = period % qs == 0
-        if period <= fx and on.any():
+        if 2 * period <= fx and on.any():
             wheels.append(_wheel_pattern(slot, period, qs[on], ps[on]))
             qs, ps = qs[~on], ps[~on]
-    size = min(_BLOCK, fx)
+    size = min(_BLOCK, (fx + 1) // 2)
     sparse = qs >= _SPARSE
     strided = list(zip(qs[~sparse].tolist(), ps[~sparse].tolist()))
     # The sparse q below the block size go first: each makes size // q hits
@@ -469,18 +485,16 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     offset *= np.repeat(qs[:many], sure)
     factor = np.repeat(ps[:many], sure)
     spill = sure * qs[:many]
-    threshold = np.uint32(math.floor(z))  # n_y > z exactly when n_y > floor(z)
     block = np.empty(size, dtype=np.uint32)
     above = np.empty(size, dtype=bool)
-    count = 0
-    for lo in range(1, fx + 1, _BLOCK):
-        n = min(size, fx + 1 - lo)
+    for lo in range(0, fx, 2 * size):
+        n = min(size, (fx + 1 - lo) // 2)
         b = block[:n]
-        _fill_from_wheels(b, wheels, lo)
+        _fill_from_wheels(b, wheels, lo // 2)
         for q, p in strided:
-            v = b[(-lo) % q :: q]
+            v = b[-(lo + 1) * (q + 1) // 2 % q :: q]
             np.multiply(v, p, out=v)  # not `b[...] *= p`, which writes v back to b
-        first = (-lo) % qs
+        first = -(lo + 1) % qs * ((qs + 1) // 2) % qs
         at = np.repeat(first[:many], sure)
         at += offset
         if n < size:  # the last block, cut short
@@ -491,7 +505,9 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         first[:many] += spill
         last = first < n
         np.multiply.at(b, first[last], ps[last])
-        count += int(np.count_nonzero(np.greater(b, threshold, out=above[:n])))
+        for a in range(min(shifts, (fx // (lo + 1)).bit_length())):  # while lo + 1 <= x >> a
+            k = min(n, ((fx >> a) - lo + 1) // 2)  # the o <= x >> a
+            count += int(np.count_nonzero(np.greater(b[:k], np.uint32(fz >> a), out=above[:k])))
     return count
 
 

@@ -188,6 +188,17 @@ class TestSievePins:
                     assert got.dtype == np.int64, (block, n)
                     assert np.array_equal(got, sieve_primes_full_flags(n)), (block, n)
 
+    @pytest.mark.parametrize("n, blocks", [(99, 0), (100, 1), (101, 1), (9999, 1), (10000, 2),
+                                           (10001, 2)])
+    def test_primes_below_100_are_the_base(self, n, blocks, monkeypatch):
+        # Below 100 the list is the fixed base; up to 10**4 its primes sieve
+        # the one block above it, and from 10**4 a level more is sieved.
+        marked = []
+        real = oracle._mark_rough
+        monkeypatch.setattr(oracle, "_mark_rough", lambda *args: marked.append(1) or real(*args))
+        assert np.array_equal(oracle.sieve_primes(n), sieve_primes_full_flags(n))
+        assert len(marked) == blocks
+
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_zeta_one_y_bits_do_not_depend_on_the_block(self, block):
         ys = (0.0, 8.0, 9.0, 100.0, 2310.0, 10007.0)
@@ -378,10 +389,11 @@ class TestThetaRoutes:
     # strided and sparse prime powers.  Small blocks cap x at 400 blocks so
     # that an example stays cheap; the default block draws x up to 1e5.  The
     # same value patched into _CHUNK splits the decomposed route's batches of
-    # large-prime products.  Each example also draws the two wheels: (1, 1)
-    # is no wheel, (6, 30) lets the second wheel take only the 5 the first
-    # leaves, (12, 35) and (32, 9) repeat within and across small blocks,
-    # and the defaults lie beyond a small block's x.  It draws the sparse
+    # large-prime products.  Each example also draws the two odd wheels:
+    # (1, 1) is no wheel, (3, 15) lets the second wheel take only the 5 the
+    # first leaves, (15, 9) only the 9 beside the first's 3, (9, 35) and
+    # (27, 5) repeat within and across small blocks, and the defaults lie
+    # beyond a small block's x.  It draws the sparse
     # threshold too: 1 and 3 send every q (every q but 2) through the
     # sparse hits, 8 mixes them with strides, and the default 1024 leaves
     # few sparse q below 1e5.  Beside the bounds, z takes values below 1,
@@ -399,7 +411,7 @@ class TestThetaRoutes:
             _BOUNDS, st.just(float(x)), st.just(float(fx)),
             st.floats(max_value=1.0, exclude_max=True, allow_nan=False),
             st.integers(1, max(fx, 1)).map(lambda n: n - 0.5)), "z")
-        wheels = data.draw(st.sampled_from([(1, 1), (6, 30), (12, 35), (32, 9), None]),
+        wheels = data.draw(st.sampled_from([(1, 1), (3, 15), (15, 9), (9, 35), (27, 5), None]),
                            "wheels")
         sparse = data.draw(st.sampled_from([1, 3, 8, None]), "sparse")
         with pytest.MonkeyPatch.context() as mp:
@@ -416,36 +428,76 @@ class TestThetaRoutes:
         assert direct == want
         assert decomposed == want
 
-    # y at and just below the primes where a wheel gains a prime (11 the last
-    # of the first wheel, 13 and 23 the first and last of the second) and at
-    # 2**5, the first wheel's largest power of 2; x one below, at and one
-    # above each default wheel period, where a wheel is first used, and a
-    # multiple of the default block, where a block of one entry follows.
-    @pytest.mark.parametrize("y", [10.99, 11.0, 12.99, 13.0, 22.99, 23.0, 31.99, 32.0])
+    # y at and just below each prime where a wheel gains a prime (3 to 13 the
+    # first wheel's, 17 to 29 the second's), at 27, the first wheel's
+    # largest prime power (29 is the second's), and at 31.99 and 32, where
+    # 31, the first prime of neither wheel, takes a stride; x one below, at and one
+    # above twice each default wheel period, where a wheel is first used,
+    # and the integers one and two blocks of odd numbers span, where a block
+    # of one entry follows.
+    @pytest.mark.parametrize("y", [p - d for p in (3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0,
+                                                   23.0, 29.0) for d in (0.01, 0.0)]
+                             + [27.0, 31.99, 32.0])
     def test_wheel_and_block_edges(self, sieve_1m, y):
-        assert oracle._WHEELS == (332640, 96577) and oracle._BLOCK == 2**18
-        edges = [*oracle._WHEELS, 2 * oracle._BLOCK]
-        sp = np.ones(max(edges) + 2, dtype=np.int64)
-        for p in sieve_1m.primes_upto(y).tolist():
-            q = p
-            while q < sp.size:
-                sp[q::q] *= p
-                q *= p
+        assert oracle._WHEELS == (135135, 215441) and oracle._BLOCK == 2**18
+        edges = [2 * oracle._WHEELS[0], 2 * oracle._WHEELS[1], 2 * oracle._BLOCK, 4 * oracle._BLOCK]
+        sp = reference_smooth_parts(max(edges) + 1, y, sieve_1m)
         for fx in (e + d for e in edges for d in (-1, 0, 1)):
             for z in (-1.0, 0.5, 1.0, 30.5, 1000.0, fx - 1.0, float(fx), fx + 5.0):
                 want = int(np.count_nonzero(sp[1 : fx + 1] > z))
                 assert theta_exact(float(fx), y, z, sieve_1m) == want, (fx, y, z)
 
-    def test_wheel_patterns_kept_are_bounded(self, sieve_1m):
+    def test_wheel_patterns_kept_are_bounded(self, sieve_1m, monkeypatch):
         # One read-only pattern per wheel stays between calls, whatever the
         # calls' y: a cache of (period + block)-length patterns per y moved
-        # the benchmark's peak RSS by 20 %.
-        for y in (3.0, 7.0, 12.0, 17.0, 30.0, 1e3, math.inf):
+        # the benchmark's peak RSS by 20 %.  From y = 13 the first wheel
+        # holds every prime it can, so a pattern must be kept.
+        monkeypatch.setattr(oracle, "_wheel_cache", {})
+        for y in (3.0, 7.0, 12.0, 13.0, 17.0, 30.0, 1e3, math.inf):
             theta_exact(5e5, y, 100.0, sieve_1m)
             kept = [pattern for _, pattern in oracle._wheel_cache.values()]
             assert len(kept) <= len(oracle._WHEELS)
             assert sum(p.nbytes for p in kept) <= 2 * 2**20
             assert not any(p.flags.writeable for p in kept)
+            assert kept or y < 13
+
+    # n = 2**a * o with o odd: n_y > z exactly when o_y > floor(z) >> a.  z
+    # sits at and around a power of two, where floor(z) >> a reaches 0, and
+    # x next to 2**a * o, where the prefix of o <= x >> a gains an entry.
+    # Below y = 3 only the prime 2 divides a smooth part, which needs no
+    # block, and below y = 2 nothing does.
+    # Small blocks cap x at 400 blocks, as above.
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_powers_of_two_shift_the_threshold(self, sieve_small, block, data):
+        x_max = 10**5 if block is None else 800 * block  # 2**a * o + 1 <= x_max
+        a = data.draw(st.integers(0, x_max.bit_length() - 2), "a")
+        o = 2 * data.draw(st.integers(0, (((x_max - 1) >> a) - 1) // 2), "k") + 1
+        fx = 2**a * o + data.draw(st.sampled_from([-1, 0, 1]), "dx")
+        z = 2 ** data.draw(st.integers(0, x_max.bit_length()), "b") + data.draw(
+            st.sampled_from([-1.0, -0.5, 0.0, 0.5]), "dz")
+        y = data.draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 3.5, 13.0, 1e3]), "y")
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(oracle, "_BLOCK", block)
+            got = theta_exact(float(fx), y, z, sieve_small)
+        assert got == (reference_theta(fx, y, z, sieve_small) if fx >= 1 else 0)
+
+    @pytest.mark.parametrize("block", [7, 64, None])
+    def test_blocks_hold_odd_numbers_only(self, sieve_small, block, monkeypatch):
+        # Even n take their smooth parts from odd ones, so the blocks fill
+        # one entry per odd o <= x, ceil(x / 2) in all.
+        filled = []
+        real = oracle._fill_from_wheels
+        monkeypatch.setattr(oracle, "_fill_from_wheels",
+                            lambda out, *args: filled.append(out.size) or real(out, *args))
+        if block is not None:
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+        for x in (3, 100, 101, 1000.5, 9999, 10**5):
+            filled.clear()
+            theta_exact(x, 30.0, 1.5, sieve_small)
+            assert sum(filled) == (math.floor(x) + 1) // 2, (block, x)
 
 
 class TestThetaAtScale:
