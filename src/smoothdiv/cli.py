@@ -15,9 +15,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failed (``validate`` only), 2 usage
 error (bad flags, or a config value of the wrong type or range), 3 resource
-limit (sieve ceiling, a table that cannot be built to the requested
-accuracy, or memory exhausted), 4 domain error, or any other error as one
-``internal error: <Type>: <message>`` line.
+limit (sieve ceiling, work budget, a table that cannot be built to the
+requested accuracy, or memory exhausted), 4 domain error, or any other
+error as one ``internal error: <Type>: <message>`` line.
 Numbers in JSON/CSV output are decimal strings with 17 significant digits, so
 values round-trip exactly and identical invocations (including ``--seed``)
 produce byte-identical output.  A JSON config file (``--config`` or the
@@ -28,18 +28,13 @@ weights the exact lemma6 sum by the configured omega table), and command-line
 flags override them.
 
 The kinds of ``estimate``, ``exact`` and ``compare`` and their parameters
-come from :data:`smoothdiv.harness.KINDS`.  Each command sieves exactly as far
-as its count needs: ``exact`` and ``compare`` count up to the kind's
-``sieve_limit`` (x, z for s, n for smoothpart) but sieve only the primes up to
-min(y, that bound), the largest y of the grid for ``compare``;
-``dsa-risk --empirical`` sieves to 2**l and ``validate`` to 10**6.  The
-configured ``sieve_ceiling`` bounds each of those limits, the counting bound
-included; a count past 2**63 is a resource error whatever the ceiling.  The
-Euler product zeta(1, y) behind ``estimate phi`` and ``exact s`` lists the
-primes up to y a block at a time, a few MiB at any y, under the same ceiling.
-``exact theta`` and ``compare --kind theta`` count by
-:func:`smoothdiv.oracle.theta_exact_decomposed`; it and ``exact phi`` count
-rough numbers a block of 2**18 odd numbers at a time, past 2**32 one only.
+come from :data:`smoothdiv.harness.KINDS`.  ``exact`` and ``compare`` count
+up to the kind's ``sieve_limit`` (x, z for s, n for smoothpart) over a table
+of the primes up to min(y, that bound), the largest y of the grid for
+``compare``; ``dsa-risk --empirical`` sieves to 2**l and ``validate`` to
+10**6.  The configured ``sieve_ceiling`` caps that table only: a count's cost
+is bounded by :data:`smoothdiv.oracle.WORK_BUDGET`, and ``exact theta`` counts
+by :func:`smoothdiv.oracle.theta_exact_decomposed`.
 """
 
 from __future__ import annotations
@@ -253,34 +248,15 @@ def _estimate_flags(result) -> list[str]:
 
 def _sieve_for(bound: float | int, settings: Settings,
                y: float = math.inf) -> oracle.SieveTables:
-    """A sieve for counts over n <= ``bound`` (a float, or an exact int that
-    may exceed every float) with parameter ``y``.  The bound is held to the
-    configured ceiling, but the sieve lists only the primes up to min(y,
-    bound): all that such a count reads."""
+    """The primes up to min(y, ``bound``), all that a count over n <= bound (a
+    float, or an int past every float) reads, under the configured ceiling."""
     if isinstance(bound, float):
         if not math.isfinite(bound):
             raise DomainError(f"the exact count needs a sieve up to {bound}")
         bound = math.ceil(bound)
-    bound = max(bound, 2)
-    if bound > settings.sieve_ceiling:
-        raise ResourceError(f"sieve limit {bound} exceeds the ceiling {settings.sieve_ceiling}")
     if math.isnan(y):
         raise DomainError("y must not be NaN")
-    return oracle.build_sieve(math.floor(min(bound, max(y, 2))), settings.sieve_ceiling)
-
-
-def _check_zeta_primes(kind: harness.Kind, routes: tuple[str, ...], points: list[dict],
-                       settings: Settings) -> None:
-    """The Euler product zeta(1, y) sieves the primes up to y without a sieve
-    table; hold that y to the configured ceiling as well, when one of
-    ``routes`` evaluates it.  A non-finite y is left to the route's own
-    domain check."""
-    if kind.zeta_route not in routes:
-        return
-    for p in points:
-        if math.isfinite(p["y"]) and p["y"] > settings.sieve_ceiling:
-            raise ResourceError(f"zeta(1, y) needs the primes up to y={p['y']:g}, beyond "
-                                f"the ceiling {settings.sieve_ceiling}")
+    return oracle.build_sieve(math.floor(max(2, min(bound, y))), settings.sieve_ceiling)
 
 
 def _philox_seed(seed: int, span: int = 1) -> int:
@@ -321,7 +297,6 @@ def cmd_special(args, settings: Settings) -> OutputRecord:
 def cmd_estimate(args, settings: Settings) -> OutputRecord:
     kind = KINDS[args.kind]
     p = _need(args, *kind.params)
-    _check_zeta_primes(kind, ("estimate",), [p], settings)
     r = kind.estimate(_numerics(settings, args.epsilon), **p)
     return OutputRecord(
         command=f"estimate {args.kind}",
@@ -340,7 +315,6 @@ def cmd_exact(args, settings: Settings) -> OutputRecord:
             raise UsageError(f"--n must be an integer, got {p['n']!r}")
         p["n"] = int(p["n"])
     t = _sieve_for(kind.sieve_limit(**p), settings, p["y"])
-    _check_zeta_primes(kind, ("exact",), [p], settings)
     return OutputRecord(command=f"exact {args.kind}", inputs=p,
                         outputs={"value": kind.exact(t, _numerics(settings), **p)})
 
@@ -377,7 +351,6 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
     # powers of x, so max sees no NaN beside a number.
     t = _sieve_for(max(KINDS[args.kind].sieve_limit(**p) for p in grid), settings,
                    max(p["y"] for p in grid))
-    _check_zeta_primes(KINDS[args.kind], ("estimate", "exact"), grid, settings)
     num = _numerics(settings)
     rows = [harness.compare_row(args.kind, p, t, num) for p in grid]
     ratios = [r.ratio for r in rows]

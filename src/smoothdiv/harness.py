@@ -55,17 +55,14 @@ class Kind:
     The callables take the parameter values as keywords:
     ``estimate(num, **p)``, ``exact(sieve, num, **p)`` and
     ``sieve_limit(**p)``, the bound on the integers ``exact`` counts over
-    (x, or z for s, or n for smoothpart), which the CLI holds to its sieve
-    ceiling; ``exact`` reads no prime above min(y, that bound), so a sieve
-    to that suffices.  ``num`` is a
-    :class:`~smoothdiv.convolution.Numerics`.  They look their
+    (x, or z for s, or n for smoothpart).  ``exact`` reads no prime above
+    min(y, that bound), so the CLI's table, under its sieve ceiling, lists
+    those; at y = inf the bound alone sets it.  The oracle bounds the work.
+    ``num`` is a :class:`~smoothdiv.convolution.Numerics`.  They look their
     functions up through the module at call time, so wrappers installed on
     ``estimators`` and ``oracle`` see every call.  The CLI's ``estimate`` and
     ``compare`` offer every kind with an estimate; ``exact`` offers the kinds
-    marked ``exact_command``.  ``zeta_route`` names the callable,
-    ``"estimate"`` or ``"exact"``, that evaluates the Euler product
-    zeta(1, y), which sieves the primes up to the parameter y outside any
-    sieve table; the CLI holds that y to its sieve ceiling.
+    marked ``exact_command``.
     """
 
     params: tuple[str, ...]
@@ -73,7 +70,6 @@ class Kind:
     exact: Callable[..., float] | None = None
     sieve_limit: Callable[..., float] = lambda x, **_: x
     exact_command: bool = False
-    zeta_route: str | None = None
 
 
 def _psi_exact(t, num, x, y):
@@ -99,15 +95,13 @@ KINDS: dict[str, Kind] = {
         ("x", "y"),
         lambda num, x, y: estimators.phi_estimate(x, y, num),
         lambda t, num, x, y: oracle.phi_exact(x, y, t),
-        exact_command=True,
-        zeta_route="estimate"),
+        exact_command=True),
     "s": Kind(
         ("y", "z"),
         lambda num, y, z: estimators.s_estimate(y, z, num),
         lambda t, num, y, z: oracle.s_exact(y, z, t),
         sieve_limit=lambda z, **_: max(z, 2.0),
-        exact_command=True,
-        zeta_route="exact"),
+        exact_command=True),
     "lemma6": Kind(
         ("x", "y", "z"),
         lambda num, x, y, z: estimators.lemma6_estimate(ScaledParams(x, y, z), num),

@@ -22,34 +22,25 @@ over any x below 2**63, and builds the smallest-prime-factor table
   the weighted sums) copies it into one array, and psi_exact counts the same
   walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of odd o at a
-  time, in O(block) memory: n = 2**a * o has n_y = 2**a * o_y for y >= 2, so
-  a block serves every a through the uint32 threshold floor(z) >> a.  Each
-  block starts as the product of two wheels (Pritchard, Acta Informatica
-  17, 1982): the products of the prime powers dividing 3**3 * 5 * 7 * 11 *
-  13 and 17 * 19 * 23 * 29, periodic in o and kept between calls, one
-  pattern per wheel.  The other prime powers multiply in by strides, or,
-  from _SPARSE up, all their hits in a block at once; z < 1, z >= x and
-  y < 3 need no blocks at all;
+  time, in O(block) memory, each block starting from two wheels (Pritchard,
+  Acta Informatica 17, 1982) kept between calls: n = 2**a * o has
+  n_y = 2**a * o_y for y >= 2, so a block serves every a;
 * phi_exact and theta_exact_decomposed count rough numbers one block at a
   time; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so its
-  counts go only to x/(floor(z) + 1).  Past 2**32 a rough count answers
-  from one block only, a stand-in for a bound on the work.
+  counts go only to x/(floor(z) + 1).
+
+No count holds an array to x, so x costs time, not memory: every count first
+refuses work estimated past WORK_BUDGET (:func:`_check_work`).
 
 All reciprocal sums use exactly rounded compensated summation (math.fsum), so
 results are independent of enumeration order.
 
 The Monte Carlo oracle for the DSA risk probability uses the counter-based,
 splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
-byte-identical.  Samples below 2**62 find their smooth parts in uint64 with
-no division per prime: the 2-part is the lowest set bit, and an odd p is
-tested and divided out by multiplying with its inverse mod 2**64.  Larger
-samples take gcd(n, P) with Python ints, P the primorial.  Where P is larger
-than the product N of a group of _GCD_GROUP samples, P is never formed
-(Bernstein, "How to find smooth parts of integers", 2004): r = P mod N is
-reduced chunk by chunk, and each n in the group takes gcd(n, r mod n), which
-equals gcd(n, P) because n divides N.  A smaller P is built by a balanced
-product tree.  The int64 samples are drawn in one call and reduced in blocks
-of _SAMPLE_BLOCK, so the working buffers span one block.
+byte-identical.  Samples below 2**62 find their smooth parts in uint64 by
+multiplying with inverses mod 2**64 (:func:`_smooth_parts_int64`), larger
+ones by gcds with the primorial, never formed where it is the larger
+(Bernstein, "How to find smooth parts of integers", 2004).
 """
 
 from __future__ import annotations
@@ -69,6 +60,14 @@ from .params import DsaParams, ScaledParams
 
 #: Default sieve memory ceiling (table entries).
 DEFAULT_SIEVE_CEILING = 2**31
+
+#: The most work, in ns, a count may be estimated to need (2.5 minutes), at
+#: measured ns (shared 2-vCPU VM) per integer a block covers (rough flags
+#: 0.1-2, theta_exact 0.7-5.4, the Euler product 5.7) and per smooth number
+#: walked (psi_exact 7-16, theta_exact_decomposed 16), summed (s_exact 33-39)
+#: or weighed and held (weighted_smooth_sum 190-340).
+WORK_BUDGET = 150e9
+_NS_BLOCKED, _NS_WALKED, _NS_SUMMED, _NS_WEIGHED = 6, 16, 40, 250
 
 #: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
@@ -230,6 +229,39 @@ def smooth_part(n: int, y: float, t: SieveTables) -> int:
     return s
 
 
+def _rankin(cap: int, primes: np.ndarray) -> float:
+    """Rankin's bound cap**s * prod (1 - p**-s)**-1 on the n <= cap with prime
+    factors in ``primes``, at its least over 0 < s <= 1 (Newton's method in a
+    bracket), or cap if less."""
+    if not primes.size:  # only n = 1
+        return 1.0
+    logp, log_cap = np.log(primes), math.log(cap)
+    lo, hi, s, best = 0.0, 1.0, 0.5, log_cap
+    for _ in range(40):
+        q = np.expm1(-s * logp)  # p**-s - 1
+        best = min(best, s * log_cap - float(np.log(-q).sum()))
+        r = -1.0 / q - 1.0  # 1 / (p**s - 1)
+        slope = log_cap - float(logp @ r)  # of the log of the bound
+        lo, hi = (s, hi) if slope < 0 else (lo, s)
+        step = s - slope / float((logp * logp) @ (r * (1.0 + r)))
+        s = step if lo < step < hi else (lo + hi) / 2
+    return math.exp(best)
+
+
+def _check_work(what: str, blocked: float, cap: int = 0, primes=None, ns=_NS_WALKED) -> None:
+    """Refuse, before it starts, a count whose work passes WORK_BUDGET: the
+    ``blocked`` integers its blocks cover and the smooth numbers up to ``cap``
+    over ``primes`` it walks, at ``ns`` each.  Those are at most cap, and where
+    that does not settle it, at most Rankin's bound; past 2**16 primes (p >
+    8.2e5) that stays above any cap past the budget, so is not computed."""
+    work = blocked * _NS_BLOCKED + cap * ns
+    if work > WORK_BUDGET and cap > 0 and primes.size <= 1 << 16:
+        work += (_rankin(cap, primes) - cap) * ns
+    if work > WORK_BUDGET:
+        raise ResourceError(f"{what} needs an estimated {work / 1e9:.3g} s of work, "
+                            f"past the budget of {WORK_BUDGET / 1e9:g} s")
+
+
 # -- smooth-number enumeration ---------------------------------------------------
 
 
@@ -331,7 +363,9 @@ def psi_exact(x: float, y: float, t: SieveTables) -> int:
     fx = _count_bound("x", x)
     if fx < 1:
         return 0
-    return _count_smooth(t.primes_upto(min(y, fx)), fx)
+    primes = t.primes_upto(min(y, fx))
+    _check_work("psi(x, y)", 0, fx, primes[: np.searchsorted(primes, math.isqrt(fx), "right")])
+    return _count_smooth(primes, fx)
 
 
 def _mark_rough(out: np.ndarray, lo: int, primes: np.ndarray) -> np.ndarray:
@@ -363,11 +397,10 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
     fx = _count_bound("x", x)
     if fx < 1:
         return 0
-    if fx >= 2**32:  # past 2**32 a rough count answers from one block only
-        raise ResourceError(f"x={x} reaches 2^32, past which phi counts one block only")
     if y < 2:  # every n is rough; the blocks flag odd n only
         return fx
     primes = t.primes_upto(min(y, fx))
+    _check_work("phi(x, y)", fx)
     rough = np.empty(min(_BLOCK, (fx + 1) // 2), dtype=bool)
     return sum(int(np.count_nonzero(_mark_rough(rough[: (fx + 1 - lo) // 2], lo, primes)))
                for lo in range(0, fx, 2 * rough.size))
@@ -456,6 +489,7 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     p = t.primes_upto(min(y, fx))[1:]  # the odd primes
     if not p.size:  # every o_y is 1
         return count
+    _check_work("theta(x, y, z)", fx)
     qs, ps = [p], [p]  # every odd prime power q = p**a <= fx, beside its prime
     while p.size:
         keep = qs[-1] <= fx // p
@@ -519,8 +553,8 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
     Every smooth d > z is at least floor(z) + 1, so the rough counts go only
     to hi = x // (floor(z) + 1), in blocks of n = min(_BLOCK, hi // 2 + 1)
     odd numbers.  The first block's running count answers the d > x // 2n,
-    streamed piece by piece; the rest, fewer than x / 2**19 < 2**13, by
-    binary search among the later blocks' rough numbers.  Must equal
+    streamed piece by piece; the rest, psi(x // 2n, y) of them, by binary
+    search among the later blocks' rough numbers.  Must equal
     ``theta_exact`` exactly; the two routes share no counting code.
     """
     _require_not_nan(y=y, z=z)
@@ -531,9 +565,8 @@ def theta_exact_decomposed(x: float, y: float, z: float, t: SieveTables) -> int:
         return fx
     fz = math.floor(z)
     hi = fx // (fz + 1)
-    if fx >= 2**32 and hi >= _BLOCK:  # past 2**32, one block of rough counts only
-        raise ResourceError(f"x={x} reaches 2^32, where theta needs x // (floor(z) + 1) < {_BLOCK}")
     primes = t.primes_upto(min(y, fx))  # for y < 2 only d = 1 <= z is smooth
+    _check_work("theta(x, y, z)", hi, fx, primes)
     rough = _mark_rough(np.empty(min(_BLOCK, hi // 2 + 1), dtype=bool), 0, primes)
     cum = np.cumsum(rough, dtype=np.int32)  # phi(m, y) = cum[(m - 1) // 2] for m < span
     span = 2 * rough.size
@@ -570,10 +603,8 @@ def zeta_one_y(y: float) -> float:
     """
     if not math.isfinite(y) or y < 0:
         raise DomainError("zeta_one_y requires finite y >= 0")
-    n = int(math.floor(y))
-    if n > DEFAULT_SIEVE_CEILING:
-        raise ResourceError(f"prime sieve up to {n} exceeds the ceiling")
-    return _euler_product(_prime_blocks(n))
+    _check_work("zeta(1, y)", y)
+    return _euler_product(_prime_blocks(math.floor(y)))
 
 
 def _fsum_chunked(pieces, f=lambda c: c) -> float:
@@ -598,11 +629,11 @@ def s_exact(y: float, z: float, t: SieveTables) -> float:
     they stop short.
     """
     _require_not_nan(y=y, z=z)
-    partial = 0.0
-    if z >= 1:
-        fz = _count_bound("z", z)
-        pieces = _smooth_pieces(t.primes_upto(min(y, fz)), fz)
-        partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
+    fz = _count_bound("z", z) if z >= 1 else 0
+    primes = t.primes_upto(min(y, fz))
+    _check_work("S(y, z)", y if t.limit + 1 <= y < math.inf else 0, fz, primes, _NS_SUMMED)
+    pieces = _smooth_pieces(primes, fz) if fz else []
+    partial = _fsum_chunked(pieces, lambda c: 1.0 / c.astype(float))
     if 0 <= y < t.limit + 1:  # the table lists every prime p <= y
         return _euler_product([t.primes_upto(y)]) - partial
     return zeta_one_y(y) - partial
@@ -617,7 +648,9 @@ def weighted_smooth_sum(
     rounded, so the result does not depend on enumeration order.
     """
     hi = _count_bound("x/y", p.x / p.y)
-    d = smooth_numbers(t.primes_upto(min(p.y, hi)), hi)
+    primes = t.primes_upto(min(p.y, hi))
+    _check_work("the weighted sum", 0, hi, primes, _NS_WEIGHED)
+    d = smooth_numbers(primes, hi)
     d = d[d > p.z]
     if d.size == 0:
         return 0.0

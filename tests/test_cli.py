@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -153,7 +154,10 @@ class TestExactCommand:
             assert "--n" in proc.stderr
 
     def test_resource_error(self):
-        proc = run_cli("exact", "psi", "--x", "1e12", "--y", "100")
+        # psi(1e15, 1e3) walks about 3.5e11 smooth numbers: refused by the
+        # work bound.  (psi(1e12, 100), refused by the old ceiling on x,
+        # now answers in about a second.)
+        proc = run_cli("exact", "psi", "--x", "1e15", "--y", "1e3")
         assert proc.returncode == EXIT_RESOURCE
         assert "resource error" in proc.stderr
 
@@ -203,20 +207,49 @@ class TestExactCommand:
         assert proc.returncode == EXIT_RESOURCE, proc.stderr
         assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["exact", "phi", "--x", "5e9", "--y", "3"],
-        ["exact", "theta", "--x", "1e18", "--y", "3", "--z", "1e12"],
-        ["exact", "theta", "--x", "1e19", "--y", "3", "--z", "1e12"],  # past 2**63 too
-    ], ids=lambda argv: " ".join(argv))
-    def test_rough_counts_past_2_32_take_one_block(self, argv, tmp_path):
-        # Rough counts in bounded memory no longer fail to allocate an array
-        # to x; past 2**32 they count one block of 2**18 only, so a count to
-        # 5e9 or to 1e18 // (1e12 + 1) is refused before any work.
-        config = tmp_path / "conf.json"
-        config.write_text(json.dumps({"sieve_ceiling": 10**20}))
-        proc = run_cli("--config", str(config), *argv, timeout=60)
-        assert proc.returncode == EXIT_RESOURCE, proc.stderr
-        assert proc.stderr.startswith("resource error: ") and proc.stderr.count("\n") == 1
+    @pytest.mark.parametrize("argv, value", [
+        (["exact", "phi", "--x", "5e9", "--y", "3"], "1666666667"),
+        (["exact", "theta", "--x", "1e18", "--y", "3", "--z", "1e12"], "13009569"),
+    ], ids=["phi-5e9", "theta-1e18"])
+    def test_rough_counts_past_2_32_answer(self, argv, value):
+        # Under the default config: the table lists the primes up to y only,
+        # and the work (5e9 rough flags; 1e6 of them beside 1,178 smooth d) is
+        # within the bound.  phi(x, 3) is 2 floor(x/6) + [x mod 6 >= 1] +
+        # [x mod 6 >= 5], and the theta is the sum of that over the
+        # 3-smooth d > 1e12 at x/d.
+        assert record_of(run_cli(*argv))["outputs"]["value"] == value
+
+
+# Each is refused by the work bound under a ceiling past 2**63.  The first
+# three walk smooth numbers, and where nothing bounded the work they walked
+# until memory ran out.
+_REFUSED_BEFORE_WORK = [
+    ["exact", "psi", "--x", "1e15", "--y", "1e3"],
+    ["exact", "s", "--y", "1e3", "--z", "1e15"],
+    ["exact", "theta", "--x", "1e15", "--y", "1e3", "--z", "1e12"],
+    ["exact", "phi", "--x", "1e15", "--y", "30"],
+    ["estimate", "phi", "--x", "1e15", "--y", "1e12"],
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED_BEFORE_WORK, ids=" ".join)
+def test_refusals_come_before_any_work(argv, ceiling_configs, capsys):
+    argv = ["--config", ceiling_configs[10**20], *argv]
+    cli.main(argv)  # loads the default tables, which are no part of a refusal
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = cli.main(argv)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == EXIT_RESOURCE and out == "", err
+    assert err.startswith("resource error: ") and err.count("\n") == 1
+    assert "past the budget" in err
+    assert took < 1.0 and peak < 2**20, (took, peak)
 
 
 class TestCompareCommand:
@@ -443,24 +476,28 @@ class TestOutputRecord:
 
 
 class TestConfig:
-    # zeta(1, y) sieves the primes up to y without a table: y beyond the
-    # configured ceiling is a resource error, not a 1e8 sieve that exits 0.
-    @pytest.mark.parametrize("argv", [
-        ["estimate", "phi", "--x", "1e12", "--y", "1e8"],
-        ["compare", "--kind", "phi", "--x", "1e6", "--y", "1e8"],
-        ["exact", "s", "--y", "1e8", "--z", "10"],
-        ["compare", "--kind", "s", "--x", "100", "--y", "1e8", "--z", "10"],
+    # zeta(1, y) lists the primes up to y a block at a time, outside any
+    # table, in a few MiB at any y: the sieve ceiling, which caps tables,
+    # does not bound it, and the work bound does.  A 1e8 product answers
+    # under a 1e6 ceiling (0.6 s); a 1e12 one is refused before it starts.
+    # compare's phi needs y <= x, so its table to min(x, y) = y meets the
+    # ceiling first.
+    @pytest.mark.parametrize("argv, why", [
+        (["estimate", "phi", "--x", "1e12", "--y", "1e12"], "past the budget"),
+        (["compare", "--kind", "phi", "--x", "1e12", "--y", "1e12"], "exceeds the ceiling"),
+        (["exact", "s", "--y", "1e12", "--z", "10"], "past the budget"),
+        (["compare", "--kind", "s", "--x", "100", "--y", "1e12", "--z", "10"], "past the budget"),
     ], ids=["estimate-phi", "compare-phi", "exact-s", "compare-s"])
-    def test_euler_product_obeys_the_config_ceiling(self, tmp_path, capsys, argv):
+    def test_euler_product_obeys_the_config_ceiling(self, tmp_path, capsys, argv, why):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"sieve_ceiling": 1000000}))
         assert cli.main(["--config", str(cfg), *argv]) == EXIT_RESOURCE
         out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and "1e+08" in err
-        # y at the ceiling still answers, and estimate s sieves nothing.
-        argv = [a if a != "1e8" else "1e6" for a in argv]
+        assert out == "" and err.count("\n") == 1 and why in err
+        # y at the ceiling answers, and so does a product past it.
+        argv = [a if a != "1e12" else "1e6" for a in argv]
         assert cli.main(["--config", str(cfg), *argv]) == 0
-        assert cli.main(["--config", str(cfg), "estimate", "s", "--y", "1e8", "--z", "1e9"]) == 0
+        assert cli.main(["--config", str(cfg), "estimate", "phi", "--x", "1e12", "--y", "1e8"]) == 0
 
     def test_unallocatable_sieve_is_resource_error(self, tmp_path, capsys):
         # A ceiling the config accepts, and y = inf, which asks for every
@@ -497,9 +534,10 @@ class TestConfig:
         assert "in_theorem_domain=false" in stricter["flags"]
 
     def test_env_var_config(self, tmp_path):
+        # A table of the primes up to min(x, y) = 2000, past the ceiling.
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps({"sieve_ceiling": 1000}))
-        proc = run_cli("exact", "psi", "--x", "5000", "--y", "7",
+        proc = run_cli("exact", "psi", "--x", "5000", "--y", "2000",
                        env_extra={"SMOOTHDIV_CONFIG": str(cfg)})
         assert proc.returncode == EXIT_RESOURCE
 
@@ -737,8 +775,8 @@ class TestSharedParser:
 
 # -- the exit-code contract over random argv --------------------------------------
 
-# Finite draws span every float: each sieve, the Euler product's primes
-# included, stays under the config's ceiling of 1e6.
+# Finite draws span every float: each sieve stays under the config's ceiling
+# of 1e6, and each count within the work bound.
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, -1.0, -7.5, 1.0, 2.0, 2.5, 1e-300, -1e-300, 1e300, -1e300,
                      math.inf, -math.inf, math.nan]),
@@ -789,9 +827,8 @@ _ARGV = st.one_of(
 # ``exact`` under a ceiling past 2**63, so x, z and n from all of _FLOATS,
 # and from the int64 edge itself, reach the counts.  y is drawn small and
 # finite: the table lists the primes up to min(y, bound), so no draw sieves
-# gigabytes.  Nothing bounds a count's work yet (ROADMAP item 2), so a
-# mid-range x beside y near 1e3 would walk a huge count; each of the
-# derandomised draws runs in milliseconds.
+# gigabytes.  A mid-range x beside y near 1e3 is refused by the work bound
+# before it walks; each of the derandomised draws runs in milliseconds.
 _PAST_INT64 = st.one_of(_FLOATS, st.sampled_from([2.0**63, 1e19, 1e20]))
 _EXACT_PAST_INT64 = st.sampled_from(_EXACT_KINDS).flatmap(
     lambda kind: _argv(["exact", kind], _maybe("x", _PAST_INT64),

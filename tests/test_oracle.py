@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -120,8 +121,11 @@ class TestPrimeTable:
         assert np.array_equal(t.primes_upto(min(y, 1000)), sieve_small.primes_upto(bound))
 
     def test_limit_is_held_to_the_ceiling_as_in_build_sieve(self):
+        # The ceiling caps the table, the primes up to min(y, bound), and not
+        # the counting bound itself: y = 10 needs a table to 10 only.
         with pytest.raises(ResourceError, match="exceeds the ceiling"):
-            cli._sieve_for(10**7, cli.Settings(sieve_ceiling=10**6), 10.0)
+            cli._sieve_for(10**7, cli.Settings(sieve_ceiling=10**6), math.inf)
+        assert cli._sieve_for(10**7, cli.Settings(sieve_ceiling=10**6), 10.0).limit == 10
         with pytest.raises(DomainError):
             build_sieve(1)
         with pytest.raises(DomainError):
@@ -546,7 +550,7 @@ class TestThetaCount:
 
 class TestRoughBlocks:
     """phi_exact and theta_exact_decomposed count rough numbers one block of
-    _BLOCK at a time; past 2**32 a count takes one block only."""
+    _BLOCK at a time, at any x below 2**63 the work bound lets through."""
 
     # Blocks of 64 and 1000 split a count to 1e5 into up to 1563 and 101
     # blocks, the last one short; the default 2**18 leaves one block.
@@ -603,23 +607,56 @@ class TestRoughBlocks:
         t = build_sieve(100)
         assert _peak_allocation(lambda: theta_exact_decomposed(1e9, 100.0, 10.0, t)) < 24 * 2**20
 
-    def test_past_2_32_a_count_takes_one_block(self, monkeypatch):
-        # Refused before any block is marked or any smooth d is walked.
+    def test_past_2_32_counts_match_closed_forms(self):
+        # Many blocks past 2**32: phi(x, 3) in closed form, phi(x, 30) by
+        # inclusion-exclusion over the 2**10 divisors of 29#, and theta(x, 3, z)
+        # as the closed form summed over the 3-smooth d > z.
         t = build_sieve(30)
-        for name in ("_mark_rough", "_smooth_pieces"):
-            monkeypatch.setattr(oracle, name, lambda *a: pytest.fail("counted"))
-        with pytest.raises(ResourceError, match="2\\^32"):
-            phi_exact(2**32, 3.0, t)
-        for z in (2**21, 2**22 - 1):  # rough counts to 2**19 and 2**18
-            with pytest.raises(ResourceError, match="2\\^32"):
-                theta_exact_decomposed(2**40, 30.0, z, t)
-        monkeypatch.undo()
+        assert phi_exact(5 * 10**9, 3.0, t) == _phi_y3(5 * 10**9) == 1_666_666_667
+        assert phi_exact(5 * 10**9, 30.0, t) == _phi_by_inclusion_exclusion(
+            5 * 10**9, t.primes.tolist())
+        assert theta_exact_decomposed(1e18, 3.0, 1e12, t) == _theta_y3(10**18, 10**12) == 13_009_569
+
+    def test_past_2_32_theta_matches_the_smooth_part_array(self):
         # Rough counts to 2**18 - 1 fill one block: against phi from the full
         # smooth-part array, summed over every smooth d > z.
+        t = build_sieve(30)
         x, z = 2**40, 2**22
         phi = np.cumsum(reference_smooth_parts(x // (z + 1), 30.0, t) == 1) - 1  # sp[0] = 1
         d = smooth_numbers(t.primes, x)
         assert theta_exact_decomposed(x, 30.0, z, t) == int(phi[x // d[d > z]].sum())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(x=st.integers(2**32, 2**62), hi=st.integers(0, 2**20))
+    def test_past_2_32_theta_matches_the_closed_form(self, x, hi):
+        # z >= x / 2**20, so the rough counts, to x // (z + 1) <= 2**20, take
+        # a few blocks.
+        z = x // (hi + 1)
+        assert theta_exact_decomposed(x, 3.0, z, build_sieve(3)) == _theta_y3(x, z)
+
+
+def _phi_y3(m: int) -> int:
+    """phi(m, 3), the n <= m prime to 6: 2 floor(m/6) + [m mod 6 >= 1] + [m mod 6 >= 5]."""
+    return 2 * (m // 6) + (m % 6 >= 1) + (m % 6 >= 5)
+
+
+def _theta_y3(x: int, z: int) -> int:
+    """theta(x, 3, z): phi(x/d, 3) summed over the d = 2**a 3**b > z."""
+    total, a = 0, 1
+    while a <= x:
+        d = a
+        while d <= x:
+            total += _phi_y3(x // d) if d > z else 0
+            d *= 3
+        a *= 2
+    return total
+
+
+def _phi_by_inclusion_exclusion(x: int, primes: list[int]) -> int:
+    """phi(x, max(primes)): the sum of mu(d) floor(x/d) over the d dividing
+    the product of ``primes``."""
+    return sum((-1) ** k * (x // math.prod(c))
+               for k in range(len(primes) + 1) for c in itertools.combinations(primes, k))
 
 
 def _peak_allocation(call) -> int:
@@ -636,6 +673,64 @@ def _peak_allocation(call) -> int:
 # from the walked primes (p*p <= x) to the ones that multiply the live set.
 _NEAR_SQUARES = st.sampled_from([2, 3, 5, 7, 31, 97, 211, 313]).flatmap(
     lambda p: st.integers(p * p - 2, p * p + 2))
+
+
+class TestWorkBound:
+    """Every count refuses work estimated past oracle.WORK_BUDGET before it
+    allocates or walks, and estimates only where its bound alone does not
+    settle it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: psi_exact(1e15, 1e3, t),
+        lambda t: psi_exact(1e18, 100.0, t),
+        lambda t: psi_exact(2**40, 2**8, t),  # ran in 19.6 s and 1.79 GiB
+        lambda t: phi_exact(1e15, 30.0, t),
+        lambda t: theta_exact_decomposed(1e15, 1e3, 1e12, t),
+        lambda t: s_exact(1e3, 1e15, t),
+        lambda t: s_exact(1e12, 10.0, t),  # the Euler product, past the table
+        lambda t: zeta_one_y(1e12),
+        lambda t: weighted_smooth_sum(ScaledParams(1e15, 1e3, 1e4), WeightKind.DICKMAN_RHO, t),
+    ], ids=["psi", "psi-y100", "psi-2^40", "phi", "theta", "s", "s-zeta", "zeta", "weighted"])
+    def test_refused_before_any_work(self, call, monkeypatch):
+        t = build_sieve(1000)
+        for name in ("_mark_rough", "_walk_small", "_prime_blocks"):
+            monkeypatch.setattr(oracle, name, lambda *a: pytest.fail("worked"))
+        with pytest.raises(ResourceError, match="past the budget"):
+            call(t)
+
+    def test_no_estimate_within_the_bound(self, sieve_10m, monkeypatch):
+        # Every exact-grid and cli-mix count lies at x <= 1e7.
+        monkeypatch.setattr(oracle, "_rankin", lambda *a: pytest.fail("estimated"))
+        psi_exact(1e7, 1e7**0.5, sieve_10m)
+        theta_exact_decomposed(1e7, 100.0, 1e3, sieve_10m)
+        s_exact(1e3, 1e7, sieve_10m)
+        weighted_smooth_sum(ScaledParams(1e7, 100.0, 1e3), WeightKind.DICKMAN_RHO, sieve_10m)
+
+    def test_past_the_bound_the_estimate_lets_small_y_through(self):
+        # 1,178 3-smooth numbers up to 1e18, where x alone is 16e9 s of walk.
+        t = build_sieve(3)
+        assert psi_exact(1e18, 3.0, t) == 1178
+        assert psi_exact(1e18, 1.5, t) == 1  # no primes: n = 1 alone
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(x=st.integers(1, 10**6), y=st.floats(0.0, 300.0))
+    def test_rankin_bounds_psi(self, sieve_small, x, y):
+        primes = sieve_small.primes_upto(min(y, x))
+        bound = oracle._rankin(x, primes)
+        assert psi_exact(x, y, sieve_small) <= bound * (1 + 1e-12) and bound <= x * (1 + 1e-12)
+
+
+@pytest.mark.slow
+class TestAtScale:
+    """Counts at x = 1e10, past the old ceiling on x, that the work bound lets
+    through (``pytest -m slow``)."""
+
+    def test_theta_in_theorem_1_domain(self):
+        # u = 3.39, v = 1.5: in Theorem 1's domain.
+        assert theta_exact_decomposed(1e10, 896.0, 26820.0, build_sieve(896)) == 2_023_603_247
+
+    def test_psi(self):
+        assert psi_exact(1e10, 896.0, build_sieve(896)) == 266_861_740
 
 
 class TestPsiCount:
