@@ -17,10 +17,10 @@ over any x below 2**63, and builds the smallest-prime-factor table
 * smooth numbers are enumerated in O(output) by one stream, _smooth_pieces:
   walking the primes in order, a number retires once it is too large to take
   the current prime, so only the still-live numbers are multiplied (smooth
-  numbers are sparse, so generation beats scanning).  s_exact and
-  theta_exact_decomposed read the stream piece by piece, smooth_numbers (for
-  the weighted sums) copies it into one array, and psi_exact counts the same
-  walk without forming the products;
+  numbers are sparse, so generation beats scanning).  s_exact,
+  weighted_smooth_sum and theta_exact_decomposed read the stream piece by
+  piece, smooth_numbers copies it into one array, and psi_exact counts the
+  same walk without forming the products;
 * theta_exact computes smooth parts one cache-sized block of odd o at a
   time, in O(block) memory, each block starting from two wheels (Pritchard,
   Acta Informatica 17, 1982) kept between calls: n = 2**a * o has
@@ -39,8 +39,10 @@ The Monte Carlo oracle for the DSA risk probability uses the counter-based,
 splittable Philox PRNG (numpy) with a fixed key; reruns with the same seed are
 byte-identical.  Samples below 2**62 find their smooth parts in uint64 by
 multiplying with inverses mod 2**64 (:func:`_smooth_parts_int64`), larger
-ones by gcds with the primorial, never formed where it is the larger
-(Bernstein, "How to find smooth parts of integers", 2004).
+ones by Bernstein's batch algorithm ("How to find smooth parts of
+integers", 2004): one residue of the primorial modulo the product of each
+group of samples, then a remainder tree down the group's product tree, so
+each sample is reduced at its own size (:func:`_smooth_parts_grouped`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ DEFAULT_SIEVE_CEILING = 2**31
 #: measured ns (shared 2-vCPU VM) per integer a block covers (rough flags
 #: 0.1-2, theta_exact 0.7-5.4, the Euler product 5.7) and per smooth number
 #: walked (psi_exact 7-16, theta_exact_decomposed 16), summed (s_exact 33-39)
-#: or weighed and held (weighted_smooth_sum 190-340).
+#: or weighed (weighted_smooth_sum 190-340, measured while it held every d).
 WORK_BUDGET = 150e9
 _NS_BLOCKED, _NS_WALKED, _NS_SUMMED, _NS_WEIGHED = 6, 16, 40, 250
 
@@ -98,7 +100,7 @@ _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47
 _SAMPLE_BLOCK = 1 << 16
 
 #: Samples per group of the big-int Monte Carlo: the primorial is reduced
-#: modulo the product of each group, never formed in full.
+#: once modulo the product of each group, then down the group's remainder tree.
 _GCD_GROUP = 64
 
 
@@ -617,6 +619,20 @@ def _fsum_chunked(pieces, f=lambda c: c) -> float:
         memoryview(f(a[i : i + _CHUNK])) for a in pieces for i in range(0, a.size, _CHUNK)))
 
 
+def _batches(pieces):
+    """The arrays ``pieces`` joined in order into arrays of at least _CHUNK
+    elements, the last one shorter."""
+    held, n = [], 0
+    for piece in pieces:
+        held.append(piece)
+        n += piece.size
+        if n >= _CHUNK:
+            yield np.concatenate(held)
+            held, n = [], 0
+    if held:
+        yield np.concatenate(held)
+
+
 def s_exact(y: float, z: float, t: SieveTables) -> float:
     """S(y, z) = sum of 1/d over y-smooth d > z, exactly as
     zeta(1, y) - (finite partial sum); the infinite tail is captured
@@ -645,24 +661,28 @@ def weighted_smooth_sum(
     """sum of weight(u - u_d)/d over y-smooth d in (z, x/y], u_d = log d/log y.
 
     The weight is the Buchstab or Dickman function; summation is exactly
-    rounded, so the result does not depend on enumeration order.
+    rounded, so the result does not depend on enumeration order.  The d
+    stream from the enumeration into that one sum, joined into batches of
+    about _CHUNK and weighed a batch at a time, so no array of them is
+    formed: memory is one batch plus the walk's live set.  A sum with no d
+    in range is 0.0 whatever the weight kind.
     """
     hi = _count_bound("x/y", p.x / p.y)
     primes = t.primes_upto(min(p.y, hi))
     _check_work("the weighted sum", 0, hi, primes, _NS_WEIGHED)
-    d = smooth_numbers(primes, hi)
-    d = d[d > p.z]
-    if d.size == 0:
-        return 0.0
-    u_d = np.log(d.astype(float)) / math.log(p.y)
-    args = p.u - u_d
-    if w is WeightKind.BUCHSTAB_OMEGA:
-        weights = special.omega(args, table=num.omega)
-    elif w is WeightKind.DICKMAN_RHO:
-        weights = special.rho(args, table=num.rho)
-    else:
-        raise DomainError(f"unknown weight kind {w!r}")
-    return _fsum_chunked([weights / d.astype(float)])
+    weight = {WeightKind.BUCHSTAB_OMEGA: functools.partial(special.omega, table=num.omega),
+              WeightKind.DICKMAN_RHO: functools.partial(special.rho, table=num.rho)}.get(w)
+    u, log_y = p.u, math.log(p.y)
+
+    def terms(d: np.ndarray) -> np.ndarray:
+        d = d[d > p.z].astype(float)
+        if not d.size:
+            return d
+        if weight is None:
+            raise DomainError(f"unknown weight kind {w!r}")
+        return weight(u - np.log(d) / log_y) / d
+
+    return _fsum_chunked(_batches(_smooth_pieces(primes, hi)) if hi else [], terms)
 
 
 # -- Monte Carlo oracle for the DSA risk probability -------------------------------
@@ -722,19 +742,61 @@ def _smooth_parts_int64(ns: np.ndarray, primes: np.ndarray) -> np.ndarray:
     return sp.view(np.int64)  # sp <= n < 2**63
 
 
+def _pair_products(values: list[int]) -> list[int]:
+    """The products of ``values`` two by two, an odd last one times 1."""
+    return [a * b for a, b in itertools.zip_longest(values[::2], values[1::2], fillvalue=1)]
+
+
 def _product_tree(values: list[int]) -> int:
-    """Product of ``values`` by pairwise products, level by level.  Operands
-    of equal size keep big-int multiplication subquadratic, where a running
-    left-to-right product is quadratic in the result's size."""
+    """Product of ``values`` by pairwise products, level by level, keeping only
+    the current level.  Operands of equal size keep big-int multiplication
+    subquadratic, where a running left-to-right product is quadratic in the
+    result's size."""
     while len(values) > 1:
-        values = [a * b for a, b in itertools.zip_longest(values[::2], values[1::2],
-                                                          fillvalue=1)]
+        values = _pair_products(values)
     return values[0] if values else 1
 
 
-def _smooth_part_bigint(n: int, primorial: int) -> int:
+def _product_levels(values: list[int]) -> list[list[int]]:
+    """Every level of the product tree of the nonempty ``values``, from the
+    values themselves up to the root."""
+    levels = [values]
+    while len(levels[-1]) > 1:
+        levels.append(_pair_products(levels[-1]))
+    return levels
+
+
+def _remainder_tree(r: int, levels: list[list[int]]) -> list[int]:
+    """r mod each leaf of the product tree ``levels``, given r mod its root.
+    Each node's remainder is its parent's modulo the node, so every division
+    is by a node about half its dividend's size (Bernstein 2004).  Schoolbook
+    division pays a fixed cost per quotient digit, and the tree's quotients
+    total about log2(leaves) times r's size, where dividing r by each leaf
+    directly makes a quotient of r's size per leaf."""
+    rs = [r]
+    for level in levels[-2::-1]:
+        rs = [rs[i >> 1] % v for i, v in enumerate(level)]
+    return rs
+
+
+def _packed_primes(primes: np.ndarray) -> tuple[list[int], int]:
+    """The ``primes`` multiplied together in int64, as many to a product as
+    keep it below 2**63, as Python ints, beside the bits each product has at
+    most: a product tree or a running product over them takes a fraction of
+    the big-int multiplications that one over the primes does."""
+    bits = int(primes[-1]).bit_length()
+    per = 63 // bits  # per primes below 2**bits multiply below 2**63
+    padded = np.concatenate([primes, np.ones(-primes.size % per, dtype=np.int64)])
+    return padded.reshape(-1, per).prod(axis=1).tolist(), per * bits
+
+
+def _smooth_part_bigint(n: int, residue: int) -> int:
+    """n_y from residue = P mod n, or P itself, for the product P of the
+    primes p <= y: gcd(n, residue) = gcd(n, P) is the product of the primes
+    dividing n, and each further gcd with what is left of n takes out one
+    more power of them."""
     s = 1
-    g = math.gcd(n, primorial)
+    g = math.gcd(n, residue)
     while g > 1:
         s *= g
         n //= g
@@ -742,22 +804,34 @@ def _smooth_part_bigint(n: int, primorial: int) -> int:
     return s
 
 
-def _smooth_parts_grouped(ns: list[int], primes: list[int]) -> list[int]:
-    """Smooth parts over ``primes`` of the positive ``ns``, without forming the
-    primorial P (Bernstein 2004).  For each group of _GCD_GROUP samples with
-    product N, r = P mod N is reduced chunk by chunk, each chunk a product of
-    primes about the size of a full group's product; then gcd(n, r mod n) =
-    gcd(n, P) for every n in the group, since n divides N."""
-    per_chunk = max(1, _GCD_GROUP * max(ns).bit_length() // primes[-1].bit_length())
-    chunks = [math.prod(primes[i : i + per_chunk]) for i in range(0, len(primes), per_chunk)]
+def _smooth_parts_grouped(ns: list[int], primes: np.ndarray) -> list[int]:
+    """Smooth parts over ``primes`` of the positive ``ns`` by Bernstein's batch
+    algorithm (2004).  Each group of _GCD_GROUP samples with product N takes
+    one residue r = P mod N of the primorial P, and a remainder tree over the
+    group's product tree gives r mod n = P mod n for each sample n, since n
+    divides N.
+
+    Where P has at most twice the bits of all the samples together, it is
+    formed once, by a product tree, and r is one long division of it by N.
+    Past that, forming P (4 ms at l = 16, 34 ms at l = 18, 184 ms at l = 20)
+    costs more than it saves (the two broke even where the samples had 1/2
+    of P's bits at l = 16 and 1/4 at l = 18 and 20), so r is reduced chunk
+    by chunk, each chunk a product of primes about the size of N.  No P is
+    kept between calls."""
+    k = max(ns).bit_length()
+    packed, bits = _packed_primes(primes)
+    if float(np.log2(primes).sum()) <= 2 * len(ns) * k:
+        chunks = [_product_tree(packed)]
+    else:
+        per_chunk = max(1, _GCD_GROUP * k // bits)
+        chunks = [math.prod(packed[i : i + per_chunk]) for i in range(0, len(packed), per_chunk)]
     parts = []
     for i in range(0, len(ns), _GCD_GROUP):
-        group = ns[i : i + _GCD_GROUP]
-        modulus = _product_tree(group)
+        levels = _product_levels(ns[i : i + _GCD_GROUP])
         r = 1
         for c in chunks:
-            r = r * c % modulus
-        parts += [_smooth_part_bigint(n, r % n) for n in group]
+            r = r * c % levels[-1][0]
+        parts += map(_smooth_part_bigint, levels[0], _remainder_tree(r, levels))
     return parts
 
 
@@ -772,10 +846,11 @@ def eta_empirical(
     blocks of _SAMPLE_BLOCK: each prime is tested and divided out by a
     multiply with its inverse mod 2**64 (the 2-part is n & -n), and the hits
     are summed over the blocks.  Above that, the smooth part is the repeated
-    gcd of n with the primorial of those primes, taken through the
-    primorial's remainder modulo each group of _GCD_GROUP samples where the
-    primorial is the larger.  Returns (sample proportion, binomial standard
-    error).
+    gcd of n with the primorial P of those primes, started from P mod n:
+    each group of _GCD_GROUP samples takes one residue of P modulo its
+    product, and a remainder tree over the group's product tree reduces it
+    to each sample at that sample's size (:func:`_smooth_parts_grouped`).
+    Returns (sample proportion, binomial standard error).
     Deterministic for a fixed seed (Philox counter-based PRNG keyed by the
     seed).
     """
@@ -798,14 +873,7 @@ def eta_empirical(
                                  > threshold))
             for i in range(0, samples, _SAMPLE_BLOCK))
     else:
-        # Σ log2 p is the primorial's size; below a group product's, the
-        # primorial is small enough to take gcds with directly.
-        if np.log2(primes).sum() > _GCD_GROUP * d.k:
-            parts = _smooth_parts_grouped(ns, primes.tolist())
-        else:
-            primorial = _product_tree(primes.tolist())
-            parts = (_smooth_part_bigint(n, primorial) for n in ns)
-        hits = sum(1 for s in parts if s > threshold)
+        hits = sum(1 for s in _smooth_parts_grouped(ns, primes) if s > threshold)
     est = hits / samples
     std_err = math.sqrt(est * (1.0 - est) / samples)
     return est, std_err

@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,8 +600,17 @@ class TestRoughBlocks:
 
     def test_zeta_memory_stays_bounded(self):
         # The primes up to 1e8 in one array peaked at 91.6 MiB; the Euler
-        # product now holds the primes to 1e4 and one block of them.
-        assert _peak_allocation(lambda: zeta_one_y(1e8)) < 8 * 2**20
+        # product now holds the primes to 1e4 and one block of them.  The
+        # peak is taken in a fresh interpreter: after the large arrays of
+        # earlier tests the traced run took about 3x as long (1.6 s alone,
+        # 4.9 s after this class's 1e7 counts), and glibc's malloc_trim gave
+        # the speed back, so the heap those arrays left, not zeta, was slow.
+        code = ("import tracemalloc; from smoothdiv import oracle; tracemalloc.start(); "
+                "oracle.zeta_one_y(1e8); print(tracemalloc.get_traced_memory()[1])")
+        env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300, check=True)
+        assert int(proc.stdout) < 8 * 2**20
 
     def test_small_z_walk_memory_is_bounded(self):
         # At small z and large x the smooth d <= x dominate the peak: the
@@ -917,6 +930,21 @@ class TestWeightedSmoothSum:
         b = math.fsum((omega(p.u - u_d) / d.astype(float)).tolist())
         assert a == b
 
+    def test_unknown_weight_kind_is_refused_only_where_a_d_is_weighed(self, sieve_small):
+        assert weighted_smooth_sum(ScaledParams(1e4, 20.0, 500.0), "bogus", sieve_small) == 0.0
+        with pytest.raises(DomainError, match="unknown weight kind"):
+            weighted_smooth_sum(ScaledParams(1e4, 20.0, 50.0), "bogus", sieve_small)
+
+    def test_memory_stays_bounded(self):
+        # The 394,344 smooth d <= 2e7 in one array, with their mask, copy and
+        # float arrays, peaked at 27.4 MiB; the stream holds one batch and
+        # the walk's live set.
+        t = build_sieve(100)
+        p = ScaledParams(2e9, 100.0, 1e3)
+        weighted_smooth_sum(ScaledParams(1e4, 20.0, 50.0), WeightKind.DICKMAN_RHO, t)  # tables
+        peak = _peak_allocation(lambda: weighted_smooth_sum(p, WeightKind.DICKMAN_RHO, t))
+        assert peak < 12 * 2**20
+
     def test_range_error(self, sieve_small, sieve_1m):
         # x/y past the table: the primes up to y are all the sum reads.
         p = ScaledParams(1e7, 10.0, 100.0)
@@ -997,25 +1025,51 @@ class TestEtaEmpirical:
         got = eta_empirical(DsaParams(k, l, m), samples, seed, sieve_10m)
         assert repr(got) == expected
 
+    # Samples of 160 and 512 bits, three and nine words, past the 128 bits of
+    # the benchmark's rows; the first and last take the formed primorial, the
+    # l = 18 row the chunk loop.  Recorded while every big-int sample took its
+    # gcd with the primorial's remainder modulo its whole group.
+    @pytest.mark.parametrize("k, l, m, samples, seed, expected", [
+        (160, 14, 20, 300, 31, "(0.25, 0.025)"),
+        (512, 18, 24, 100, 32, "(0.22, 0.04142463035441596)"),
+        (512, 16, 20, 150, 34, "(0.21333333333333335, 0.03344868928395872)"),
+    ])
+    def test_pinned_multiword_results(self, sieve_1m, k, l, m, samples, seed, expected):
+        got = eta_empirical(DsaParams(k, l, m), samples, seed, sieve_1m)
+        assert repr(got) == expected
+
     @pytest.mark.parametrize("l", [12, 14, 18])
     def test_grouped_smooth_parts_match_the_primorial_gcd(self, sieve_1m, l):
-        # Random 100-bit samples, and samples with large smooth parts (prime
-        # powers times a cofactor) so that the repeated gcd takes powers out;
-        # 150 samples end in a short group.  For 100-bit samples
-        # eta_empirical switches from the full primorial to the grouped
-        # remainder between l = 12 and l = 14.
-        primes = sieve_1m.primes_upto(float(1 << l)).tolist()
+        # Samples with large smooth parts (prime powers times a cofactor, so
+        # the repeated gcd takes powers out) alternate with random 100-bit
+        # ones, in groups of 1, 63 and 64 and in 65 samples, which end in a
+        # group of 1.  The primorial is formed where it has at most twice the
+        # samples' bits, here at l = 12 for all but the one sample; the
+        # others take the chunk loop.
+        primes = sieve_1m.primes_upto(float(1 << l))
+        primorial = oracle._product_tree(primes.tolist())
         rng = np.random.default_rng(l)
-        ns = [(1 << 99) | int(rng.integers(0, 2**62)) << 37 | int(rng.integers(0, 2**37))
-              for _ in range(100)]
-        for _ in range(50):
-            a, b = (primes[i] for i in rng.integers(0, len(primes), size=2))
-            ns.append(a**3 * b * 2**5 * ((1 << 70) + int(rng.integers(0, 2**40))))
-        assert (np.log2(primes).sum() > oracle._GCD_GROUP * 100) == (l > 12)
-        primorial = oracle._product_tree(primes)
-        want = [oracle._smooth_part_bigint(n, primorial) for n in ns]
-        assert oracle._smooth_parts_grouped(ns, primes) == want
-        assert max(want) > 2**(3 * l - 10)
+        for size in (1, 63, 64, 65):
+            ns = []
+            for i in range(size):
+                if i % 2:
+                    ns.append((1 << 99) | int(rng.integers(0, 2**62)) << 37
+                              | int(rng.integers(0, 2**37)))
+                else:
+                    a, b = (int(p) for p in rng.choice(primes, size=2))
+                    ns.append(a**3 * b * 2**5 * ((1 << 70) + int(rng.integers(0, 2**40))))
+            formed = np.log2(primes).sum() <= 2 * size * max(ns).bit_length()
+            assert formed == (l == 12 and size > 1)
+            want = [oracle._smooth_part_bigint(n, primorial) for n in ns]
+            assert oracle._smooth_parts_grouped(ns, primes) == want
+            assert max(want) > 2**(3 * l - 10)
+
+    @pytest.mark.parametrize("bound", [2, 3, 2**6, 2**12, 2**16])
+    def test_packed_primes_multiply_to_the_primorial(self, sieve_small, bound):
+        primes = sieve_small.primes_upto(float(bound))
+        packed, bits = oracle._packed_primes(primes)
+        assert math.prod(packed) == math.prod(primes.tolist())
+        assert bits <= 63 and max(packed) < 2**bits
 
     # 3 * 2**16 + 5 samples cross three int64 blocks into a short fourth;
     # recorded before the smooth parts were found block by block.
