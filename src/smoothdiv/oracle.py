@@ -21,10 +21,11 @@ over any x below 2**63, and builds the smallest-prime-factor table
   weighted_smooth_sum and theta_exact_decomposed read the stream piece by
   piece, smooth_numbers copies it into one array, and psi_exact counts the
   same walk without forming the products;
-* theta_exact computes smooth parts one cache-sized block of odd o at a
-  time, in O(block) memory, each block starting from two wheels (Pritchard,
-  Acta Informatica 17, 1982) kept between calls: n = 2**a * o has
-  n_y = 2**a * o_y for y >= 2, so a block serves every a;
+* theta_exact computes smooth parts one cache-sized block of o prime to 6
+  at a time, in O(block) memory, each block starting from a wheel
+  (Pritchard, Acta Informatica 17, 1982) kept between calls: n = 2**a *
+  3**b * o has n_y = 2**a * 3**b * o_y for y >= 3, so a block serves every
+  3-smooth 2**a * 3**b;
 * phi_exact and theta_exact_decomposed count rough numbers one block at a
   time; theta_exact_decomposed sums phi(x/d, y) over smooth d > z, so its
   counts go only to x/(floor(z) + 1).
@@ -65,7 +66,8 @@ DEFAULT_SIEVE_CEILING = 2**31
 
 #: The most work, in ns, a count may be estimated to need (2.5 minutes), at
 #: measured ns (shared 2-vCPU VM) per integer a block covers (rough flags
-#: 0.1-2, theta_exact 0.7-5.4, the Euler product 5.7) and per smooth number
+#: 0.1-2, theta_exact 0.3-12 at x = 1e6-1e8 and y = 10-1e5, up to 21 at
+#: x = 1e5, the Euler product 5.7) and per smooth number
 #: walked (psi_exact 7-16, theta_exact_decomposed 16), summed (s_exact 33-39)
 #: or weighed (weighted_smooth_sum 190-340, measured while it held every d).
 WORK_BUDGET = 150e9
@@ -74,23 +76,35 @@ _NS_BLOCKED, _NS_WALKED, _NS_SUMMED, _NS_WEIGHED = 6, 16, 40, 250
 #: Elements per chunk of _fsum_chunked, and products per batch of _smooth_pieces.
 _CHUNK = 1 << 16
 
-#: Odd numbers per block, of theta_exact (1 MB of uint32 smooth parts) and of
-#: _mark_rough (256 KB of flags, 1 MB of int32 running count in theta).
+#: Entries per block: of theta_exact, integers prime to 6 (1 MB of uint32
+#: smooth parts), and of _mark_rough, odd numbers (256 KB of flags, 1 MB of
+#: int32 running count in theta).
 _BLOCK = 1 << 18
 
-#: Periods of theta_exact's odd wheels, 3**3 * 5 * 7 * 11 * 13 and 17 * 19 * 23 * 29,
-#: each spanning twice as many integers: a block starts from the products of the
-#: prime powers dividing them (0.52 and 0.82 MiB of uint32) instead of one stride each.
-_WHEELS = (135135, 215441)
+#: Period of theta_exact's wheel, 5**2 * 7 * 11 * 13, prime to 6: its pattern
+#: spans 2 * period entries, 6 * period integers, and a block starts as a copy
+#: of the products of the prime powers dividing it (0.19 MiB of uint32) instead
+#: of two strides each.  One wheel only: a second (19 * 23 * 29) makes each
+#: block a uint32 multiply, not a copy, which costs more than the strides it
+#: saves (theta_exact 2-5 % slower).
+_WHEEL = 25025
 
-#: Prime powers from this one up hit a theta_exact block at most
-#: _BLOCK // _SPARSE times; their hits go in at once, by np.multiply.at.  So
-#: do the hits of the primes from this one up in a block of rough flags.
+#: Prime powers that hit a theta_exact block at most _BLOCK // _SPARSE times,
+#: in a full block those from this one up, go in at once, by np.multiply.at.
+#: So do the hits of the primes from this one up in a block of rough flags.
 _SPARSE = 1 << 10
 
-#: The odd-number wheel pattern theta_exact last built for each of _WHEELS,
-#: by position: (key, read-only pattern).
-_wheel_cache: dict[int, tuple[tuple, np.ndarray]] = {}
+#: theta_exact's first L entries count every m <= Z where a compare of the m
+#: whose prefixes end there would cost more: a compare call costs about as
+#: much as counting this many entries one by one (:func:`_short_prefix_end`).
+_PER_COMPARE = 192
+
+#: The 3-smooth numbers 2**a * 3**b below 2**32, ascending.
+_SMOOTH3 = np.array(sorted(2**a * 3**b for a in range(32) for b in range(21)
+                           if 2**a * 3**b < 2**32), dtype=np.int64)
+
+#: The wheel pattern theta_exact last built, read-only, by its key.
+_wheel_cache: dict[tuple, np.ndarray] = {}
 
 #: The primes below 100: the fixed base of every prime list.
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
@@ -408,72 +422,98 @@ def phi_exact(x: float, y: float, t: SieveTables) -> int:
                for lo in range(0, fx, 2 * rough.size))
 
 
-def _wheel_pattern(slot: int, period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """pattern[j] = the product of p over the odd prime powers q = p**a in
-    ``qs`` that divide 2j + 1, for 0 <= j < ``period`` (every q divides the odd
-    ``period``), so pattern[(o - 1) // 2 % period] is their share of o_y for
-    odd o.  The last pattern built for each wheel ``slot`` is kept, read-only,
-    and rebuilt only when its prime powers change."""
+def _c6(t):
+    """#{o <= t : gcd(o, 6) = 1} for t >= 0, an int or an int64 array: the
+    odd o <= t less the odd multiples of 3."""
+    return (t + 1) // 2 - (t + 3) // 6
+
+
+def _hit_residues(q):
+    """The residues mod 2q of the entries j whose o_j = 3j + 1 + j % 2 the
+    q prime to 6 divides (an int or an int64 array): o_j is q or 5q mod 6q."""
+    return q // 3, 5 * q // 3
+
+
+def _wheel_pattern(period: int, qs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """pattern[j] = the product of p over the prime powers q = p**a in ``qs``
+    that divide o_j = 3j + 1 + j % 2, the j-th integer prime to 6, for
+    0 <= j < 2 * ``period``.  Every q divides ``period``, which is prime to 6,
+    and o_(j + 2 period) = o_j + 6 period, so pattern[i % (2 period)] is their
+    share of o_y at entry i, counted from o = 1.  The last pattern built is
+    kept, read-only, and rebuilt only when its prime powers change."""
     key = (period, tuple(qs.tolist()))
-    cached = _wheel_cache.get(slot)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    pattern = np.ones(period, dtype=np.uint32)
+    cached = _wheel_cache.get(key)
+    if cached is not None:
+        return cached
+    pattern = np.ones(2 * period, dtype=np.uint32)
     for q, p in zip(qs.tolist(), ps.tolist()):
-        v = pattern[(q - 1) // 2 :: q]
-        np.multiply(v, p, out=v)
+        for r in _hit_residues(q):
+            v = pattern[r :: 2 * q]
+            np.multiply(v, p, out=v)
     pattern.flags.writeable = False
-    _wheel_cache[slot] = (key, pattern)
+    _wheel_cache.clear()
+    _wheel_cache[key] = pattern
     return pattern
 
 
-def _fill_from_wheels(out: np.ndarray, wheels: list[np.ndarray], start: int) -> None:
-    """out[i] = the product over ``wheels`` of w[(start + i) % w.size]: one
-    contiguous slice of each wheel per stretch between wrap points, the
-    first two multiplied straight into ``out``."""
-    if not wheels:
+def _fill_from_wheel(out: np.ndarray, wheel: np.ndarray | None, start: int) -> None:
+    """out[i] = wheel[(start + i) % wheel.size], one contiguous slice per
+    stretch between wrap points; 1 everywhere without a wheel."""
+    if wheel is None:
         out.fill(1)
         return
     i = 0
     while i < out.size:
-        starts = [(start + i) % w.size for w in wheels]
-        m = min([out.size - i] + [w.size - s for w, s in zip(wheels, starts)])
-        parts = [w[s : s + m] for w, s in zip(wheels, starts)]
-        seg = out[i : i + m]
-        if len(parts) == 1:
-            seg[...] = parts[0]
-        else:
-            np.multiply(parts[0], parts[1], out=seg)
-        for part in parts[2:]:
-            np.multiply(seg, part, out=seg)
+        s = (start + i) % wheel.size
+        m = min(out.size - i, wheel.size - s)
+        out[i : i + m] = wheel[s : s + m]
         i += m
+
+
+def _short_prefix_end(ks: np.ndarray) -> int:
+    """L, the entries theta_exact counts one by one for every m <= Z: each
+    compare then starts at entry L, and the m whose prefix ends there need
+    none.  ``ks`` holds the prefix lengths of the m <= Z, descending.  L =
+    ks[j] saves the compares of the m from j on at the cost of L entries, so
+    j minimizes ks[j] + _PER_COMPARE * j, or L = 0 if that saves nothing."""
+    if not ks.size:
+        return 0
+    cost = ks + _PER_COMPARE * np.arange(ks.size)
+    j = int(np.argmin(cost))
+    return int(ks[j]) if cost[j] < _PER_COMPARE * ks.size else 0
 
 
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
-    For y >= 2, n = 2**a * o with o odd has n_y = 2**a * o_y, so n_y > z
-    exactly when o_y > Z >> a, Z = floor(z).  A block holds o_y for _BLOCK
-    consecutive odd o = lo + 2i + 1 (lo even) as uint32, so x must lie below
-    2**32 whatever the sieve limit, and serves each a < Z.bit_length() by
-    one compare of its o <= x >> a with Z >> a; the other n, the multiples
-    of 2**Z.bit_length(), all count.  An odd prime power q = p**a <= x with
-    p <= y multiplies every q-th entry from -(lo + 1) * (q + 1)/2 mod q by p:
+    For y >= 3, n = m * o with m = 2**a * 3**b and o prime to 6 has n_y =
+    m * o_y, so n_y > z exactly when o_y > Z // m, Z = floor(z).  A block
+    holds o_y for _BLOCK consecutive entries i, o = 3i + 1 + i % 2 (so
+    i = o // 3), as uint32, so x must lie below 2**32 whatever the sieve
+    limit; the o <= s fill the first _c6(s) entries.  Each 3-smooth m <= Z
+    compares its prefix, the o <= x // m, with Z // m, and each m > Z counts
+    all _c6(x // m) of its o without a block; below y = 5 every o_y is 1, so
+    no block is built; for 2 <= y < 3, n_y is the 2-part of n, so the
+    multiples of 2**Z.bit_length() count.  Where many m have short
+    prefixes, the first L entries (:func:`_short_prefix_end`) count at once,
+    for every m <= Z, the pairs with m <= min(Z // o_y, x // o), which
+    n_y > Z misses; each compare then starts at entry L.  A prime power
+    q = p**a <= x with 5 <= p <= y multiplies by p the entries i = q // 3
+    and 5q // 3 mod 2q, whose o are q and 5q mod 6q:
 
-    * a q dividing a wheel period of _WHEELS, 135135 = 3**3 * 5 * 7 * 11 * 13
-      or 215441 = 17 * 19 * 23 * 29, through that wheel's pattern, indexed
-      by (o - 1) // 2, once x reaches twice the period: each block is the
-      product of the patterns, read from wrapped slices;
-    * another q below _SPARSE = 1024 through a strided slice;
-    * every larger q, which hits a block at most _BLOCK // _SPARSE = 256
-      times, with all the others in two ``np.multiply.at`` per block: the
-      size // q hits it makes in any full block, then its one more hit where
-      that lands inside.
+    * a q dividing _WHEEL = 25025 = 5**2 * 7 * 11 * 13 through the wheel's
+      pattern of 2 * _WHEEL entries, once the count has _WHEEL entries:
+      each block starts as a copy of it, read from wrapped slices;
+    * another q that hits a block more than _BLOCK // _SPARSE = 256 times,
+      below _SPARSE * size / _BLOCK for blocks of size entries, through two
+      strided slices;
+    * every larger q, with all the others in two ``np.multiply.at`` per
+      block: the size // 2q hits of each of its two residues in any full
+      block, then the one more hit of each where that lands inside.
 
     The block and its compare are two buffers made once per call.  Memory
     is O(_BLOCK + number of prime powers), independent of x, plus the last
-    pattern built for each wheel, kept between calls: at most 1.34 MiB
-    (4 bytes per entry of the two periods).
+    wheel pattern built, kept between calls: 0.19 MiB.
     """
     _require_not_nan(y=y, z=z)
     fx = _count_bound("x", x)
@@ -486,13 +526,17 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     if y < 2:  # n_y = 1 <= z
         return 0
     fz = math.floor(z)
-    shifts = fz.bit_length()  # Z >> a > 0 exactly for a < shifts
-    count = fx >> shifts  # the n whose 2-part alone exceeds Z
-    p = t.primes_upto(min(y, fx))[1:]  # the odd primes
+    if y < 3:  # n_y is the 2-part of n
+        return fx >> fz.bit_length()
+    m = _SMOOTH3[: int(np.searchsorted(_SMOOTH3, fx, side="right"))]
+    ks = _c6(fx // m)  # the prefix of entries with o <= x // m, descending
+    low = int(np.searchsorted(m, fz, side="right"))  # the m <= Z
+    count = int(ks[low:].sum())  # the n whose 3-smooth part alone exceeds Z
+    p = t.primes_upto(min(y, fx))[2:]  # the primes from 5
     if not p.size:  # every o_y is 1
         return count
     _check_work("theta(x, y, z)", fx)
-    qs, ps = [p], [p]  # every odd prime power q = p**a <= fx, beside its prime
+    qs, ps = [p], [p]  # every prime power q = p**a <= fx, beside its prime
     while p.size:
         keep = qs[-1] <= fx // p
         p = p[keep]
@@ -500,37 +544,52 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         ps.append(p)
     qs = np.concatenate(qs)
     ps = np.concatenate(ps).astype(np.uint32)
-    wheels = []
-    for slot, period in enumerate(_WHEELS):
-        on = period % qs == 0
-        if 2 * period <= fx and on.any():
-            wheels.append(_wheel_pattern(slot, period, qs[on], ps[on]))
-            qs, ps = qs[~on], ps[~on]
-    size = min(_BLOCK, (fx + 1) // 2)
-    sparse = qs >= _SPARSE
-    strided = list(zip(qs[~sparse].tolist(), ps[~sparse].tolist()))
-    # The sparse q below the block size go first: each makes size // q hits
-    # in every full block, the k-th at its first hit plus k * q.  The hit
-    # after those, like a larger q's only hit, lands in some blocks only.
-    qs, ps = qs[sparse], ps[sparse]
-    order = np.argsort(qs >= size, kind="stable")
-    qs, ps = qs[order], ps[order]
-    many = int(np.count_nonzero(qs < size))
-    sure = size // qs[:many]
+    entries = int(ks[0])  # m = 1: every o <= x
+    wheel = None
+    on = _WHEEL % qs == 0
+    if _WHEEL <= entries and on.any():
+        wheel = _wheel_pattern(_WHEEL, qs[on], ps[on])
+        qs, ps = qs[~on], ps[~on]
+    size = min(_BLOCK, entries)
+    # q hits the entries r + 2qk for its two residues r: each residue is a
+    # progression with step 2q.  Of the sparse ones, the steps below the
+    # block size go first: each makes size // step hits in every full block,
+    # the k-th at its first hit plus k * step.  The hit after those, like a
+    # longer step's only hit, lands in some blocks only.
+    dense = qs * _BLOCK < size * _SPARSE  # a sparse q hits a block at most 256 times
+    strided = [(r, 2 * q, p) for q, p in zip(qs[dense].tolist(), ps[dense])
+               for r in _hit_residues(q)]
+    near, far = ~dense & (2 * qs < size), ~dense & (2 * qs >= size)
+    steps = 2 * np.concatenate([qs[near], qs[near], qs[far], qs[far]])
+    res = np.concatenate([*_hit_residues(qs[near]), *_hit_residues(qs[far])])
+    ps = np.concatenate([ps[near], ps[near], ps[far], ps[far]])
+    many = 2 * int(np.count_nonzero(near))
+    sure = size // steps[:many]
     offset = np.arange(int(sure.sum())) - np.repeat(np.cumsum(sure) - sure, sure)
-    offset *= np.repeat(qs[:many], sure)
+    offset *= np.repeat(steps[:many], sure)
     factor = np.repeat(ps[:many], sure)
-    spill = sure * qs[:many]
+    spill = sure * steps[:many]
+    ks, m = ks[:low], m[:low].astype(np.uint32)
+    short = _short_prefix_end(ks)
+    if short:
+        ends = np.minimum(ks, short)
+        count += int(ends.sum())  # less the pairs the first entries miss
+        # cap[i], i < L, is the largest m <= Z with o_i <= x // m, so an m' <= Z
+        # has m' <= x // o_i exactly when m' <= cap[i].
+        ends[:-1] -= ends[1:]
+        cap = np.repeat(m, ends)[::-1]
+    long = ks > short
+    ks, thresholds = ks[long].tolist(), fz // m[long]
     block = np.empty(size, dtype=np.uint32)
     above = np.empty(size, dtype=bool)
-    for lo in range(0, fx, 2 * size):
-        n = min(size, (fx + 1 - lo) // 2)
+    for lo in range(0, entries, size):
+        n = min(size, entries - lo)
         b = block[:n]
-        _fill_from_wheels(b, wheels, lo // 2)
-        for q, p in strided:
-            v = b[-(lo + 1) * (q + 1) // 2 % q :: q]
+        _fill_from_wheel(b, wheel, lo)
+        for r, s, p in strided:
+            v = b[(r - lo) % s :: s]
             np.multiply(v, p, out=v)  # not `b[...] *= p`, which writes v back to b
-        first = -(lo + 1) % qs * ((qs + 1) // 2) % qs
+        first = (res - lo) % steps
         at = np.repeat(first[:many], sure)
         at += offset
         if n < size:  # the last block, cut short
@@ -541,9 +600,16 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         first[:many] += spill
         last = first < n
         np.multiply.at(b, first[last], ps[last])
-        for a in range(min(shifts, (fx // (lo + 1)).bit_length())):  # while lo + 1 <= x >> a
-            k = min(n, ((fx >> a) - lo + 1) // 2)  # the o <= x >> a
-            count += int(np.count_nonzero(np.greater(b[:k], np.uint32(fz >> a), out=above[:k])))
+        start = min(n, max(0, short - lo))  # the entries below L
+        if start:  # each m <= min(Z // o_y, cap) is a pair that n_y > Z misses
+            bound = np.minimum(fz // b[:start], cap[lo : lo + start])
+            bound.sort()
+            count -= int((start - np.searchsorted(bound, m)).sum())
+        for k, th in zip(ks, thresholds):
+            if k <= lo:  # the prefixes only get shorter
+                break
+            e = min(n, k - lo)
+            count += int(np.count_nonzero(np.greater(b[start:e], th, out=above[start:e])))
     return count
 
 
@@ -702,7 +768,10 @@ def _sample_kbit(rng: np.random.Generator, k: int, samples: int):
         raise ResourceError(f"{samples} samples of {k} bits do not fit in memory") from None
     mask = (1 << nbits) - 1
     top = 1 << nbits
-    return [top | (int.from_bytes(row.tobytes(), "little") & mask) for row in words]
+    # One void view reads each row's bytes as one bytes object, where a
+    # row.tobytes() per row pays for a numpy row and a call each.
+    rows = words.view((np.void, 8 * nwords)).ravel().tolist()
+    return [top | (int.from_bytes(row, "little") & mask) for row in rows]
 
 
 def _smooth_parts_int64(ns: np.ndarray, primes: np.ndarray) -> np.ndarray:

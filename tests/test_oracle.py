@@ -397,16 +397,17 @@ class TestThetaRoutes:
     # strided and sparse prime powers.  Small blocks cap x at 400 blocks so
     # that an example stays cheap; the default block draws x up to 1e5.  The
     # same value patched into _CHUNK splits the decomposed route's batches of
-    # large-prime products.  Each example also draws the two odd wheels:
-    # (1, 1) is no wheel, (3, 15) lets the second wheel take only the 5 the
-    # first leaves, (15, 9) only the 9 beside the first's 3, (9, 35) and
-    # (27, 5) repeat within and across small blocks, and the defaults lie
-    # beyond a small block's x.  It draws the sparse
-    # threshold too: 1 and 3 send every q (every q but 2) through the
-    # sparse hits, 8 mixes them with strides, and the default 1024 leaves
-    # few sparse q below 1e5.  Beside the bounds, z takes values below 1,
-    # floor(x) and a half-integer, where an integer threshold floor(z) must
-    # count the same n_y as z.
+    # large-prime products.  Each example also draws the wheel, a period
+    # prime to 6: 1 is no wheel, 5, 35 and 125 (which holds 25 and 125
+    # beside 5) repeat within and across small blocks, 1001 = 7 * 11 * 13
+    # leaves 5 to the strides, and the default lies beyond a small block's
+    # x.  It draws the sparse
+    # threshold too: 1 and 3 send every q through the sparse hits, 8 mixes
+    # them with strides, and at the default 1024 a q takes strides where it
+    # hits a block more than _BLOCK // 1024 times.
+    # Beside the bounds, z takes values below 1, floor(x) and a
+    # half-integer, where an integer threshold floor(z) must count the same
+    # n_y as z.
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -419,15 +420,14 @@ class TestThetaRoutes:
             _BOUNDS, st.just(float(x)), st.just(float(fx)),
             st.floats(max_value=1.0, exclude_max=True, allow_nan=False),
             st.integers(1, max(fx, 1)).map(lambda n: n - 0.5)), "z")
-        wheels = data.draw(st.sampled_from([(1, 1), (3, 15), (15, 9), (9, 35), (27, 5), None]),
-                           "wheels")
+        wheel = data.draw(st.sampled_from([1, 5, 35, 125, 1001, None]), "wheel")
         sparse = data.draw(st.sampled_from([1, 3, 8, None]), "sparse")
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "_BLOCK", block)
                 mp.setattr(oracle, "_CHUNK", block)
-            if wheels is not None:
-                mp.setattr(oracle, "_WHEELS", wheels)
+            if wheel is not None:
+                mp.setattr(oracle, "_WHEEL", wheel)
             if sparse is not None:
                 mp.setattr(oracle, "_SPARSE", sparse)
             direct = theta_exact(x, y, z, sieve_small)
@@ -436,19 +436,26 @@ class TestThetaRoutes:
         assert direct == want
         assert decomposed == want
 
-    # y at and just below each prime where a wheel gains a prime (3 to 13 the
-    # first wheel's, 17 to 29 the second's), at 27, the first wheel's
-    # largest prime power (29 is the second's), and at 31.99 and 32, where
-    # 31, the first prime of neither wheel, takes a stride; x one below, at and one
-    # above twice each default wheel period, where a wheel is first used,
-    # and the integers one and two blocks of odd numbers span, where a block
-    # of one entry follows.
+    # y at and just below 3, where the 3-smooth m enter, and at and just
+    # below each prime from 5, where the blocks start: 5 to 13 the wheel's,
+    # 17 to 29 the first to take strides; at 25 and 27, the wheel's largest
+    # prime power and a power of 3, which no block holds; and at 31.99 and
+    # 32.  x one below, at and one above the integers whose count of entries
+    # first reaches the wheel's period, where the wheel is first used, and
+    # twice it, where a whole pattern is read, and the integers one and two
+    # blocks span, where a block of one entry follows.
     @pytest.mark.parametrize("y", [p - d for p in (3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0,
                                                    23.0, 29.0) for d in (0.01, 0.0)]
-                             + [27.0, 31.99, 32.0])
+                             + [25.0, 27.0, 31.99, 32.0])
     def test_wheel_and_block_edges(self, sieve_1m, y):
-        assert oracle._WHEELS == (135135, 215441) and oracle._BLOCK == 2**18
-        edges = [2 * oracle._WHEELS[0], 2 * oracle._WHEELS[1], 2 * oracle._BLOCK, 4 * oracle._BLOCK]
+        assert oracle._WHEEL == 25025 and oracle._BLOCK == 2**18
+
+        def span(entries):  # the integer o_(entries - 1), the last an entry count holds
+            i = entries - 1
+            return 3 * i + 1 + i % 2
+
+        edges = [span(oracle._WHEEL), span(2 * oracle._WHEEL)]
+        edges += [span(oracle._BLOCK), span(2 * oracle._BLOCK)]
         sp = reference_smooth_parts(max(edges) + 1, y, sieve_1m)
         for fx in (e + d for e in edges for d in (-1, 0, 1)):
             for z in (-1.0, 0.5, 1.0, 30.5, 1000.0, fx - 1.0, float(fx), fx + 5.0):
@@ -456,36 +463,41 @@ class TestThetaRoutes:
                 assert theta_exact(float(fx), y, z, sieve_1m) == want, (fx, y, z)
 
     def test_wheel_patterns_kept_are_bounded(self, sieve_1m, monkeypatch):
-        # One read-only pattern per wheel stays between calls, whatever the
-        # calls' y: a cache of (period + block)-length patterns per y moved
-        # the benchmark's peak RSS by 20 %.  From y = 13 the first wheel
-        # holds every prime it can, so a pattern must be kept.
+        # One read-only pattern stays between calls, whatever the calls' y:
+        # a cache of (period + block)-length patterns per y moved the
+        # benchmark's peak RSS by 20 %.  A pattern holds 2 * period uint32
+        # entries.  From y = 5 the wheel holds a prime, so a pattern must be
+        # kept.
         monkeypatch.setattr(oracle, "_wheel_cache", {})
-        for y in (3.0, 7.0, 12.0, 13.0, 17.0, 30.0, 1e3, math.inf):
+        for y in (3.0, 4.99, 5.0, 7.0, 12.0, 13.0, 17.0, 30.0, 1e3, math.inf):
             theta_exact(5e5, y, 100.0, sieve_1m)
-            kept = [pattern for _, pattern in oracle._wheel_cache.values()]
-            assert len(kept) <= len(oracle._WHEELS)
-            assert sum(p.nbytes for p in kept) <= 2 * 2**20
+            kept = list(oracle._wheel_cache.values())
+            assert len(kept) <= 1
+            assert sum(p.nbytes for p in kept) <= 8 * oracle._WHEEL < 1.34 * 2**20
             assert not any(p.flags.writeable for p in kept)
-            assert kept or y < 13
+            assert bool(kept) == (y >= 5)
 
-    # n = 2**a * o with o odd: n_y > z exactly when o_y > floor(z) >> a.  z
-    # sits at and around a power of two, where floor(z) >> a reaches 0, and
-    # x next to 2**a * o, where the prefix of o <= x >> a gains an entry.
-    # Below y = 3 only the prime 2 divides a smooth part, which needs no
-    # block, and below y = 2 nothing does.
-    # Small blocks cap x at 400 blocks, as above.
+    # n = m * o with m = 2**a * 3**b and o prime to 6: n_y > z exactly when
+    # o_y > floor(z) // m.  z sits at and around a 3-smooth number, where
+    # floor(z) // m steps, and x next to m * o, where the prefix of o <= x // m
+    # gains an entry.  Below y = 5 only 2 and 3 divide a smooth part, which
+    # needs no block, below y = 3 only 2, and below y = 2 nothing.  Small
+    # blocks cap x at 400 blocks, as above.
     @pytest.mark.parametrize("block", [1, 7, 64, None])
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_powers_of_two_shift_the_threshold(self, sieve_small, block, data):
-        x_max = 10**5 if block is None else 800 * block  # 2**a * o + 1 <= x_max
+        x_max = 10**5 if block is None else 1200 * block  # 3 * c6(x_max) <= 400 blocks
         a = data.draw(st.integers(0, x_max.bit_length() - 2), "a")
-        o = 2 * data.draw(st.integers(0, (((x_max - 1) >> a) - 1) // 2), "k") + 1
-        fx = 2**a * o + data.draw(st.sampled_from([-1, 0, 1]), "dx")
-        z = 2 ** data.draw(st.integers(0, x_max.bit_length()), "b") + data.draw(
-            st.sampled_from([-1.0, -0.5, 0.0, 0.5]), "dz")
-        y = data.draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 3.5, 13.0, 1e3]), "y")
+        b = data.draw(st.integers(0, math.floor(math.log(x_max // 2**a, 3))), "b")
+        top = (x_max - 1) // (2**a * 3**b)  # m * o + 1 <= x_max
+        count = top // 6 * 2 + (top % 6 >= 1) + (top % 6 >= 5)  # the o <= top prime to 6
+        i = data.draw(st.integers(0, max(count - 1, 0)), "i")
+        o = 3 * i + 1 + i % 2  # the i-th integer prime to 6
+        fx = 2**a * 3**b * o + data.draw(st.sampled_from([-1, 0, 1]), "dx")
+        z = 2 ** data.draw(st.integers(0, x_max.bit_length()), "c") * 3 ** data.draw(
+            st.integers(0, 3), "d") + data.draw(st.sampled_from([-1.0, -0.5, 0.0, 0.5]), "dz")
+        y = data.draw(st.sampled_from([1.5, 2.0, 2.5, 3.0, 4.99, 5.0, 13.0, 1e3]), "y")
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(oracle, "_BLOCK", block)
@@ -493,19 +505,20 @@ class TestThetaRoutes:
         assert got == (reference_theta(fx, y, z, sieve_small) if fx >= 1 else 0)
 
     @pytest.mark.parametrize("block", [7, 64, None])
-    def test_blocks_hold_odd_numbers_only(self, sieve_small, block, monkeypatch):
-        # Even n take their smooth parts from odd ones, so the blocks fill
-        # one entry per odd o <= x, ceil(x / 2) in all.
+    def test_blocks_hold_numbers_prime_to_6(self, sieve_small, block, monkeypatch):
+        # n = m * o takes its smooth part from o's, so the blocks fill one
+        # entry per o <= x prime to 6.
         filled = []
-        real = oracle._fill_from_wheels
-        monkeypatch.setattr(oracle, "_fill_from_wheels",
+        real = oracle._fill_from_wheel
+        monkeypatch.setattr(oracle, "_fill_from_wheel",
                             lambda out, *args: filled.append(out.size) or real(out, *args))
         if block is not None:
             monkeypatch.setattr(oracle, "_BLOCK", block)
-        for x in (3, 100, 101, 1000.5, 9999, 10**5):
+        for x in (3, 5, 100, 101, 1000.5, 9999, 10**5):
             filled.clear()
             theta_exact(x, 30.0, 1.5, sieve_small)
-            assert sum(filled) == (math.floor(x) + 1) // 2, (block, x)
+            want = sum(1 for o in range(1, math.floor(x) + 1) if math.gcd(o, 6) == 1)
+            assert sum(filled) == (want if x >= 5 else 0), (block, x)
 
 
 class TestThetaAtScale:
@@ -744,6 +757,16 @@ class TestAtScale:
 
     def test_psi(self):
         assert psi_exact(1e10, 896.0, build_sieve(896)) == 266_861_740
+
+    # x = 2**32 - 1, the largest the uint32 blocks take: o reaches 2**32 - 1,
+    # past int32, and 3i at the last entry i = o // 3 is 2**32 - 3, so an
+    # int32 or uint32 step in the entry arithmetic would wrap.  Both counts
+    # were recorded before the blocks held only integers prime to 6.
+    @pytest.mark.parametrize("y, z, want", [(30.0, 1e6, 6_709_456), (100.0, 1000.0, 803_663_047)])
+    def test_theta_at_the_top_of_the_uint32_blocks(self, y, z, want):
+        t = build_sieve(int(y))
+        assert theta_exact(2**32 - 1, y, z, t) == want
+        assert theta_exact_decomposed(2**32 - 1, y, z, t) == want
 
 
 class TestPsiCount:
