@@ -116,6 +116,8 @@ def load_settings(config_path: str | None) -> Settings:
         values[key] = value if known[key] == "int" else float(value)
         if key in _POSITIVE_KEYS and not (math.isfinite(values[key]) and values[key] > 0):
             raise UsageError(f"config key {key!r} must be positive and finite, got {value!r}")
+        if key == "epsilon" and not math.isfinite(values[key]):
+            raise UsageError(f"config key {key!r} must be finite, got {value!r}")
         if key == "sieve_ceiling" and value < 2:
             raise UsageError(f"config key {key!r} must be at least 2, got {value!r}")
     return Settings(**values)
@@ -259,6 +261,15 @@ def _sieve_for(bound: float | int, settings: Settings,
     return oracle.build_sieve(math.floor(max(2, min(bound, y))), settings.sieve_ceiling)
 
 
+def _int_or_float(text: str) -> int | float:
+    """A flag value spelt as an integer, exactly (past 2**53 too), or else as
+    a float (1e6, 12.7, nan)."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _philox_seed(seed: int, span: int = 1) -> int:
     """``--seed`` as the first of ``span`` Philox keys, which lie in [0, 2**128)."""
     if not 0 <= seed <= 2**128 - span:
@@ -297,6 +308,8 @@ def cmd_special(args, settings: Settings) -> OutputRecord:
 def cmd_estimate(args, settings: Settings) -> OutputRecord:
     kind = KINDS[args.kind]
     p = _need(args, *kind.params)
+    if args.epsilon is not None and not math.isfinite(args.epsilon):
+        raise UsageError(f"--epsilon must be finite, got {args.epsilon!r}")
     r = kind.estimate(_numerics(settings, args.epsilon), **p)
     return OutputRecord(
         command=f"estimate {args.kind}",
@@ -310,7 +323,7 @@ def cmd_estimate(args, settings: Settings) -> OutputRecord:
 def cmd_exact(args, settings: Settings) -> OutputRecord:
     kind = KINDS[args.kind]
     p = _need(args, *kind.params)
-    if "n" in p:  # the integer whose smooth part is asked for
+    if isinstance(p.get("n"), float):  # the integer whose smooth part is asked for
         if not p["n"].is_integer():
             raise UsageError(f"--n must be an integer, got {p['n']!r}")
         p["n"] = int(p["n"])
@@ -358,7 +371,11 @@ def cmd_compare(args, settings: Settings) -> tuple[str, str | None]:
         f"compare-{args.kind}", tuple(rows), seed=0, version=__version__,
         summary={"max_ratio": max(ratios), "median_ratio": float(np.median(ratios))})
     if args.report:
-        report.save(args.report)
+        try:
+            report.save(args.report)
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError,
+                PermissionError) as exc:
+            raise UsageError(f"cannot write --report {args.report}: {exc.strerror}")
     return report.to_json(), args.report
 
 
@@ -373,7 +390,7 @@ def cmd_dsa_risk(args, settings: Settings) -> OutputRecord:
         flags.append("eta_negative=true")
     inputs = {"k": args.k, "l": args.l, "m": args.m}
     outputs = {"wp": w_k, "eta": analytic}
-    if args.empirical:
+    if args.empirical is not None:
         seed = _philox_seed(args.seed)
         # 2**l exceeds the ceiling exactly when l reaches its bit length;
         # testing l first never builds 2**l for a huge l.
@@ -444,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--x", type=float)
     ex.add_argument("--y", type=float)
     ex.add_argument("--z", type=float)
-    ex.add_argument("--n", type=float)
+    ex.add_argument("--n", type=_int_or_float)
     ex.add_argument("--format", default="json", choices=["json", "csv", "table"])
 
     cp = sub.add_parser("compare", help="exact vs. estimate over a grid")

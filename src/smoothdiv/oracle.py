@@ -94,11 +94,6 @@ _WHEEL = 25025
 #: So do the hits of the primes from this one up in a block of rough flags.
 _SPARSE = 1 << 10
 
-#: theta_exact's first L entries count every m <= Z where a compare of the m
-#: whose prefixes end there would cost more: a compare call costs about as
-#: much as counting this many entries one by one (:func:`_short_prefix_end`).
-_PER_COMPARE = 192
-
 #: The 3-smooth numbers 2**a * 3**b below 2**32, ascending.
 _SMOOTH3 = np.array(sorted(2**a * 3**b for a in range(32) for b in range(21)
                            if 2**a * 3**b < 2**32), dtype=np.int64)
@@ -470,19 +465,6 @@ def _fill_from_wheel(out: np.ndarray, wheel: np.ndarray | None, start: int) -> N
         i += m
 
 
-def _short_prefix_end(ks: np.ndarray) -> int:
-    """L, the entries theta_exact counts one by one for every m <= Z: each
-    compare then starts at entry L, and the m whose prefix ends there need
-    none.  ``ks`` holds the prefix lengths of the m <= Z, descending.  L =
-    ks[j] saves the compares of the m from j on at the cost of L entries, so
-    j minimizes ks[j] + _PER_COMPARE * j, or L = 0 if that saves nothing."""
-    if not ks.size:
-        return 0
-    cost = ks + _PER_COMPARE * np.arange(ks.size)
-    j = int(np.argmin(cost))
-    return int(ks[j]) if cost[j] < _PER_COMPARE * ks.size else 0
-
-
 def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     """#{n <= x : n_y > z}, counted directly from smooth parts, one block at a time.
 
@@ -494,12 +476,9 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     compares its prefix, the o <= x // m, with Z // m, and each m > Z counts
     all _c6(x // m) of its o without a block; below y = 5 every o_y is 1, so
     no block is built; for 2 <= y < 3, n_y is the 2-part of n, so the
-    multiples of 2**Z.bit_length() count.  Where many m have short
-    prefixes, the first L entries (:func:`_short_prefix_end`) count at once,
-    for every m <= Z, the pairs with m <= min(Z // o_y, x // o), which
-    n_y > Z misses; each compare then starts at entry L.  A prime power
-    q = p**a <= x with 5 <= p <= y multiplies by p the entries i = q // 3
-    and 5q // 3 mod 2q, whose o are q and 5q mod 6q:
+    multiples of 2**Z.bit_length() count.  A prime power q = p**a <= x with
+    5 <= p <= y multiplies by p the entries i = q // 3 and 5q // 3 mod 2q,
+    whose o are q and 5q mod 6q:
 
     * a q dividing _WHEEL = 25025 = 5**2 * 7 * 11 * 13 through the wheel's
       pattern of 2 * _WHEEL entries, once the count has _WHEEL entries:
@@ -569,17 +548,7 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
     offset *= np.repeat(steps[:many], sure)
     factor = np.repeat(ps[:many], sure)
     spill = sure * steps[:many]
-    ks, m = ks[:low], m[:low].astype(np.uint32)
-    short = _short_prefix_end(ks)
-    if short:
-        ends = np.minimum(ks, short)
-        count += int(ends.sum())  # less the pairs the first entries miss
-        # cap[i], i < L, is the largest m <= Z with o_i <= x // m, so an m' <= Z
-        # has m' <= x // o_i exactly when m' <= cap[i].
-        ends[:-1] -= ends[1:]
-        cap = np.repeat(m, ends)[::-1]
-    long = ks > short
-    ks, thresholds = ks[long].tolist(), fz // m[long]
+    ks, thresholds = ks[:low].tolist(), fz // m[:low].astype(np.uint32)
     block = np.empty(size, dtype=np.uint32)
     above = np.empty(size, dtype=bool)
     for lo in range(0, entries, size):
@@ -600,16 +569,11 @@ def theta_exact(x: float, y: float, z: float, t: SieveTables) -> int:
         first[:many] += spill
         last = first < n
         np.multiply.at(b, first[last], ps[last])
-        start = min(n, max(0, short - lo))  # the entries below L
-        if start:  # each m <= min(Z // o_y, cap) is a pair that n_y > Z misses
-            bound = np.minimum(fz // b[:start], cap[lo : lo + start])
-            bound.sort()
-            count -= int((start - np.searchsorted(bound, m)).sum())
         for k, th in zip(ks, thresholds):
             if k <= lo:  # the prefixes only get shorter
                 break
             e = min(n, k - lo)
-            count += int(np.count_nonzero(np.greater(b[start:e], th, out=above[start:e])))
+            count += int(np.count_nonzero(np.greater(b[:e], th, out=above[:e])))
     return count
 
 

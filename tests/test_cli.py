@@ -112,6 +112,14 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "domain error: lemma 6 requires y >= 3\n"
         assert calls == []
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_usage_error(self, epsilon, capsys):
+        # --epsilon nan once exited 0 with the flag "y >= nan: FAIL".
+        argv = ["estimate", "psi-h", "--x", "1e6", "--y", "1e3", f"--epsilon={epsilon}"]
+        assert cli.main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "--epsilon" in err
+
     def test_missing_flag_is_usage_error(self):
         proc = run_cli("estimate", "theta", "--x", "1e6")
         assert proc.returncode == EXIT_USAGE
@@ -143,6 +151,10 @@ class TestExactCommand:
         ("12.7", EXIT_USAGE, None),   # was silently truncated to 12
         ("1e6", 0, "1000000"),        # integer-valued float spelling stays accepted
         ("0", EXIT_DOMAIN, None),     # integer but outside smooth_part's domain
+        # Integer literals are read exactly: 2**53 + 1 = 3 * 107 * 28059810762433
+        # was read as 2**53, and 2**63 - 1 as 2**63, refused with exit 3.
+        ("9007199254740993", 0, "3"),
+        ("9223372036854775807", 0, "1"),
     ])
     def test_smoothpart_n_must_be_integer_valued(self, n, code, value):
         proc = run_cli("exact", "smoothpart", "--n", n, "--y", "5")
@@ -276,6 +288,15 @@ class TestCompareCommand:
         doc = json.loads(path.read_text())
         assert len(doc["rows"]) == 2
 
+    @pytest.mark.parametrize("where", ["missing/report.json", "."])
+    def test_unwritable_report_is_usage_error(self, tmp_path, capsys, where):
+        # A report into a missing directory was an internal error (exit 4).
+        argv = ["compare", "--kind", "psi-h", "--x", "1e4", "--u", "2.5",
+                "--report", str(tmp_path / where)]
+        assert cli.main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "--report" in err
+
 
     def test_config_sets_epsilon(self, tmp_path, capsys):
         # The same config and point as TestConfig::test_config_file_sets_epsilon.
@@ -348,6 +369,7 @@ class TestDsaRiskCommand:
         (["--k", "2", "--l", "5000", "--m", "5"], EXIT_RESOURCE, "2^5000"),
         (["--k", str(2**62), "--l", "1", "--m", "1"], EXIT_RESOURCE, "memory"),
         (["--k", str(10**400)], EXIT_DOMAIN, "2**1024"),
+        (["--empirical", "0"], EXIT_DOMAIN, "sample"),  # was ignored: exit 0, no Monte Carlo
     ])
     def test_flag_values_that_crashed(self, argv, code, needle, capsys):
         # A later flag overrides the default one before it.
@@ -600,6 +622,8 @@ class TestConfig:
         {"target_rel_err": -math.inf},
         {"sieve_ceiling": 1},
         {"sieve_ceiling": -5},
+        {"epsilon": math.nan},  # json reads NaN and Infinity
+        {"epsilon": -math.inf},
     ])
     def test_config_range_errors_name_the_key(self, tmp_path, capsys, raw):
         cfg = tmp_path / "conf.json"
